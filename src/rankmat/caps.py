@@ -32,9 +32,20 @@ class CapExceeded(Exception):
     """A requested computation exceeds the configured size caps."""
 
 
+# (raw RANKMAT_CAPS string, caps parsed from it); re-parsed when it changes
+_parsed: tuple = (None, None)
+
+
 def _load() -> dict:
-    caps = dict(_DEFAULTS)
+    global _parsed
     raw = os.environ.get("RANKMAT_CAPS", "")
+    if raw != _parsed[0]:
+        _parsed = (raw, _parse(raw))
+    return _parsed[1]
+
+
+def _parse(raw: str) -> dict:
+    caps = dict(_DEFAULTS)
     for item in raw.split(","):
         item = item.strip()
         if not item:

@@ -1,4 +1,11 @@
-"""Type matrices, rank variants, GF(2) graph cut-rank, and monadic d-types."""
+"""Type matrices, rank variants, GF(2) graph cut-rank, and monadic d-types.
+
+``monadic_d_type`` is the reference definition of a depth-d monadic type as
+a nested frozenset value.  ``monadic_type_matrix`` does not build those
+values: it interns each depth-d type of a structure as a small int, memoised
+per subset tuple and kept for the last structure seen, so the matrices of
+one EF comparison and the subsets X of one structure share their work.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,7 +31,6 @@ __all__ = [
     "reference_rank",
     "union_rank_table",
     "smallest_prime_at_least",
-    "canonical_key",
     "generic_matrix_ranks",
 ]
 
@@ -253,19 +259,80 @@ def element_d_type(s: Structure, elements: Sequence[int], d: int, subsets: tuple
     return ("step", below, reachable)
 
 
-def canonical_key(value) -> str:
-    """Deterministic, platform-stable sort key for nested type values."""
-    if isinstance(value, frozenset):
-        return "{" + ",".join(sorted(canonical_key(v) for v in value)) + "}"
-    if isinstance(value, tuple):
-        return "(" + ",".join(canonical_key(v) for v in value) + ")"
-    if value is None:
-        return "_"
-    if isinstance(value, bool):
-        return "#" + str(int(value))
-    if isinstance(value, int):
-        return "%020d" % value
-    return "s" + str(value)
+class _MonadicTyper:
+    """Hash-consed monadic types of one structure: each depth-d type of a
+    subset tuple is interned as a small int, and two tuples get the same id
+    exactly when ``monadic_d_type`` gives them equal values.
+
+    Depth 0 grows one coordinate at a time: the atoms of ``head + (z,)`` are
+    the atoms of ``head`` plus the facts that involve the new coordinate, so
+    they intern as ``(atom id of head, new facts)``.  Depth d interns as
+    ``(depth d-1 id, frozenset of depth d-1 ids one subset further)``.  Ids
+    come from one counter, so an id names one type at one depth.
+    """
+
+    def __init__(self, ms: MonadicStructure, residues: tuple):
+        self.ms = ms
+        self.residues = residues
+        self._ids: dict = {}
+        self._memo: dict = {((), 0): self._intern(())}
+        self._rel_atoms: dict = {}
+
+    def _intern(self, key) -> int:
+        return self._ids.setdefault(key, len(self._ids))
+
+    def type_id(self, subsets: tuple, d: int) -> int:
+        found = self._memo.get((subsets, d))
+        if found is None:
+            if d == 0:
+                head = subsets[:-1]
+                key = (self.type_id(head, 0), self._new_facts(head, subsets[-1]))
+            else:
+                key = (self.type_id(subsets, d - 1), frozenset(
+                    self.type_id(subsets + (z,), d - 1) for z in self.ms.subsets()
+                ))
+            found = self._memo[(subsets, d)] = self._intern(key)
+        return found
+
+    def _new_facts(self, head: tuple, z: int) -> tuple:
+        """The atoms of ``head + (z,)`` that involve its last coordinate, in
+        a fixed order for each length.  Equality with an earlier coordinate
+        is inclusion both ways, and the new coordinate's inclusion in and
+        equality with itself always hold, so neither is stored."""
+        row = head + (z,)
+        facts = [tuple(row[i] for i in idx) in tuples
+                 for tuples, idx in self._relation_atoms(len(head))]
+        for x in head:
+            facts.append(x & ~z == 0)
+            facts.append(z & ~x == 0)
+        facts.extend(z.bit_count() % q for q in self.residues)
+        return tuple(facts)
+
+    def _relation_atoms(self, k: int) -> list:
+        """(relation tuples, coordinate indices) for the relation atoms of a
+        (k+1)-tuple that mention coordinate k."""
+        atoms = self._rel_atoms.get(k)
+        if atoms is None:
+            atoms = self._rel_atoms[k] = [
+                (tuples, idx)
+                for _, arity, tuples in self.ms.relations
+                for idx in product(range(k + 1), repeat=arity)
+                if k in idx
+            ]
+        return atoms
+
+
+# The last structure's typer, so the two matrices of one EF comparison and
+# a loop over the subsets X of one structure share their interned types.
+_last_typer: Optional[tuple] = None
+
+
+def _typer_for(ms: MonadicStructure, residues: Sequence[int]) -> _MonadicTyper:
+    global _last_typer
+    key = (ms, tuple(residues))
+    if _last_typer is None or _last_typer[0] != key:
+        _last_typer = (key, _MonadicTyper(ms, key[1]))
+    return _last_typer[1]
 
 
 @dataclass(frozen=True)
@@ -275,8 +342,8 @@ class MonadicTypeMatrix:
     m: int
     rows: tuple
     cols: tuple
-    table: tuple
-    values: tuple
+    table: tuple  # cell values 0..t-1, numbered in order of first appearance
+    values: tuple  # cell value -> interned id of its depth-d type
 
 
 def _subsets_of(mask_bits: Sequence[int]):
@@ -293,22 +360,22 @@ def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
                         residues: Sequence[int] = ()) -> MonadicTypeMatrix:
     X = frozenset(X)
     caps.check("monadic_matrix_mn", m * ms.universe_size, "monadic type matrix")
+    if d < 0:
+        raise ValueError("d must be >= 0")
     inside = sorted(X)
     outside = sorted(set(range(ms.universe_size)) - X)
     rows = tuple(product(tuple(_subsets_of(inside)), repeat=m))
     cols = tuple(product(tuple(_subsets_of(outside)), repeat=m))
-    cells = {}
-    seen = set()
-    for r in rows:
-        for c in cols:
-            union = tuple(a | b for a, b in zip(r, c))
-            ty = monadic_d_type(ms, union, d, residues)
-            cells[(r, c)] = ty
-            seen.add(ty)
-    ordered = sorted(seen, key=canonical_key)
-    ids = {ty: i for i, ty in enumerate(ordered)}
-    table = tuple(tuple(ids[cells[(r, c)]] for c in cols) for r in rows)
-    return MonadicTypeMatrix(X, d, m, rows, cols, table, tuple(ordered))
+    type_id = _typer_for(ms, residues).type_id
+    numbers: dict = {}
+    table = tuple(
+        tuple(
+            numbers.setdefault(type_id(tuple(a | b for a, b in zip(r, c)), d), len(numbers))
+            for c in cols
+        )
+        for r in rows
+    )
+    return MonadicTypeMatrix(X, d, m, rows, cols, table, tuple(numbers))
 
 
 def monadic_matrix_distinct_rows(M: MonadicTypeMatrix) -> int:

@@ -14,6 +14,7 @@ from .structures import Structure, qf_type
 from .trees import LaminarTree, LinearPreorder, blocks, subforests
 
 __all__ = [
+    "RecoveryError",
     "Seed",
     "UnorderedOracle",
     "OrderedOracle",
@@ -29,6 +30,10 @@ __all__ = [
     "recover_partition",
     "recover_preorder",
 ]
+
+
+class RecoveryError(ValueError):
+    """The oracle's answers contradict what recovery relies on."""
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +470,8 @@ def find_seed(oracle) -> Seed:
     if len(oracle.classes) < 2:
         raise ValueError("a seed needs at least two classes")
     seed = _seed_of(oracle, oracle.classes[0])
-    assert seed.is_seed(), "completeness guarantees the canonical seed"
+    if not seed.is_seed():
+        raise RecoveryError("the first class alone fails phi: the oracle is not complete")
     return seed
 
 
@@ -523,7 +529,7 @@ def maximal_seed(oracle) -> tuple:
 def _good_seed_family(oracle, Y0: frozenset, special: tuple) -> list:
     """All phi-satisfying sets that agree with Y0 on the special classes
     and are full or empty on the others. By maximality no good seed cuts a
-    non-special class, which is asserted by _assert_maximality."""
+    non-special class, which _check_maximality checks."""
     nonspecial = [i for i in range(len(oracle.classes)) if i not in special]
     base = frozenset().union(
         *(Y0 & oracle.classes[i] for i in special)
@@ -538,7 +544,7 @@ def _good_seed_family(oracle, Y0: frozenset, special: tuple) -> list:
     return family
 
 
-def _assert_maximality(oracle, Y0: frozenset, special: tuple) -> None:
+def _check_maximality(oracle, Y0: frozenset, special: tuple) -> None:
     nonspecial = [i for i in range(len(oracle.classes)) if i not in special]
     base = frozenset().union(*(Y0 & oracle.classes[i] for i in special))
     for i in nonspecial:
@@ -546,9 +552,8 @@ def _assert_maximality(oracle, Y0: frozenset, special: tuple) -> None:
             continue
         for pattern in _cut_patterns(oracle.classes[i]):
             Y = base | pattern
-            assert not oracle.phi(Y), (
-                f"maximality violated: a good seed cuts class {i}"
-            )
+            if oracle.phi(Y):
+                raise RecoveryError(f"maximality violated: a good seed cuts class {i}")
 
 
 def _split_by_lambda_image(oracle) -> list:
@@ -606,7 +611,7 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
         if view is None:
             continue
         Y0, special = view
-        _assert_maximality(oracle, Y0, special)
+        _check_maximality(oracle, Y0, special)
         family = _good_seed_family(oracle, Y0, special)
         nonspecial_elements = sorted(
             x for i in range(n) if i not in special for x in classes[i]
@@ -623,7 +628,8 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
                 for z in same[x]:
                     same[z] = same[x]
     for x, y in diff:
-        assert y not in same[x], "oracle answers are inconsistent"
+        if y in same[x]:
+            raise RecoveryError("oracle answers are inconsistent")
     # classes never non-special in any view mirror the transduction's guess
     for cls in classes:
         leftovers = cls - covered
@@ -773,7 +779,8 @@ def recover_preorder(oracle: OrderedOracle, d: int) -> LinearPreorder:
         return sum(1 for other in groups if (next(iter(other)), rep) in order)
     groups.sort(key=group_key)
     for a, b in zip(groups, groups[1:]):
-        assert (next(iter(a)), next(iter(b))) in order, "middle order is not total"
+        if (next(iter(a)), next(iter(b))) not in order:
+            raise RecoveryError("middle order is not total")
     result = LinearPreorder(
         (classes[0],) + tuple(frozenset(g) for g in groups) + (classes[-1],)
     )
@@ -782,5 +789,6 @@ def recover_preorder(oracle: OrderedOracle, d: int) -> LinearPreorder:
     for i in range(m):
         for j in range(i, m):
             Y = frozenset().union(*result.classes[i:j + 1])
-            assert oracle.phi(Y), "recovered preorder fails interval check"
+            if not oracle.phi(Y):
+                raise RecoveryError("recovered preorder fails interval check")
     return result

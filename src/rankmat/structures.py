@@ -204,12 +204,14 @@ class LocalTypeIndex:
     k: int
     m: int
     classes: tuple  # tuple of (sorted tuple of member tuples), class id = index
+    _class_ids: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ids = {t: i for i, members in enumerate(self.classes) for t in members}
+        object.__setattr__(self, "_class_ids", ids)
 
     def class_of(self, t: tuple) -> int:
-        for i, members in enumerate(self.classes):
-            if t in members:
-                return i
-        raise KeyError(t)
+        return self._class_ids[t]
 
 
 def _external_tuples(s: Structure, X: frozenset, m: int) -> list:

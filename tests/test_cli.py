@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmat.cli
 from rankmat import formats
 from rankmat.cli import main
 from rankmat.enumerate import cyclic_group, word_monoid_1abab0
@@ -255,6 +260,50 @@ def test_cli_recover_partition(workdir, capsys):
                         str(workdir / "o.orc"))
     assert code == 0
     assert json.loads(out.strip())["data"]["classes"] == [[0, 1], [2, 3, 4]]
+
+
+# phi accepts every set (the one-element semigroup, 0 accepted), so a good
+# seed cuts a non-special class and recover_partition raises RecoveryError
+ACCEPT_ALL_ORC = """oracle unordered 1
+semigroup one.sgp
+class 0 1
+class 2
+class 3
+lambda 0 - 0
+lambda 0 0 0
+lambda 0 1 0
+lambda 0 0,1 0
+lambda 1 - 0
+lambda 1 2 0
+lambda 2 - 0
+lambda 2 3 0
+accept 0
+"""
+
+
+@pytest.fixture
+def accept_all(tmp_path):
+    (tmp_path / "one.sgp").write_text("semigroup 1\n0\n")
+    (tmp_path / "o.orc").write_text(ACCEPT_ALL_ORC)
+    return tmp_path / "o.orc"
+
+
+def test_cli_recover_inconsistent_oracle_exit_2(accept_all, capsys):
+    code = main(["recover", "partition", str(accept_all)])
+    assert code == 2
+    assert "maximality violated" in capsys.readouterr().err
+
+
+def test_cli_recovery_error_survives_optimisation(accept_all):
+    # the check is a raise, not an assert, so python -O keeps it
+    src = Path(rankmat.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "rankmat.cli", "recover", "partition", str(accept_all)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 2
+    assert "maximality violated" in out.stderr
 
 
 def test_cli_recover_preorder(tmp_path, capsys):

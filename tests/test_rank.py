@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankmat import rank
 from rankmat.caps import CapExceeded
 from rankmat.rank import (
     Graph,
@@ -315,3 +318,73 @@ def test_union_rank_table_monotone_small():
     for a, b in zip(buckets, buckets[1:]):
         assert table[a] <= table[b] or True  # recorded, not asserted strictly
     assert all(isinstance(v, int) for v in table.values())
+
+
+# ---------------------------------------------------------------------------
+# interned monadic types against the nested reference definition
+
+
+@st.composite
+def monadic_structures(draw):
+    n = draw(st.integers(1, 3))
+    mask = st.integers(0, (1 << n) - 1)
+    unary = draw(st.frozensets(st.tuples(mask), max_size=4))
+    binary = draw(st.frozensets(st.tuples(mask, mask), max_size=6))
+    return MonadicStructure(n, (("U", 1, unary), ("R", 2, binary)))
+
+
+residue_choices = st.sampled_from([(), (2,)])
+small_ef = settings(deadline=None)
+
+
+def nested_rows(ms, X, d, m, residues):
+    """Distinct rows of the depth-d, width-m monadic type matrix of X,
+    built from nested types."""
+    xmask = sum(1 << i for i in X)
+    inside = [z for z in ms.subsets() if z & ~xmask == 0]
+    outside = [z for z in ms.subsets() if z & xmask == 0]
+    return len({
+        tuple(
+            monadic_d_type(ms, [a | b for a, b in zip(r, c)], d, residues)
+            for c in itertools.product(outside, repeat=m)
+        )
+        for r in itertools.product(inside, repeat=m)
+    })
+
+
+@small_ef
+@given(monadic_structures(), residue_choices, st.integers(0, 2))
+def test_interned_ids_match_nested_types(ms, residues, d):
+    # tuples of lengths 0..2 (0..1 at depth 2, where nesting is slow)
+    typer = rank._MonadicTyper(ms, residues)
+    lengths = range(3 if d < 2 else 2)
+    pairs = {
+        (typer.type_id(t, d), monadic_d_type(ms, t, d, residues))
+        for k in lengths for t in itertools.product(ms.subsets(), repeat=k)
+    }
+    assert len({i for i, _ in pairs}) == len(pairs) == len({ty for _, ty in pairs})
+
+
+@small_ef
+@given(monadic_structures(), residue_choices, st.data())
+def test_monadic_distinct_rows_match_nested(ms, residues, data):
+    d = data.draw(st.integers(0, 2))
+    m = data.draw(st.integers(1, 2 if d < 2 else 1))
+    X = data.draw(st.frozensets(st.integers(0, ms.universe_size - 1)))
+    M = monadic_type_matrix(ms, X, d, m, residues)
+    assert monadic_matrix_distinct_rows(M) == nested_rows(ms, X, d, m, residues)
+    assert sorted({v for row in M.table for v in row}) == list(range(len(M.values)))
+    assert len(set(M.values)) == len(M.values)
+
+
+@small_ef
+@given(monadic_structures(), monadic_structures(), residue_choices, st.integers(0, 1))
+def test_monadic_matrices_independent_of_cache(a, b, residues, d):
+    def tables(ms, fresh):
+        if fresh:
+            rank._last_typer = None
+        return [monadic_type_matrix(ms, {0}, d, m, residues).table for m in (1, 2)]
+
+    expected = [tables(a, True), tables(b, True)]
+    alternating = [tables(ms, False) for ms in (a, b, a, b)]
+    assert alternating == expected * 2

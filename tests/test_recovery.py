@@ -12,6 +12,7 @@ from rankmat.enumerate import (
 from rankmat.rank import Graph, distinct_row_rank
 from rankmat.recovery import (
     OrderedOracle,
+    RecoveryError,
     Seed,
     UnorderedOracle,
     find_seed,
@@ -26,6 +27,7 @@ from rankmat.recovery import (
     twins,
     validate_oracle,
 )
+from rankmat.semigroup import validate as validate_semigroup
 from rankmat.structures import Structure, qf_type
 from rankmat.trees import all_laminar_trees, ternary_encode, validate_tree
 
@@ -278,3 +280,21 @@ def test_seed_flags_match_queries():
     assert seed.satisfies_phi == o.phi(seed.subset)
     assert seed.has_full == any(c <= seed.subset for c in o.classes)
     assert seed.has_empty == any(not (c & seed.subset) for c in o.classes)
+
+
+def constant_oracle(accept: bool) -> UnorderedOracle:
+    """phi is constantly `accept`: the trivial semigroup maps every subset
+    to 0, and 0 is accepted or not."""
+    classes = [{0, 1}, {2}, {3}]
+    lam = [{frozenset(sub): 0 for r in range(len(cls) + 1)
+            for sub in itertools.combinations(sorted(cls), r)} for cls in classes]
+    return UnorderedOracle(classes, validate_semigroup([[0]]), lam,
+                           {0} if accept else set(), 1)
+
+
+def test_unsound_oracle_raises_recovery_error():
+    # accepting every set cuts a non-special class in a good seed
+    with pytest.raises(RecoveryError, match="maximality violated"):
+        recover_partition(constant_oracle(True))
+    with pytest.raises(RecoveryError, match="not complete"):
+        find_seed(constant_oracle(False))
