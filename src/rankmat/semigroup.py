@@ -4,8 +4,8 @@ identity suites."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from itertools import chain, islice, product
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
 
@@ -21,6 +21,7 @@ __all__ = [
     "green",
     "is_almost_commutative",
     "syntactic_class_count",
+    "syntactic_class_counts",
     "prefix_suffix_multiset_determines",
     "identity_suite",
     "premise_checks",
@@ -203,35 +204,57 @@ class Overflow:
         return hash("Overflow")
 
 
+def _class_counts(S: FiniteSemigroup, cap: int) -> Iterator:
+    """Yield the syntactic class count on S^k for k = 0, 1, 2, ..., each
+    as ``Overflow()`` when it exceeds ``cap``, building layer k only when
+    its count is asked for.
+
+    Layer k holds the distinct prefix states of the words of length k. The
+    state of w_1..w_k is the tuple, over contexts (c_0..c_{k-1}) in
+    (S + {eps})^k, of the products c_0 w_1 ... c_{k-1} w_k, so the state
+    of w.a is a function of the state of w and of a. Element n stands for
+    the empty product, which only the empty prefix has."""
+    n = S.size
+    rows = S.table + (tuple(range(n)),)  # row n: the empty product times x
+    # blocks[a][p]: the entries p.c.a for c in S, then p.a (c omitted)
+    blocks = [
+        [tuple(rows[rows[p][c]][a] for c in range(n)) + (rows[p][a],)
+         for p in range(n + 1)]
+        for a in range(n)
+    ]
+    layer = {(n,)}
+    while True:
+        yield Overflow() if len(layer) > cap else len(layer)
+        layer = {
+            tuple(chain.from_iterable(map(block.__getitem__, state)))
+            for state in layer
+            for block in blocks
+        }
+
+
 def syntactic_class_count(S: FiniteSemigroup, k: int, cap: int = 10**6):
     """Number of classes of the syntactic congruence on S^k: tuples are
     identified when every interleaved context (each slot from S or
-    omitted) yields the same product."""
-    n = S.size
-    EPS = n  # sentinel for the omitted context letter
+    omitted) yields the same product.
 
-    def extend(p: Optional[int], c: int) -> Optional[int]:
-        if c == EPS:
-            return p
-        return c if p is None else S.mult(p, c)
+    A word's signature over the (n+1)^(k+1) contexts is a function of its
+    prefix state (see ``_class_counts``), and its entries with the last
+    context omitted are that state itself, so the count is the number of
+    distinct states of length k. They are built letter by letter, keeping
+    only distinct states: layer i costs |layer i-1| * n * (n+1)^i steps,
+    against n^k * (n+1)^(k+1) for walking every context of every word.
+    Returns ``Overflow()`` exactly when the count exceeds ``cap``; earlier
+    layers are built in full whatever their size, since counts need not be
+    monotone in k."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    return next(islice(_class_counts(S, cap), k, None))
 
-    signatures: dict = {}
-    for word in product(range(n), repeat=k):
-        sig = []
 
-        def walk(i: int, prefix: Optional[int]) -> None:
-            if i == k:
-                for c in range(n + 1):
-                    sig.append(extend(prefix, c))
-                return
-            for c in range(n + 1):
-                walk(i + 1, extend(extend(prefix, c), word[i]))
-
-        walk(0, None)
-        signatures.setdefault(tuple(sig), 0)
-        if len(signatures) > cap:
-            return Overflow()
-    return len(signatures)
+def syntactic_class_counts(S: FiniteSemigroup, k_max: int, cap: int = 10**6) -> list:
+    """``[syntactic_class_count(S, k, cap) for k in 1..k_max]`` from one
+    layered pass."""
+    return list(islice(_class_counts(S, cap), 1, k_max + 1))
 
 
 def prefix_suffix_multiset_determines(S: FiniteSemigroup, k: int, max_len: int = 8):
@@ -384,7 +407,7 @@ def semicommutative_report(S: FiniteSemigroup, k_max: int = 4, cap: int = 10**5,
     the equation, the prefix/suffix/multiset determination, and bounded
     syntactic class counts."""
     eq_holds, eq_witness = is_almost_commutative(S)
-    counts = [syntactic_class_count(S, k, cap) for k in range(1, k_max + 1)]
+    counts = syntactic_class_counts(S, k_max, cap)
     determined = None
     # only test k where words of length 2k + 2 fit in the scan, otherwise
     # the check cannot even see a first-k/last-k collision

@@ -58,7 +58,7 @@ from .semigroup import (
     finitary_generator_check,
     identity_suite,
     is_almost_commutative,
-    syntactic_class_count,
+    syntactic_class_counts,
     validate,
 )
 from .structures import (
@@ -416,7 +416,7 @@ def suite_semigroups(cap: int = 20000) -> list:
     for label, S in _semigroup_corpus():
         instances += 1
         ac, _ = is_almost_commutative(S)
-        counts = [syntactic_class_count(S, k, cap) for k in range(1, 5)]
+        counts = syntactic_class_counts(S, 4, cap)
         if ac:
             ac_count += 1
             numeric = all(isinstance(c, int) for c in counts)

@@ -8,6 +8,7 @@ from rankmat import rank
 from rankmat.caps import CapExceeded
 from rankmat.rank import (
     Graph,
+    distinct_row_rank,
     element_d_type,
     gf2_rank,
     graph_cut_rank,
@@ -316,8 +317,14 @@ def test_union_rank_table_monotone_small():
     table = union_rank_table(instances, rank_cap=6)
     buckets = sorted(table)
     for a, b in zip(buckets, buckets[1:]):
-        assert table[a] <= table[b] or True  # recorded, not asserted strictly
-    assert all(isinstance(v, int) for v in table.values())
+        assert table[a] <= table[b]
+    ranks = [
+        (max(distinct_row_rank(s, X, 1), distinct_row_rank(s, Y, 1)),
+         distinct_row_rank(s, X | Y, 1))
+        for s, X, Y in instances
+    ]
+    assert table == {b: max(u for c, u in ranks if c == b) for b, _ in ranks}
+    assert table == {0: 0, 1: 2, 2: 2}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
+from itertools import product
+from typing import Optional
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankmat.enumerate import (
     associative_tables,
@@ -140,6 +145,75 @@ def test_syntactic_class_counts():
 
 def test_syntactic_class_count_overflow():
     assert syntactic_class_count(word_monoid_1abab0(), 2, cap=3) == Overflow()
+
+
+# ---------------------------------------------------------------------------
+# layered class counts against the context-walk definition
+
+
+def _reference_count(S: FiniteSemigroup, k: int, cap: int = 10**6):
+    """The syntactic class count by definition: one signature per word of
+    S^k over every interleaved context (each slot from S or omitted)."""
+    n = S.size
+    EPS = n  # sentinel for the omitted context letter
+
+    def extend(p: Optional[int], c: int) -> Optional[int]:
+        if c == EPS:
+            return p
+        return c if p is None else S.mult(p, c)
+
+    signatures: dict = {}
+    for word in product(range(n), repeat=k):
+        sig = []
+
+        def walk(i: int, prefix: Optional[int]) -> None:
+            if i == k:
+                for c in range(n + 1):
+                    sig.append(extend(prefix, c))
+                return
+            for c in range(n + 1):
+                walk(i + 1, extend(extend(prefix, c), word[i]))
+
+        walk(0, None)
+        signatures.setdefault(tuple(sig), 0)
+        if len(signatures) > cap:
+            return Overflow()
+    return len(signatures)
+
+
+CORPUS = list(associative_tables(3)) + curated_size4_semigroups() + [word_monoid_1abab0()]
+
+
+@st.composite
+def transformation_semigroups(draw):
+    """The semigroup generated under composition by one or two random maps
+    on {0, 1, 2}, kept when it has at most four elements."""
+    maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2))
+    elems = list(dict.fromkeys(maps))
+    for f in elems:  # elems grows while it is walked: closure under f.g
+        for g in maps:
+            fg = tuple(g[x] for x in f)
+            if fg not in elems:
+                elems.append(fg)
+    assume(len(elems) <= 4)
+    index = {f: i for i, f in enumerate(elems)}
+    return validate([[index[tuple(g[x] for x in f)] for g in elems] for f in elems])
+
+
+semigroups = st.one_of(st.sampled_from(CORPUS), transformation_semigroups())
+
+
+@settings(deadline=None)
+@given(semigroups, st.integers(0, 3), st.integers(0, 40))
+def test_syntactic_class_count_matches_reference(S, k, cap):
+    assert syntactic_class_count(S, k, cap) == _reference_count(S, k, cap)
+
+
+@settings(deadline=None, max_examples=40)
+@given(semigroups, st.integers(0, 40))
+def test_semicommutative_report_counts_match_per_k(S, cap):
+    report = semicommutative_report(S, k_max=3, cap=cap)
+    assert report["syntactic_counts"] == [syntactic_class_count(S, k, cap) for k in (1, 2, 3)]
 
 
 def test_prefix_suffix_multiset_examples():
