@@ -32,6 +32,19 @@ class CapExceeded(Exception):
     """A requested computation exceeds the configured size caps."""
 
 
+class Overflow:
+    """Sentinel result: a count or search went past its limit."""
+
+    def __repr__(self):
+        return "Overflow"
+
+    def __eq__(self, other):
+        return isinstance(other, Overflow)
+
+    def __hash__(self):
+        return hash("Overflow")
+
+
 # (raw RANKMAT_CAPS string, caps parsed from it); re-parsed when it changes
 _parsed: tuple = (None, None)
 

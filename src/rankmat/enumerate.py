@@ -2,17 +2,16 @@
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .rank import Graph
 from .semigroup import FiniteSemigroup, validate
 from .structures import Structure, Vocabulary
-from .trees import LaminarTree, all_laminar_trees
 
 __all__ = [
     "BINARY",
+    "binary_structure",
     "binary_structures",
-    "laminar_trees",
     "associative_tables",
     "curated_size4_semigroups",
     "word_monoid_1abab0",
@@ -32,19 +31,22 @@ __all__ = [
 BINARY = Vocabulary((("E", 2),))
 
 
+def binary_structure(n: int, bits: int) -> Structure:
+    """The structure on n elements whose relation E holds the i-th pair of
+    ``product(range(n), repeat=2)`` exactly when bit i of bits is set."""
+    if not 0 <= bits < 1 << n * n:
+        raise ValueError(f"relation bitmask {bits} out of range for {n} elements")
+    pairs = product(range(n), repeat=2)
+    rel = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+    return Structure.make(BINARY, n, {"E": rel})
+
+
 def binary_structures(max_n: int) -> Iterator[Structure]:
     """All structures over one binary relation with 1..max_n elements, in
     universe-size then relation-bitmask order."""
     for n in range(1, max_n + 1):
-        pairs = list(product(range(n), repeat=2))
-        for bits in range(1 << len(pairs)):
-            rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-            yield Structure.make(BINARY, n, {"E": rel})
-
-
-def laminar_trees(max_leaves: int) -> Iterator[LaminarTree]:
-    for n in range(1, max_leaves + 1):
-        yield from all_laminar_trees(range(n))
+        for bits in range(1 << n * n):
+            yield binary_structure(n, bits)
 
 
 def associative_tables(max_size: int) -> Iterator[FiniteSemigroup]:

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 from .rank import Graph, distinct_row_rank, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
 from .structures import Structure, qf_type
-from .trees import LaminarTree, LinearPreorder, blocks, subforests
+from .trees import LaminarTree, LinearPreorder, blocks, set_partitions, subforests
 
 __all__ = [
     "RecoveryError",
@@ -96,17 +96,6 @@ def _normalise_colours(colours: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def _set_partitions(items: list) -> Iterable[list]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def informative_colouring(s: Structure, max_colours: int) -> Optional[tuple]:
     """A colouring (tuple of colour ids per element) such that the
     quantifier-free type of every non-repeating tuple depends only on its
@@ -142,7 +131,7 @@ def informative_colouring(s: Structure, max_colours: int) -> Optional[tuple]:
             return colours
     # exhaustive fallback, coarsest candidates first
     candidates = sorted(
-        _set_partitions(list(range(n))),
+        set_partitions(list(range(n))),
         key=lambda p: (len(p), sorted(sorted(c) for c in p)),
     )
     for part in candidates:

@@ -8,6 +8,7 @@ from itertools import chain, islice, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
+from .caps import Overflow
 
 __all__ = [
     "FiniteSemigroup",
@@ -189,19 +190,6 @@ def is_almost_commutative(S: FiniteSemigroup):
                     if lhs != rhs:
                         return False, (e, x, y, f)
     return True, None
-
-
-class Overflow:
-    """Sentinel: the syntactic class count hit its cap."""
-
-    def __repr__(self):
-        return "Overflow"
-
-    def __eq__(self, other):
-        return isinstance(other, Overflow)
-
-    def __hash__(self):
-        return hash("Overflow")
 
 
 def _class_counts(S: FiniteSemigroup, cap: int) -> Iterator:

@@ -9,7 +9,7 @@ formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from . import caps
@@ -20,6 +20,7 @@ __all__ = [
     "QfType",
     "MonadicStructure",
     "LocalTypeIndex",
+    "CompositionConflict",
     "qf_type",
     "possible_type_count",
     "singleton_lifting",
@@ -274,6 +275,17 @@ def _validate_partition(s: Structure, partition: Sequence[Iterable[int]]) -> lis
     return parts
 
 
+class CompositionConflict(ValueError):
+    """Two partial tuples get the same per-part colours but different
+    quantifier-free types, so no composition table exists."""
+
+    def __init__(self, key: tuple, first: tuple, second: tuple):
+        super().__init__(f"composition conflict at colours {key}: {first} and {second}")
+        self.key = key
+        self.first = first
+        self.second = second
+
+
 def composition_tables(s: Structure, partition: Sequence[Iterable[int]], ell: int, m: int):
     """Per-part colourings of local types plus a composition table gamma.
 
@@ -281,51 +293,46 @@ def composition_tables(s: Structure, partition: Sequence[Iterable[int]], ell: in
     partial m-tuple inside their union, gamma applied to the per-part
     projection colours reproduces the tuple's quantifier-free type.
     Returns (lambdas, gamma, colours) where lambdas[i] maps a local class
-    id of part i to a globally unique colour.
+    id of part i to a globally unique colour.  Raises CompositionConflict
+    with the last earlier tuple of the same colours and the first tuple
+    whose type differs from it.
     """
     parts = _validate_partition(s, partition)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     indices = [local_type_index(s, p, m, m) for p in parts]
     lambdas = []
+    colour_of = []  # per part: projected tuple -> colour
     colour = 0
-    for i, idx in enumerate(indices):
-        mapping = {}
-        for class_id in range(len(idx.classes)):
-            mapping[class_id] = colour
-            colour += 1
-        lambdas.append(mapping)
+    for idx in indices:
+        lambdas.append({cid: colour + cid for cid in range(len(idx.classes))})
+        colour_of.append({t: colour + cid for cid, members in enumerate(idx.classes)
+                          for t in members})
+        colour += len(idx.classes)
     colours = range(colour)
 
-    from itertools import combinations
-
     gamma: dict = {}
+    last: dict = {}  # colours -> the latest tuple seen with them
     for chosen in combinations(range(len(parts)), ell):
         union = sorted(set().union(*(parts[i] for i in chosen)))
         for t in all_partial_tuples(union, m):
-            key = tuple(
-                lambdas[i][indices[i].class_of(_project(t, parts[i]))]
-                for i in chosen
-            )
+            key = tuple(colour_of[i][_project(t, parts[i])] for i in chosen)
             ty = qf_type(s, t)
             if key in gamma and gamma[key] != ty:
-                raise AssertionError(
-                    f"composition conflict at colours {key}: {t}"
-                )
+                raise CompositionConflict(key, last[key], t)
             gamma[key] = ty
+            last[key] = t
     return lambdas, gamma, colours
 
 
 def compositionality_check(s: Structure, partition: Sequence[Iterable[int]], m: int):
     """True iff the type of every partial m-tuple is determined by its
-    per-part projected local types.  Returns (ok, counterexample)."""
-    parts = _validate_partition(s, partition)
-    indices = [local_type_index(s, p, m, m) for p in parts]
-    seen: dict = {}
-    for t in all_partial_tuples(range(s.universe_size), m):
-        key = tuple(idx.class_of(_project(t, p)) for p, idx in zip(parts, indices))
-        ty = qf_type(s, t)
-        if key in seen and seen[key][0] != ty:
-            return False, (seen[key][1], t)
-        seen[key] = (ty, t)
+    per-part projected local types, i.e. composition_tables with every
+    part chosen succeeds.  Returns (ok, counterexample), the
+    counterexample being the two tuples of a CompositionConflict."""
+    try:
+        # an empty universe may have no parts; ell = 1 then chooses none
+        composition_tables(s, partition, max(len(partition), 1), m)
+    except CompositionConflict as conflict:
+        return False, (conflict.first, conflict.second)
     return True, None

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .enumerate import (
-    BINARY,
     associative_tables,
+    binary_structure,
     binary_structures,
     chain_semilattice,
     clique_graph,
@@ -61,13 +61,7 @@ from .semigroup import (
     syntactic_class_counts,
     validate,
 )
-from .structures import (
-    MonadicStructure,
-    Structure,
-    composition_tables,
-    compositionality_check,
-    qf_type,
-)
+from .structures import MonadicStructure, Structure, compositionality_check
 from .trees import (
     Obstruction,
     Orientation,
@@ -78,6 +72,7 @@ from .trees import (
     interesting_analysis,
     min_boolean_combination,
     orientation_is_valid,
+    set_partitions,
     subforests,
     ternary_decode,
     ternary_encode,
@@ -116,6 +111,15 @@ def _fail(check: str, instance: str, witness: dict) -> Report:
     return Report(check, instance, "fail", witness)
 
 
+def _hidden_classes(sizes: list) -> list:
+    """Consecutive runs of 0, 1, 2, ... with the given sizes."""
+    hidden, start = [], 0
+    for size in sizes:
+        hidden.append(set(range(start, start + size)))
+        start += size
+    return hidden
+
+
 # ---------------------------------------------------------------------------
 # instance enumerators
 
@@ -130,10 +134,8 @@ def enumerate_instances(kind: str, bound: int, seed: int = 0) -> Iterator:
     oracles: `bound` seeded random unordered oracle instances.
     """
     if kind == "structures":
-        pairs = list(itertools.product(range(bound), repeat=2))
-        for bits in range(1 << len(pairs)):
-            rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-            yield Structure.make(BINARY, bound, {"E": rel})
+        for bits in range(1 << bound * bound):
+            yield binary_structure(bound, bits)
     elif kind == "trees":
         yield from all_laminar_trees(range(bound))
     elif kind == "semigroups":
@@ -147,11 +149,7 @@ def enumerate_instances(kind: str, bound: int, seed: int = 0) -> Iterator:
         rng = random.Random(seed)
         for _ in range(bound):
             sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
-            hidden, start = [], 0
-            for size in sizes:
-                hidden.append(set(range(start, start + size)))
-                start += size
-            yield synth_oracle("unordered", hidden, 1)
+            yield synth_oracle("unordered", _hidden_classes(sizes), 1)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -259,11 +257,9 @@ def suite_rank_sandwich(n4_sample: int = 800) -> list:
     for s in binary_structures(3):
         instances += _sandwich_checks(s, failures, f"n{s.universe_size}")
     rng = random.Random(4)
-    pairs = list(itertools.product(range(4), repeat=2))
     for _ in range(n4_sample):
         bits = rng.getrandbits(16)
-        rel = {pairs[i] for i in range(16) if bits >> i & 1}
-        s = Structure.make(BINARY, 4, {"E": rel})
+        s = binary_structure(4, bits)
         instances += _sandwich_checks(s, failures, f"n4-bits{bits}")
     return _summary("rank-sandwich", instances, failures)
 
@@ -548,10 +544,7 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
             sizes[rng.randrange(n_classes)] = max(
                 1, sizes[rng.randrange(n_classes)] - 1
             )
-        hidden, start = [], 0
-        for size in sizes:
-            hidden.append(set(range(start, start + size)))
-            start += size
+        hidden = _hidden_classes(sizes)
         oracle = synth_oracle("unordered", hidden, 1)
         validate_oracle(oracle, samples=256)
         instances += 1
@@ -561,10 +554,7 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
     for trial in range(ordered_trials):
         n_classes = rng.randint(2, 12)
         sizes = [rng.randint(1, 3) for _ in range(n_classes)]
-        hidden, start = [], 0
-        for size in sizes:
-            hidden.append(set(range(start, start + size)))
-            start += size
+        hidden = _hidden_classes(sizes)
         oracle = synth_oracle("ordered", hidden, 2)
         validate_oracle(oracle, samples=256)
         instances += 1
@@ -575,41 +565,6 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
     return _summary("recovery", instances, failures)
 
 
-def _set_partitions(items: list) -> Iterator[list]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def _composition_exact(s: Structure, partition: list, m: int) -> bool:
-    ok, _ = compositionality_check(s, partition, m)
-    if not ok:
-        return False
-    from .structures import all_partial_tuples, _project
-
-    parts = [frozenset(p) for p in partition]
-    try:
-        lambdas, gamma, _ = composition_tables(s, partition, len(parts), m)
-    except AssertionError:
-        return False
-    from .structures import local_type_index
-
-    indices = [local_type_index(s, p, m, m) for p in parts]
-    for t in all_partial_tuples(range(s.universe_size), m):
-        key = tuple(
-            lambdas[i][indices[i].class_of(_project(t, parts[i]))]
-            for i in range(len(parts))
-        )
-        if gamma[key] != qf_type(s, t):
-            return False
-    return True
-
-
 def suite_compositionality(n4_sample: int = 40) -> list:
     """Reconstruction of quantifier-free types from per-part local type
     colours, exact on all (structure, partition) pairs for n <= 3 with
@@ -617,31 +572,18 @@ def suite_compositionality(n4_sample: int = 40) -> list:
     the time budget)."""
     failures = []
     instances = 0
-    for n in (1, 2, 3):
-        pairs = list(itertools.product(range(n), repeat=2))
-        for bits in range(1 << len(pairs)):
-            rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-            s = Structure.make(BINARY, n, {"E": rel})
-            for partition in _set_partitions(list(range(n))):
-                instances += 1
-                if not _composition_exact(s, partition, 2):
-                    failures.append(_fail(
-                        "compositionality", f"n{n}-bits{bits}",
-                        {"relation": sorted(map(list, rel)),
-                         "partition": partition}))
     rng = random.Random(13)
-    pairs4 = list(itertools.product(range(4), repeat=2))
-    partitions4 = list(_set_partitions(list(range(4))))
-    for _ in range(n4_sample):
-        bits = rng.getrandbits(16)
-        rel = {pairs4[i] for i in range(16) if bits >> i & 1}
-        s = Structure.make(BINARY, 4, {"E": rel})
-        for partition in partitions4:
+    sizes_and_bits = [(n, bits) for n in (1, 2, 3) for bits in range(1 << n * n)]
+    sizes_and_bits += [(4, rng.getrandbits(16)) for _ in range(n4_sample)]
+    partitions = {n: list(set_partitions(list(range(n)))) for n in (1, 2, 3, 4)}
+    for n, bits in sizes_and_bits:
+        s = binary_structure(n, bits)
+        for partition in partitions[n]:
             instances += 1
-            if not _composition_exact(s, partition, 2):
+            if not compositionality_check(s, partition, 2)[0]:
                 failures.append(_fail(
-                    "compositionality", f"n4-bits{bits}",
-                    {"relation": sorted(map(list, rel)),
+                    "compositionality", f"n{n}-bits{bits}",
+                    {"relation": sorted(map(list, s.relation("E"))),
                      "partition": partition}))
     return _summary("compositionality", instances, failures)
 

@@ -20,7 +20,6 @@ __all__ = [
     "Block",
     "Orientation",
     "Obstruction",
-    "Exceeded",
     "validate_tree",
     "ternary_encode",
     "ternary_decode",
@@ -35,6 +34,7 @@ __all__ = [
     "rankwidth",
     "decomposition_width",
     "all_laminar_trees",
+    "set_partitions",
     "all_tree_shapes",
     "orientation_is_valid",
     "has_complete_binary_minor",
@@ -189,22 +189,10 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
     return frozenset(interesting), ell, d
 
 
-class Exceeded:
-    """Sentinel: the boolean-combination search limit was exhausted."""
-
-    def __repr__(self):
-        return "Exceeded"
-
-    def __eq__(self, other):
-        return isinstance(other, Exceeded)
-
-    def __hash__(self):
-        return hash("Exceeded")
-
-
 def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
     """Least number of subforests whose boolean combination is X; 0 for
-    the empty set and the full leaf set; Exceeded past the limit."""
+    the empty set and the full leaf set; ``Overflow()`` when more than
+    ``limit`` subforests would be needed."""
     caps.check("boolean_combination_limit", limit, "boolean combination limit")
     X = frozenset(X)
     if X == frozenset() or X == t.root():
@@ -224,7 +212,7 @@ def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
                 signatures[sig] = member
             if ok:
                 return m
-    return Exceeded()
+    return caps.Overflow()
 
 
 @dataclass(frozen=True)
@@ -520,26 +508,30 @@ def blocks(p: LinearPreorder, Y: Iterable) -> list:
     return out
 
 
+def set_partitions(items: Sequence) -> Iterable[list]:
+    """Every set partition of items, each once, as a list of blocks (lists).
+    The partitions of items[1:] come in order, and for each one items[0]
+    joins every block in turn and then opens a block of its own."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
 def all_laminar_trees(leaves: Sequence) -> Iterable[LaminarTree]:
     """All laminar trees (no unary nodes) on the given leaves, each once:
     the root's children are the blocks of a set partition, recursively."""
     leaves = sorted(leaves)
 
-    def partitions(items: list) -> Iterable[list]:
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield [[first]] + part
-
     def trees(items: list) -> Iterable[frozenset]:
         if len(items) == 1:
             yield frozenset({frozenset(items)})
             return
-        for part in partitions(items):
+        for part in set_partitions(items):
             if len(part) < 2:
                 continue
             subtree_choices = [list(trees(block)) for block in part]

@@ -1,8 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rankmat import structures
+from rankmat.enumerate import binary_structure, binary_structures
 from rankmat.structures import (
+    CompositionConflict,
+    LocalTypeIndex,
     MonadicStructure,
     Structure,
     Vocabulary,
@@ -184,6 +190,54 @@ def test_compositionality_random_five_elements():
         s = Structure.make(EDGE, 5, {"E": rel})
         ok, cex = compositionality_check(s, [{0, 3}, {1}, {2, 4}], 2)
         assert ok, cex
+
+
+def test_compositionality_check_detects_conflict(monkeypatch):
+    # with every tuple of a part in one local class, the per-part colours
+    # no longer determine the quantifier-free type
+    def one_class(s, X, k, m):
+        X = frozenset(X)
+        return LocalTypeIndex(X, k, m, (tuple(all_partial_tuples(sorted(X), k)),))
+
+    monkeypatch.setattr(structures, "local_type_index", one_class)
+    s = path(3)
+    partition = [{0}, {1, 2}]
+    ok, (t1, t2) = compositionality_check(s, partition, 2)
+    assert not ok
+    for part in partition:
+        index = one_class(s, part, 2, 2)
+        assert index.class_of(tuple(x if x in part else None for x in t1)) == \
+            index.class_of(tuple(x if x in part else None for x in t2))
+    assert qf_type(s, t1) != qf_type(s, t2)
+    # every tuple has the same colours, so t1 is the tuple just before t2
+    order = list(all_partial_tuples(range(3), 2))
+    assert order.index(t2) == order.index(t1) + 1
+    with pytest.raises(CompositionConflict) as conflict:
+        composition_tables(s, partition, 2, 2)
+    assert (conflict.value.first, conflict.value.second) == (t1, t2)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))))
+def test_binary_structure_round_trips_bits(n_bits):
+    n, bits = n_bits
+    s = binary_structure(n, bits)
+    assert s.universe_size == n
+    rel = s.relation("E")
+    pairs = itertools.product(range(n), repeat=2)
+    assert sum(1 << i for i, pair in enumerate(pairs) if pair in rel) == bits
+
+
+def test_binary_structure_rejects_out_of_range_bits():
+    with pytest.raises(ValueError):
+        binary_structure(2, 1 << 4)
+    with pytest.raises(ValueError):
+        binary_structure(2, -1)
+
+
+def test_binary_structures_distinct():
+    found = list(binary_structures(3))
+    assert len(found) == len(set(found)) == 2 + 16 + 512
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rankmat.caps import Overflow
 from rankmat.rank import Graph, distinct_row_rank, graph_cut_rank
 from rankmat.trees import (
     Block,
-    Exceeded,
     LaminarTree,
     LinearPreorder,
     Obstruction,
@@ -23,6 +25,7 @@ from rankmat.trees import (
     min_boolean_combination,
     orientation_is_valid,
     rankwidth,
+    set_partitions,
     subforests,
     ternary_decode,
     ternary_encode,
@@ -192,6 +195,15 @@ def test_min_boolean_combination_subforest_is_one():
             assert min_boolean_combination(t, sf) == 1
 
 
+def test_min_boolean_combination_overflow_past_limit():
+    t = two_star_tree()
+    X = f(0, 3)
+    forests = subforests(t)
+    assert X not in forests and t.root() - X not in forests
+    assert min_boolean_combination(t, X, limit=1) == Overflow()
+    assert min_boolean_combination(t, X, limit=2) == 2
+
+
 def test_min_boolean_combination_symmetric_difference():
     t = star(4)
     a, b = f(0, 1), f(1, 2)
@@ -334,6 +346,18 @@ def test_blocks_no_adjacent_same_kind():
         for a, b in zip(bs, bs[1:]):
             if a.kind != "cut" and b.kind != "cut":
                 assert a.kind != b.kind
+
+
+@given(st.integers(0, 6))
+def test_set_partitions_bell_numbers(n):
+    items = list(range(n))
+    partitions = list(set_partitions(items))
+    assert len(partitions) == [1, 1, 2, 5, 15, 52, 203][n]
+    canonical = {frozenset(frozenset(block) for block in p) for p in partitions}
+    assert len(canonical) == len(partitions)
+    for p in partitions:
+        assert all(block for block in p)
+        assert sorted(x for block in p for x in block) == items
 
 
 def test_all_laminar_trees_counts():
