@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from .rank import Graph, distinct_row_rank, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
 from .structures import Structure, qf_type
-from .trees import LaminarTree, LinearPreorder, blocks, set_partitions, subforests
+from .trees import LaminarTree, LinearPreorder, set_partitions, subforests
 
 __all__ = [
     "RecoveryError",
@@ -308,16 +309,7 @@ def synth_oracle(kind: str, classes: Sequence[Iterable], k: int,
     if kind == "unordered":
         if groups is None:
             groups = [0] * len(classes)
-        gids = sorted(set(groups))
-        tags = [(g, w) for g in gids for w in ("full", "empty")]
-        elements = [
-            (frozenset(t), c)
-            for c in range(k + 1)
-            for t in _all_subsets(frozenset(tags))
-        ]
-        def mul(a, b):
-            return (a[0] | b[0], min(k, a[1] + b[1]))
-        S, index = _semigroup_from(sorted(elements, key=_sort_key), mul)
+        S, index = _unordered_counter(k, tuple(sorted(set(groups))))
         lam = []
         for cls, g in zip(classes, groups):
             table = {}
@@ -331,15 +323,7 @@ def synth_oracle(kind: str, classes: Sequence[Iterable], k: int,
         accept = [i for e, i in index.items() if e[1] <= k - 1]
         return UnorderedOracle(classes, S, lam, accept, k)
     if kind == "ordered":
-        cap = k + 3
-        kinds = ("E", "F", "C")
-        elements = [
-            (f, l, c) for f in kinds for l in kinds for c in range(1, cap + 1)
-        ]
-        def mul(a, b):
-            merge = 1 if a[1] == b[0] and a[1] in ("E", "F") else 0
-            return (a[0], b[1], min(cap, a[2] + b[2] - merge))
-        S, index = _semigroup_from(elements, mul)
+        S, index = _ordered_counter(k)
         letter = {"empty": "E", "full": "F", "cut": "C"}
         lam = []
         for cls in classes:
@@ -357,12 +341,63 @@ def _sort_key(e):
     return (e[1], sorted(e[0]))
 
 
-def _cut_count(oracle, Y: frozenset) -> int:
-    return sum(1 for cls in oracle.classes if 0 < len(Y & cls) < len(cls))
+# The counter semigroups depend only on k (and the group ids), so each
+# Cayley table is built and checked for associativity once per key; the
+# index dicts are shared and only read.
+@lru_cache(maxsize=32)
+def _unordered_counter(k: int, gids: tuple) -> tuple:
+    """Sets of (group, full/empty) tags with a cut count capped at k."""
+    tags = [(g, w) for g in gids for w in ("full", "empty")]
+    elements = [
+        (frozenset(t), c)
+        for c in range(k + 1)
+        for t in _all_subsets(frozenset(tags))
+    ]
+    def mul(a, b):
+        return (a[0] | b[0], min(k, a[1] + b[1]))
+    return _semigroup_from(sorted(elements, key=_sort_key), mul)
 
 
-def _block_count(oracle, Y: frozenset) -> int:
-    return len(blocks(LinearPreorder(oracle.classes), Y))
+@lru_cache(maxsize=32)
+def _ordered_counter(k: int) -> tuple:
+    """(first kind, last kind, block count capped at k + 3), where adjacent
+    full or empty ends merge into one block."""
+    cap = k + 3
+    kinds = ("E", "F", "C")
+    elements = [
+        (f, l, c) for f in kinds for l in kinds for c in range(1, cap + 1)
+    ]
+    def mul(a, b):
+        merge = 1 if a[1] == b[0] and a[1] in ("E", "F") else 0
+        return (a[0], b[1], min(cap, a[2] + b[2] - merge))
+    return _semigroup_from(elements, mul)
+
+
+def _class_masks(classes: Sequence[frozenset], universe: Sequence) -> list:
+    """One bitmask per class over the positions of the sorted universe."""
+    position = {x: i for i, x in enumerate(universe)}
+    return [sum(1 << position[x] for x in cls) for cls in classes]
+
+
+def _cut_and_block_counts(class_masks: Sequence[int], bits: int) -> tuple:
+    """The number of cut classes of the set with the given bitmask, and its
+    number of blocks as trees.blocks counts them: a block is a cut class or
+    the start of a run of full or of empty classes."""
+    cuts = count = 0
+    previous = None
+    for cmask in class_masks:
+        inter = bits & cmask
+        if not inter:
+            kind = "empty"
+        elif inter == cmask:
+            kind = "full"
+        else:
+            kind = "cut"
+            cuts += 1
+        if kind == "cut" or kind != previous:
+            count += 1
+        previous = kind
+    return cuts, count
 
 
 def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> None:
@@ -375,18 +410,23 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     else:
         rng = random.Random(0)
         masks = sorted({rng.randrange(1 << n) for _ in range(samples)})
+    if oracle.ordered:
+        # the classes must form a linear preorder before blocks make sense
+        LinearPreorder(oracle.classes)
+    class_masks = _class_masks(oracle.classes, universe)
     for bits in masks:
         Y = frozenset(universe[i] for i in range(n) if bits >> i & 1)
         holds = oracle.phi(Y)
+        cuts, block_count = _cut_and_block_counts(class_masks, bits)
         if oracle.ordered:
-            if _block_count(oracle, Y) <= 1 and not holds:
+            if block_count <= 1 and not holds:
                 raise ValueError(f"completeness fails on {sorted(Y)}")
-            if _block_count(oracle, Y) >= oracle.k + 3 and holds:
+            if block_count >= oracle.k + 3 and holds:
                 raise ValueError(f"soundness fails on {sorted(Y)}")
         else:
-            if _cut_count(oracle, Y) == 0 and not holds:
+            if cuts == 0 and not holds:
                 raise ValueError(f"completeness fails on {sorted(Y)}")
-            if _cut_count(oracle, Y) >= oracle.k and holds:
+            if cuts >= oracle.k and holds:
                 raise ValueError(f"soundness fails on {sorted(Y)}")
     # ordered completeness over every interval, even beyond the sample
     if oracle.ordered:
@@ -542,7 +582,11 @@ def _check_maximality(oracle, Y0: frozenset, special: tuple) -> None:
         for pattern in _cut_patterns(oracle.classes[i]):
             Y = base | pattern
             if oracle.phi(Y):
-                raise RecoveryError(f"maximality violated: a good seed cuts class {i}")
+                message = f"maximality violated: a good seed cuts class {i}"
+                cuts = sum(1 for cls in oracle.classes if 0 < len(Y & cls) < len(cls))
+                if cuts >= oracle.k:
+                    message += f"; soundness fails on {sorted(Y)}"
+                raise RecoveryError(message)
 
 
 def _split_by_lambda_image(oracle) -> list:

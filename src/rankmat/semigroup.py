@@ -17,6 +17,7 @@ __all__ = [
     "Overflow",
     "validate",
     "omega",
+    "OmegaBoundExceeded",
     "idempotents",
     "factorial",
     "green",
@@ -87,6 +88,11 @@ def idempotents(S: FiniteSemigroup) -> frozenset:
     return frozenset(e for e in S.elements() if S.mult(e, e) == e)
 
 
+class OmegaBoundExceeded(ValueError):
+    """No power up to the search bound 2 * size**2 + 2 is idempotent for
+    every element."""
+
+
 def omega(S: FiniteSemigroup) -> int:
     n = 1
     while True:
@@ -94,7 +100,7 @@ def omega(S: FiniteSemigroup) -> int:
             return n
         n += 1
         if n > 2 * S.size * S.size + 2:
-            raise AssertionError("omega search exceeded the finite bound")
+            raise OmegaBoundExceeded("omega search exceeded the finite bound")
 
 
 def factorial(S: FiniteSemigroup, a: int) -> int:

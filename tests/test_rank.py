@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rankmat import rank
 from rankmat.caps import CapExceeded
+from rankmat.enumerate import binary_structure
 from rankmat.rank import (
     Graph,
     distinct_row_rank,
@@ -54,13 +55,6 @@ def grid_graph(rows, cols):
             if r + 1 < rows:
                 edges.append((vid(r, c), vid(r + 1, c)))
     return Graph.make(rows * cols, edges)
-
-
-def all_binary_structures(n):
-    pairs = list(itertools.product(range(n), repeat=2))
-    for bits in range(1 << len(pairs)):
-        rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-        yield Structure.make(EDGE, n, {"E": rel})
 
 
 def test_smallest_prime():
@@ -147,7 +141,7 @@ def test_graph_rejects_loops():
 
 
 def test_rank_variant_sandwich_exhaustive_n3():
-    for s in all_binary_structures(3):
+    for s in (binary_structure(3, bits) for bits in range(1 << 9)):
         for bits in range(1 << 3):
             X = {i for i in range(3) if bits >> i & 1}
             M = type_matrix(s, X, 1)
@@ -309,7 +303,7 @@ def test_union_rank_table():
 
 def test_union_rank_table_monotone_small():
     instances = []
-    for s in all_binary_structures(3):
+    for s in (binary_structure(3, bits) for bits in range(1 << 9)):
         subsets = [frozenset({i for i in range(3) if b >> i & 1}) for b in range(8)]
         for X in subsets[:4]:
             for Y in subsets[:4]:

@@ -1,6 +1,10 @@
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmat.enumerate import (
     BINARY,
@@ -29,7 +33,13 @@ from rankmat.recovery import (
 )
 from rankmat.semigroup import validate as validate_semigroup
 from rankmat.structures import Structure, qf_type
-from rankmat.trees import all_laminar_trees, ternary_encode, validate_tree
+from rankmat.trees import (
+    LinearPreorder,
+    all_laminar_trees,
+    blocks,
+    ternary_encode,
+    validate_tree,
+)
 
 
 def graph_struct(g):
@@ -298,3 +308,65 @@ def test_unsound_oracle_raises_recovery_error():
         recover_partition(constant_oracle(True))
     with pytest.raises(RecoveryError, match="not complete"):
         find_seed(constant_oracle(False))
+
+
+def test_unsound_oracle_names_the_unsound_set():
+    with pytest.raises(RecoveryError) as info:
+        recover_partition(constant_oracle(True))
+    message = str(info.value)
+    assert "maximality violated" in message
+    named = re.search(r"soundness fails on (\[.*\])", message)
+    assert named, message
+    Y = frozenset(int(x) for x in re.findall(r"\d+", named.group(1)))
+    o = constant_oracle(True)
+    assert o.phi(Y)
+    assert sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls)) >= o.k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bitmask_counts_match_blocks(data):
+    from rankmat.recovery import _class_masks, _cut_and_block_counts
+
+    kind = data.draw(st.sampled_from(["unordered", "ordered"]))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
+    labels = data.draw(st.permutations(range(sum(sizes))))
+    hidden, start = [], 0
+    for size in sizes:
+        hidden.append(labels[start:start + size])
+        start += size
+    o = synth_oracle(kind, hidden, data.draw(st.integers(1, 3)))
+    universe = sorted(o.universe())
+    bits = data.draw(st.integers(0, (1 << len(universe)) - 1))
+    Y = frozenset(x for i, x in enumerate(universe) if bits >> i & 1)
+    cuts, count = _cut_and_block_counts(_class_masks(o.classes, universe), bits)
+    assert count == len(blocks(LinearPreorder(o.classes), Y))
+    assert cuts == sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls))
+
+
+@pytest.mark.parametrize("samples", [4096, 40])
+def test_validate_oracle_ordered_errors_name_first_offending_set(samples):
+    o = synth_oracle("ordered", [{0}, {1, 2}, {3}, {4, 5}], 1)
+    accept_all = OrderedOracle(o.classes, o.semigroup, o.lam, o.semigroup.elements(), o.k)
+    accept_none = OrderedOracle(o.classes, o.semigroup, o.lam, (), o.k)
+    universe = sorted(o.universe())
+    n = len(universe)
+    if 1 << n <= samples:
+        masks = range(1 << n)
+    else:
+        rng = random.Random(0)
+        masks = sorted({rng.randrange(1 << n) for _ in range(samples)})
+    in_order = [frozenset(x for i, x in enumerate(universe) if bits >> i & 1) for bits in masks]
+    p = LinearPreorder(o.classes)
+    unsound = next(Y for Y in in_order if len(blocks(p, Y)) >= o.k + 3)
+    incomplete = next(Y for Y in in_order if len(blocks(p, Y)) <= 1)
+    with pytest.raises(ValueError, match=re.escape(f"soundness fails on {sorted(unsound)}")):
+        validate_oracle(accept_all, samples=samples)
+    with pytest.raises(ValueError, match=re.escape(f"completeness fails on {sorted(incomplete)}")):
+        validate_oracle(accept_none, samples=samples)
+
+
+def test_validate_oracle_rejects_overlapping_ordered_classes():
+    o = synth_oracle("ordered", [{0, 1}, {1, 2}], 1)
+    with pytest.raises(ValueError, match="disjoint"):
+        validate_oracle(o)

@@ -28,6 +28,7 @@ from rankmat.semigroup import (
     idempotents,
     is_almost_commutative,
     omega,
+    OmegaBoundExceeded,
     prefix_suffix_multiset_determines,
     premise_checks,
     semicommutative_report,
@@ -78,6 +79,15 @@ def test_omega_examples():
     assert omega(left_zero(3)) == 1
     assert omega(word_monoid_1abab0()) == 2
     assert omega(cyclic_group(6)) == 6
+
+
+def test_omega_raises_typed_error_past_bound():
+    # a * b = 1 - a is not associative, and the powers of each element
+    # alternate between 0 and 1, so no power is idempotent
+    S = FiniteSemigroup(2, ((1, 1), (0, 0)))
+    with pytest.raises(OmegaBoundExceeded, match="finite bound"):
+        omega(S)
+    assert issubclass(OmegaBoundExceeded, ValueError)
 
 
 def test_idempotents_and_factorial():
