@@ -1,5 +1,12 @@
 """Type matrices, rank variants, GF(2) graph cut-rank, and monadic d-types.
 
+``type_matrix`` and ``distinct_row_rank`` read cell types through
+``Structure.qf_type_ids``, a per-structure memo that interns each tuple's
+``qf_type`` as a small int, so the subsets X of one structure share their
+cells.  The memo lives on the structure, not in this module, so it is freed
+with the structure; a module-level cache would keep the last structure and
+its memo alive for as long as the module stays loaded.
+
 ``monadic_d_type`` is the reference definition of a depth-d monadic type as
 a nested frozenset value.  ``monadic_type_matrix`` does not build those
 values: it interns each depth-d type of a structure as a small int, memoised
@@ -45,29 +52,41 @@ class TypeMatrix:
     values: tuple  # value id -> QfType
 
 
-def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:
+def _matrix_index(s: Structure, X: Iterable[int], m: int) -> tuple:
+    """X as a frozenset and the row and column tuples of its type matrix,
+    after the ``matrix_cells`` cap check."""
     if m < 1:
         raise ValueError("m must be >= 1")
     X = frozenset(X)
     inside = sorted(X)
     outside = sorted(set(s.universe()) - X)
-    n_rows = len(inside) ** m
-    n_cols = len(outside) ** m
-    caps.check("matrix_cells", n_rows * n_cols, "type matrix")
-    rows = tuple(product(inside, repeat=m))
-    cols = tuple(product(outside, repeat=m))
-    # two-pass canonical ids: collect, sort, assign
-    cells = {}
-    seen = set()
-    for r in rows:
-        for c in cols:
-            ty = qf_type(s, r + c)
-            cells[(r, c)] = ty
-            seen.add(ty)
-    ordered = sorted(seen, key=lambda ty: ty.sort_key())
-    ids = {ty: i for i, ty in enumerate(ordered)}
-    table = tuple(tuple(ids[cells[(r, c)]] for c in cols) for r in rows)
-    return TypeMatrix(X, m, rows, cols, table, tuple(ordered))
+    caps.check("matrix_cells", len(inside) ** m * len(outside) ** m, "type matrix")
+    return X, tuple(product(inside, repeat=m)), tuple(product(outside, repeat=m))
+
+
+def _type_id(s: Structure) -> Callable[[tuple], int]:
+    """Tuple -> id of its ``qf_type`` in ``s``'s memo."""
+    ids = s.qf_type_ids
+    known = ids.of_tuple.get
+    intern = ids.intern
+
+    def type_id(t: tuple) -> int:
+        found = known(t)
+        return intern(s, t) if found is None else found
+
+    return type_id
+
+
+def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:
+    X, rows, cols = _matrix_index(s, X, m)
+    type_id = _type_id(s)
+    cells = [[type_id(r + c) for c in cols] for r in rows]
+    # value ids in QfType.sort_key order, as _field_rank reads them
+    types = s.qf_type_ids.types
+    ordered = sorted({i for row in cells for i in row}, key=lambda i: types[i].sort_key())
+    value_of = {i: v for v, i in enumerate(ordered)}
+    table = tuple(tuple(value_of[i] for i in row) for row in cells)
+    return TypeMatrix(X, m, rows, cols, table, tuple(types[i] for i in ordered))
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -124,8 +143,15 @@ def generic_matrix_ranks(table, n_rows: int, n_cols: int, n_values: int):
 
 
 def distinct_row_rank(s: Structure, X: Iterable[int], m: int = 1) -> int:
-    """Cut-rank of X as the number of distinct rows of its type matrix."""
-    return matrix_ranks(type_matrix(s, X, m))[0]
+    """Cut-rank of X as the number of distinct rows of its type matrix:
+    ``matrix_ranks(type_matrix(s, X, m))[0]`` without building the matrix."""
+    _, rows, cols = _matrix_index(s, X, m)
+    if not rows:
+        return 0
+    if not cols:
+        return 1
+    type_id = _type_id(s)
+    return len({tuple([type_id(r + c) for c in cols]) for r in rows})
 
 
 @dataclass(frozen=True)

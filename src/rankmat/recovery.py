@@ -164,6 +164,16 @@ def _universe_size(obj) -> int:
     return obj.universe_size
 
 
+def _sampled_masks(n: int, budget: int):
+    """Subsets of n positions as bitmasks: all 2^n in order when they fit
+    the budget, else the sorted distinct values of ``budget`` draws seeded
+    with 0."""
+    if 1 << n <= budget:
+        return range(1 << n)
+    rng = random.Random(0)
+    return sorted({rng.randrange(1 << n) for _ in range(budget)})
+
+
 def rank_decreasing_report(pairs: Sequence[tuple], subset_budget: int = 4096) -> dict:
     """For each (input, output) pair over the same universe, tabulates the
     input rank against the maximal output rank over enumerated (or
@@ -174,11 +184,7 @@ def rank_decreasing_report(pairs: Sequence[tuple], subset_budget: int = 4096) ->
         n = _universe_size(inp)
         if n != _universe_size(out):
             raise ValueError(f"pair {index}: universes differ")
-        if 1 << n <= subset_budget:
-            masks = range(1 << n)
-        else:
-            rng = random.Random(0)
-            masks = sorted({rng.randrange(1 << n) for _ in range(subset_budget)})
+        masks = _sampled_masks(n, subset_budget)
         table: dict = {}
         witness = None
         for bits in masks:
@@ -405,11 +411,7 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     request) homogeneity; raises ValueError on any violation."""
     universe = sorted(oracle.universe())
     n = len(universe)
-    if 1 << n <= samples:
-        masks = range(1 << n)
-    else:
-        rng = random.Random(0)
-        masks = sorted({rng.randrange(1 << n) for _ in range(samples)})
+    masks = _sampled_masks(n, samples)
     if oracle.ordered:
         # the classes must form a linear preorder before blocks make sense
         LinearPreorder(oracle.classes)

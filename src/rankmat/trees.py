@@ -7,6 +7,7 @@ internal node must have at least two children.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,35 +46,62 @@ __all__ = [
 TERNARY = Vocabulary((("T", 3),))
 
 
+class _TreeIndex:
+    """Lookups built once per tree: nodes by size, each node's parent (its
+    smallest strict superset) and children, and the internal nodes.  In a
+    laminar family the nodes whose parent is Y are exactly the maximal
+    proper subnodes of Y."""
+
+    def __init__(self, nodes: frozenset):
+        # stable, so nodes of one size keep the family's iteration order
+        self.by_size = sorted(nodes, key=len)
+        self.parent: dict = {}
+        self.children: dict = {node: [] for node in nodes}
+        for i, node in enumerate(self.by_size):
+            up = next((x for x in self.by_size[i + 1:] if node < x), None)
+            self.parent[node] = up
+            if up is not None:
+                self.children[up].append(node)
+        for kids in self.children.values():
+            kids.sort(key=sorted)
+        self.internal = sorted(
+            (x for x in nodes if len(x) > 1), key=lambda x: (len(x), sorted(x))
+        )
+
+
 @dataclass(frozen=True)
 class LaminarTree:
     leaves: frozenset
     nodes: frozenset  # frozenset of frozensets
 
+    @cached_property
+    def _index(self) -> _TreeIndex:
+        # kept in the instance __dict__, outside the fields: ==, hash and
+        # repr ignore it, and it is freed with the tree
+        return _TreeIndex(self.nodes)
+
     def children(self, node: frozenset) -> list:
-        """Maximal proper subnodes, sorted by their sorted leaf lists."""
-        proper = [x for x in self.nodes if x < node]
-        out = [x for x in proper if not any(x < y for y in proper)]
-        return sorted(out, key=lambda x: sorted(x))
+        """Maximal proper subnodes of a node of the tree, sorted by their
+        sorted leaf lists."""
+        return list(self._index.children[node])
 
     def internal_nodes(self) -> list:
-        return sorted(
-            (x for x in self.nodes if len(x) > 1), key=lambda x: (len(x), sorted(x))
-        )
+        return list(self._index.internal)
 
     def root(self) -> frozenset:
         return frozenset(self.leaves)
 
     def parent(self, node: frozenset) -> Optional[frozenset]:
-        above = [x for x in self.nodes if node < x]
-        if not above:
-            return None
-        return min(above, key=len)
+        """The smallest node strictly containing a node of the tree; None
+        for the root."""
+        return self._index.parent[node]
 
     def least_node_containing(self, xs: Iterable) -> frozenset:
         xs = set(xs)
-        candidates = [node for node in self.nodes if xs <= node]
-        return min(candidates, key=len)
+        for node in self._index.by_size:
+            if xs <= node:
+                return node
+        raise ValueError(f"no node contains {xs}")
 
 
 def validate_tree(family: Iterable[Iterable], leaves: Optional[Iterable] = None,
@@ -176,12 +204,12 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
                 break
         if not dull:
             interesting.add(node)
-    # longest chain under inclusion
-    def chain_from(node):
-        below = [x for x in interesting if x < node]
-        return 1 + max((chain_from(x) for x in below), default=0)
-
-    ell = max((chain_from(node) for node in interesting), default=0)
+    # longest chain under inclusion: a strict subset is smaller, so it is
+    # done before its supersets
+    chain: dict = {}
+    for node in sorted(interesting, key=len):
+        chain[node] = 1 + max((chain[x] for x in chain if x < node), default=0)
+    ell = max(chain.values(), default=0)
     d = 0
     for node in t.internal_nodes():
         kids = t.children(node)

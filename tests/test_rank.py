@@ -22,7 +22,14 @@ from rankmat.rank import (
     type_matrix,
     union_rank_table,
 )
-from rankmat.structures import MonadicStructure, Structure, Vocabulary, singleton_lifting
+from rankmat.structures import (
+    MonadicStructure,
+    Structure,
+    Vocabulary,
+    qf_type,
+    singleton_lifting,
+)
+from rankmat.trees import all_tree_shapes, ternary_encode, validate_tree
 
 EDGE = Vocabulary((("E", 2),))
 
@@ -389,3 +396,91 @@ def test_monadic_matrices_independent_of_cache(a, b, residues, d):
     expected = [tables(a, True), tables(b, True)]
     alternating = [tables(ms, False) for ms in (a, b, a, b)]
     assert alternating == expected * 2
+
+
+# ---------------------------------------------------------------------------
+# per-structure qf_type memo against qf_type and the full type matrix
+
+
+def subsets(n):
+    return [frozenset(i for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
+
+
+def reference_type_matrix(s, X, m):
+    """type_matrix built from qf_type alone: values in sort_key order."""
+    inside, outside = sorted(X), sorted(set(s.universe()) - set(X))
+    rows = tuple(itertools.product(inside, repeat=m))
+    cols = tuple(itertools.product(outside, repeat=m))
+    values = tuple(sorted({qf_type(s, r + c) for r in rows for c in cols},
+                          key=lambda ty: ty.sort_key()))
+    table = tuple(tuple(values.index(qf_type(s, r + c)) for c in cols) for r in rows)
+    return rows, cols, table, values
+
+
+binary_specs = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1)))
+
+
+@settings(deadline=None)
+@given(binary_specs)
+def test_distinct_row_rank_matches_type_matrix_binary(spec):
+    # distinct_row_rank fills one structure's memo, type_matrix reads an
+    # equal structure's fresh memo
+    n, bits = spec
+    cold, warm = binary_structure(n, bits), binary_structure(n, bits)
+    for m in (1, 2):
+        for X in subsets(n):
+            assert distinct_row_rank(warm, X, m) == matrix_ranks(type_matrix(cold, X, m))[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.sampled_from(list(all_tree_shapes(n))), st.permutations(range(n)),
+                        st.integers(0, (1 << n) - 1))))
+def test_distinct_row_rank_matches_type_matrix_ternary(spec):
+    shape, labels, bits = spec
+    enc = ternary_encode(validate_tree([frozenset(labels[x] for x in node) for node in shape.nodes]))
+    fresh = Structure(enc.vocabulary, enc.universe_size, enc.interpretation)
+    X = frozenset(i for i in range(enc.universe_size) if bits >> i & 1)
+    for m in (1, 2):
+        assert distinct_row_rank(enc, X, m) == matrix_ranks(type_matrix(fresh, X, m))[0]
+
+
+@settings(deadline=None)
+@given(binary_specs, st.integers(1, 2))
+def test_type_matrix_same_on_equal_structures(spec, m):
+    n, bits = spec
+    warm, fresh = binary_structure(n, bits), binary_structure(n, bits)
+    assert warm is not fresh and warm == fresh
+    for X in reversed(subsets(n)):  # other subsets fill warm's memo first
+        distinct_row_rank(warm, X, 3 - m)
+    for X in subsets(n):
+        M = type_matrix(warm, X, m)
+        assert M == type_matrix(fresh, X, m)
+        assert (M.rows, M.cols, M.table, M.values) == reference_type_matrix(fresh, X, m)
+
+
+@settings(deadline=None)
+@given(binary_specs)
+def test_qf_memo_leaves_eq_hash_repr(spec):
+    n, bits = spec
+    s, other = binary_structure(n, bits), binary_structure(n, bits)
+    before = (hash(s), repr(s))
+    for X in subsets(n):
+        type_matrix(s, X, 1)
+    assert (hash(s), repr(s)) == before == (hash(other), repr(other))
+    assert s == other and not (s != other)
+    assert "qf_type_ids" in vars(s) and "qf_type_ids" not in vars(other)
+
+
+def test_distinct_row_rank_edge_cases(monkeypatch):
+    s = path_structure(4)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        distinct_row_rank(s, {0}, 0)
+    assert distinct_row_rank(s, set(), 2) == 0
+    assert distinct_row_rank(s, range(4), 2) == 1
+    assert "qf_type_ids" not in vars(s)
+    monkeypatch.setenv("RANKMAT_CAPS", "matrix_cells=3")
+    with pytest.raises(CapExceeded):
+        distinct_row_rank(s, {0, 1}, 1)
+    assert "qf_type_ids" not in vars(s)  # the cap is checked before any work

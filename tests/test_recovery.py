@@ -370,3 +370,19 @@ def test_validate_oracle_rejects_overlapping_ordered_classes():
     o = synth_oracle("ordered", [{0, 1}, {1, 2}], 1)
     with pytest.raises(ValueError, match="disjoint"):
         validate_oracle(o)
+
+
+@pytest.mark.parametrize("n, budget", [(0, 1), (1, 2), (5, 32), (5, 31), (6, 32), (12, 4096),
+                                       (13, 4096), (12, 4095), (30, 256)])
+def test_sampled_masks_pinned_at_the_budget_boundary(n, budget):
+    from rankmat.recovery import _sampled_masks
+
+    # the expression validate_oracle and rank_decreasing_report each used
+    if 1 << n <= budget:
+        expected = range(1 << n)
+    else:
+        rng = random.Random(0)
+        expected = sorted({rng.randrange(1 << n) for _ in range(budget)})
+    masks = _sampled_masks(n, budget)
+    assert type(masks) is type(expected)
+    assert list(masks) == list(expected)

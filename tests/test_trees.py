@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmat.caps import Overflow
@@ -402,3 +402,119 @@ def test_decomposition_width_leaf_mismatch():
     t = star(2)
     with pytest.raises(ValueError):
         decomposition_width(g, t)
+
+
+# ---------------------------------------------------------------------------
+# the tree index and the chain DP against their brute-force definitions
+
+
+@st.composite
+def random_trees(draw, max_leaves=12):
+    """A validated tree on leaves 0..n-1: each block of a random
+    permutation splits into 2..4 parts."""
+    n = draw(st.integers(1, max_leaves))
+    family = []
+
+    def split(block):
+        family.append(frozenset(block))
+        if len(block) > 1:
+            block = draw(st.permutations(block))
+            k = draw(st.integers(2, min(4, len(block))))
+            cuts = sorted(draw(st.sets(st.integers(1, len(block) - 1),
+                                       min_size=k - 1, max_size=k - 1)))
+            for a, b in zip([0] + cuts, cuts + [len(block)]):
+                split(block[a:b])
+
+    split(list(range(n)))
+    return validate_tree(family)
+
+
+def brute_children(t, node):
+    proper = [x for x in t.nodes if x < node]
+    out = [x for x in proper if not any(x < y for y in proper)]
+    return sorted(out, key=lambda x: sorted(x))
+
+
+def brute_parent(t, node):
+    above = [x for x in t.nodes if node < x]
+    return min(above, key=len) if above else None
+
+
+def brute_least_node_containing(t, xs):
+    return min([node for node in t.nodes if set(xs) <= node], key=len)
+
+
+def assert_index_matches_bruteforce(t):
+    internal = sorted((x for x in t.nodes if len(x) > 1), key=lambda x: (len(x), sorted(x)))
+    assert t.internal_nodes() == internal
+    for node in t.nodes:
+        assert t.children(node) == brute_children(t, node)
+        assert t.parent(node) == brute_parent(t, node)
+    leaves = sorted(t.leaves)
+    for bits in range(1 << min(len(leaves), 9)):
+        xs = [x for i, x in enumerate(leaves) if bits >> i & 1]
+        # for xs = [] every node qualifies and the first smallest one wins
+        assert t.least_node_containing(xs) == brute_least_node_containing(t, xs)
+    # callers get copies, so changing one leaves the index as it was
+    t.children(t.root()).clear()
+    t.internal_nodes().clear()
+    assert t.children(t.root()) == brute_children(t, t.root())
+    assert t.internal_nodes() == internal
+
+
+def test_tree_index_matches_bruteforce_all_trees():
+    for n in range(1, 6):
+        for t in all_laminar_trees(range(n)):
+            assert_index_matches_bruteforce(t)
+
+
+@settings(deadline=None)
+@given(random_trees())
+def test_tree_index_matches_bruteforce_random_trees(t):
+    assert_index_matches_bruteforce(t)
+
+
+def test_tree_index_leaves_eq_hash_repr():
+    t = two_star_tree()  # validate_tree has built its index
+    other = LaminarTree(t.leaves, t.nodes)
+    before = (hash(t), repr(t))
+    assert t.children(t.root()) == [f(0, 1, 2), f(3, 4, 5)]
+    assert (hash(t), repr(t)) == before == (hash(other), repr(other))
+    assert t == other and "_index" in vars(t) and "_index" not in vars(other)
+
+
+def reference_ell(interesting):
+    """The recursive longest chain that interesting_analysis computed
+    before its DP; exponential in the chain length."""
+    def chain_from(node):
+        below = [x for x in interesting if x < node]
+        return 1 + max((chain_from(x) for x in below), default=0)
+
+    return max((chain_from(node) for node in interesting), default=0)
+
+
+@settings(deadline=None)
+@given(random_trees(), st.data())
+def test_chain_dp_matches_recursive_reference(t, data):
+    X = data.draw(st.sets(st.sampled_from(sorted(t.leaves))))
+    interesting, ell, _ = interesting_analysis(t, X)
+    assert ell == reference_ell(interesting)
+
+
+@pytest.mark.parametrize("h", range(1, 11))
+def test_chain_dp_on_cherry_chains(h):
+    # N_i = {2i..2h} has the cherry {2i, 2i+1} and N_{i+1} as children
+    family = [f(x) for x in range(2 * h + 1)]
+    family += [f(2 * i, 2 * i + 1) for i in range(h)]
+    family += [f(*range(2 * i, 2 * h + 1)) for i in range(h)]
+    t = validate_tree(family)
+    interesting, ell, _ = interesting_analysis(t, range(0, 2 * h + 1, 2))
+    assert ell == reference_ell(interesting) == max(h - 1, 0)
+
+
+def test_chain_dp_counts_nested_nodes_only():
+    # the 4-star, the 5-star and the root are interesting; only the root and
+    # one star are nested
+    family = [f(x) for x in range(9)] + [f(0, 1, 2, 3), f(4, 5, 6, 7, 8), f(*range(9))]
+    interesting, ell, d = interesting_analysis(validate_tree(family), {0, 1, 4, 5})
+    assert len(interesting) == 3 and ell == reference_ell(interesting) == 2 and d == 2
