@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from typing import Iterable, Optional, Sequence
 
 from .rank import Graph, distinct_row_rank, graph_cut_rank
@@ -170,8 +170,17 @@ def _sampled_masks(n: int, budget: int):
     with 0."""
     if 1 << n <= budget:
         return range(1 << n)
-    rng = random.Random(0)
-    return sorted({rng.randrange(1 << n) for _ in range(budget)})
+    # rng.randrange(1 << n) inlined: CPython draws n + 1 random bits and
+    # redraws while the value is out of range, so these are the same draws
+    getrandbits = random.Random(0).getrandbits
+    limit = 1 << n
+    drawn = set()
+    for _ in range(budget):
+        r = getrandbits(n + 1)
+        while r >= limit:
+            r = getrandbits(n + 1)
+        drawn.add(r)
+    return sorted(drawn)
 
 
 def rank_decreasing_report(pairs: Sequence[tuple], subset_budget: int = 4096) -> dict:
@@ -233,7 +242,11 @@ class UnorderedOracle:
     values; complete for sets cutting no class, refuted for sets cutting at
     least k classes. The class list is the hidden answer: recovery code may
     enumerate candidate subsets with it, but class membership of the output
-    is derived from phi queries."""
+    is derived from phi queries.
+
+    ``phi_mask`` takes a subset as a bitmask: bit i stands for the i-th
+    element of ``sorted(universe())``, kept as ``sorted_universe``, and
+    ``class_masks`` holds each class as such a mask."""
 
     def __init__(self, classes: Sequence[Iterable], semigroup: FiniteSemigroup,
                  lam: Sequence[dict], accept: Iterable[int], k: int):
@@ -242,27 +255,52 @@ class UnorderedOracle:
         self.lam = tuple(dict(d) for d in lam)
         self.accept = frozenset(accept)
         self.k = k
+        if not self.classes:
+            raise ValueError("an oracle needs at least one class")
         if len(self.lam) != len(self.classes):
             raise ValueError("one lambda table per class")
         for cls, table in zip(self.classes, self.lam):
             if set(table) != {frozenset(sub) for sub in _all_subsets(cls)}:
                 raise ValueError("lambda must cover every subset of its class")
+        self._universe = frozenset().union(*self.classes)
+        self.sorted_universe = tuple(sorted(self._universe))
+        self._bit = {x: 1 << i for i, x in enumerate(self.sorted_universe)}
+        self.class_masks = tuple(
+            sum(map(self._bit.__getitem__, cls)) for cls in self.classes
+        )
+        # (class mask, lambda keyed by subset mask) per class, in class
+        # order; the first value starts the product, as the semigroup need
+        # not have a unit
+        self._lam_first, *self._lam_rest = (
+            (cmask, {sum(map(self._bit.__getitem__, sub)): v for sub, v in table.items()})
+            for cmask, table in zip(self.class_masks, self.lam)
+        )
 
     ordered = False
 
     def universe(self) -> frozenset:
-        return frozenset().union(*self.classes)
+        return self._universe
 
     def hidden_classes(self) -> tuple:
         """Test-only accessor for the hidden partition."""
         return self.classes
 
-    def _values(self, Y: frozenset) -> list:
-        return [self.lam[i][Y & cls] for i, cls in enumerate(self.classes)]
+    def phi_mask(self, bits: int) -> bool:
+        """phi of the subset with the given bitmask; bits outside the
+        universe are ignored."""
+        table = self.semigroup.table
+        cmask, lam = self._lam_first
+        value = lam[bits & cmask]
+        for cmask, lam in self._lam_rest:
+            value = table[value][lam[bits & cmask]]
+        return value in self.accept
 
     def phi(self, Y: Iterable) -> bool:
-        Y = frozenset(Y)
-        return self.semigroup.product(self._values(Y)) in self.accept
+        """phi of a set of elements; elements outside the universe are
+        ignored."""
+        if not isinstance(Y, (set, frozenset)):
+            Y = frozenset(Y)  # a repeated element must not add its bit twice
+        return self.phi_mask(sum(map(self._bit.get, Y, repeat(0))))
 
 
 class OrderedOracle(UnorderedOracle):
@@ -379,10 +417,7 @@ def _ordered_counter(k: int) -> tuple:
     return _semigroup_from(elements, mul)
 
 
-def _class_masks(classes: Sequence[frozenset], universe: Sequence) -> list:
-    """One bitmask per class over the positions of the sorted universe."""
-    position = {x: i for i, x in enumerate(universe)}
-    return [sum(1 << position[x] for x in cls) for cls in classes]
+_EMPTY, _FULL, _CUT = range(3)
 
 
 def _cut_and_block_counts(class_masks: Sequence[int], bits: int) -> tuple:
@@ -390,52 +425,57 @@ def _cut_and_block_counts(class_masks: Sequence[int], bits: int) -> tuple:
     number of blocks as trees.blocks counts them: a block is a cut class or
     the start of a run of full or of empty classes."""
     cuts = count = 0
-    previous = None
+    previous = _CUT
     for cmask in class_masks:
         inter = bits & cmask
         if not inter:
-            kind = "empty"
+            kind = _EMPTY
         elif inter == cmask:
-            kind = "full"
+            kind = _FULL
         else:
-            kind = "cut"
             cuts += 1
-        if kind == "cut" or kind != previous:
             count += 1
-        previous = kind
+            previous = _CUT
+            continue
+        if kind != previous:
+            count += 1
+            previous = kind
     return cuts, count
 
 
 def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> None:
     """Checks completeness, soundness, full/empty determination, and (on
-    request) homogeneity; raises ValueError on any violation."""
-    universe = sorted(oracle.universe())
-    n = len(universe)
-    masks = _sampled_masks(n, samples)
-    if oracle.ordered:
+    request) homogeneity; raises ValueError on any violation. phi is
+    queried only on the samples that the completeness or soundness test
+    reads."""
+    universe = oracle.sorted_universe
+    masks = _sampled_masks(len(universe), samples)
+    ordered = oracle.ordered
+    if ordered:
         # the classes must form a linear preorder before blocks make sense
         LinearPreorder(oracle.classes)
-    class_masks = _class_masks(oracle.classes, universe)
+    class_masks = oracle.class_masks
+    phi_mask = oracle.phi_mask
+    k = oracle.k
     for bits in masks:
-        Y = frozenset(universe[i] for i in range(n) if bits >> i & 1)
-        holds = oracle.phi(Y)
         cuts, block_count = _cut_and_block_counts(class_masks, bits)
-        if oracle.ordered:
-            if block_count <= 1 and not holds:
-                raise ValueError(f"completeness fails on {sorted(Y)}")
-            if block_count >= oracle.k + 3 and holds:
-                raise ValueError(f"soundness fails on {sorted(Y)}")
+        if ordered:
+            complete, refuted = block_count <= 1, block_count >= k + 3
         else:
-            if cuts == 0 and not holds:
-                raise ValueError(f"completeness fails on {sorted(Y)}")
-            if cuts >= oracle.k and holds:
-                raise ValueError(f"soundness fails on {sorted(Y)}")
+            complete, refuted = cuts == 0, cuts >= k
+        if complete or refuted:
+            holds = phi_mask(bits)
+            if complete and not holds:
+                raise ValueError(f"completeness fails on {_members(universe, bits)}")
+            if refuted and holds:
+                raise ValueError(f"soundness fails on {_members(universe, bits)}")
     # ordered completeness over every interval, even beyond the sample
-    if oracle.ordered:
-        for i in range(len(oracle.classes)):
-            for j in range(i, len(oracle.classes)):
-                Y = frozenset().union(*oracle.classes[i:j + 1])
-                if not oracle.phi(Y):
+    if ordered:
+        for i in range(len(class_masks)):
+            interval = 0
+            for j in range(i, len(class_masks)):
+                interval |= class_masks[j]
+                if not phi_mask(interval):
                     raise ValueError(f"interval {i}..{j} fails phi")
     # the lambda value determines full/empty/cut
     by_kind: dict = {"full": set(), "empty": set(), "cut": set()}
@@ -447,6 +487,11 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
             raise ValueError(f"lambda does not separate {a} from {b}")
     if homogeneous:
         _check_homogeneous(oracle)
+
+
+def _members(universe: Sequence, bits: int) -> list:
+    """The sorted elements of the subset with the given bitmask."""
+    return sorted(x for i, x in enumerate(universe) if bits >> i & 1)
 
 
 def _check_homogeneous(oracle) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from . import caps
@@ -70,8 +70,13 @@ class Structure:
         seen = dict(self.interpretation)
         if set(seen) != set(declared):
             raise ValueError("interpretation must cover exactly the vocabulary")
+        in_range = range(self.universe_size).__contains__
         for name, tuples in self.interpretation:
             arity = declared[name]
+            if set(map(len, tuples)) <= {arity} and \
+                    all(map(in_range, set(chain.from_iterable(tuples)))):
+                continue
+            # name the first offending tuple in iteration order
             for t in tuples:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}")

@@ -326,7 +326,7 @@ def test_unsound_oracle_names_the_unsound_set():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_bitmask_counts_match_blocks(data):
-    from rankmat.recovery import _class_masks, _cut_and_block_counts
+    from rankmat.recovery import _cut_and_block_counts
 
     kind = data.draw(st.sampled_from(["unordered", "ordered"]))
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
@@ -339,7 +339,7 @@ def test_bitmask_counts_match_blocks(data):
     universe = sorted(o.universe())
     bits = data.draw(st.integers(0, (1 << len(universe)) - 1))
     Y = frozenset(x for i, x in enumerate(universe) if bits >> i & 1)
-    cuts, count = _cut_and_block_counts(_class_masks(o.classes, universe), bits)
+    cuts, count = _cut_and_block_counts(o.class_masks, bits)
     assert count == len(blocks(LinearPreorder(o.classes), Y))
     assert cuts == sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls))
 
@@ -373,7 +373,8 @@ def test_validate_oracle_rejects_overlapping_ordered_classes():
 
 
 @pytest.mark.parametrize("n, budget", [(0, 1), (1, 2), (5, 32), (5, 31), (6, 32), (12, 4096),
-                                       (13, 4096), (12, 4095), (30, 256)])
+                                       (13, 4096), (12, 4095), (30, 256), (36, 4096),
+                                       (20, 256)])
 def test_sampled_masks_pinned_at_the_budget_boundary(n, budget):
     from rankmat.recovery import _sampled_masks
 
@@ -386,3 +387,124 @@ def test_sampled_masks_pinned_at_the_budget_boundary(n, budget):
     masks = _sampled_masks(n, budget)
     assert type(masks) is type(expected)
     assert list(masks) == list(expected)
+
+
+def _hidden_classes(sizes):
+    hidden, start = [], 0
+    for size in sizes:
+        hidden.append(frozenset(range(start, start + size)))
+        start += size
+    return hidden
+
+
+def reference_phi(o, Y) -> bool:
+    """phi as the product of the per-class lambda values of the raw sets."""
+    Y = frozenset(Y)
+    values = [o.lam[i][Y & cls] for i, cls in enumerate(o.classes)]
+    return o.semigroup.product(values) in o.accept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_phi_and_phi_mask_match_the_product_reference(data):
+    from rankmat.recovery import _restrict_oracle
+
+    kind = data.draw(st.sampled_from(
+        ["unordered", "grouped", "ordered", "restricted", "constant"]))
+    if kind == "constant":
+        o = constant_oracle(data.draw(st.booleans()))
+    else:
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+        labels = data.draw(st.permutations(range(sum(sizes))))
+        hidden = [frozenset(labels[x] for x in cls) for cls in _hidden_classes(sizes)]
+        k = data.draw(st.integers(1, 3))
+        if kind == "ordered":
+            o = synth_oracle("ordered", hidden, k)
+        else:
+            groups = None
+            if kind != "unordered":
+                groups = data.draw(st.lists(st.integers(0, 2), min_size=len(hidden),
+                                            max_size=len(hidden)))
+            o = synth_oracle("unordered", hidden, k, groups)
+            if kind == "restricted":
+                keep = data.draw(st.sets(st.sampled_from(range(len(hidden))), min_size=1))
+                o = _restrict_oracle(o, sorted(keep))
+    universe = o.sorted_universe
+    assert universe == tuple(sorted(o.universe()))
+    inside = data.draw(st.sets(st.sampled_from(universe)))
+    outside = data.draw(st.sets(st.one_of(st.integers(-3, 30), st.text(max_size=2))
+                                .filter(lambda x: x not in o.universe()), max_size=4))
+    Y = inside | outside
+    container = data.draw(st.sampled_from(["set", "frozenset", "list", "iterator"]))
+    query = {"set": set(Y), "frozenset": frozenset(Y),
+             "list": list(Y) + list(inside), "iterator": iter(list(Y))}[container]
+    expected = reference_phi(o, Y)
+    assert o.phi(query) == expected
+    bits = sum(1 << i for i, x in enumerate(universe) if x in inside)
+    assert o.phi_mask(bits) == expected
+    # bits beyond the universe are ignored as well
+    high = data.draw(st.integers(0, 7)) << len(universe)
+    assert o.phi_mask(bits | high) == expected
+
+
+def test_phi_rejects_unhashable_elements():
+    o = synth_oracle("unordered", [{0, 1}, {2}], 1)
+    with pytest.raises(TypeError):
+        o.phi([[0]])
+
+
+def test_oracle_needs_a_class():
+    with pytest.raises(ValueError, match="at least one class"):
+        UnorderedOracle([], validate_semigroup([[0]]), [], {0}, 1)
+
+
+def _counting(o):
+    """A copy of the oracle that records each phi_mask query."""
+    class Counting(type(o)):
+        def phi_mask(self, bits):
+            self.queried.append(bits)
+            return super().phi_mask(bits)
+
+    counting = Counting(o.classes, o.semigroup, o.lam, o.accept, o.k)
+    counting.queried = []
+    return counting
+
+
+@pytest.mark.parametrize("kind, sizes, k, samples", [
+    ("unordered", [1, 2, 3], 2, 4096),
+    ("unordered", [2, 3, 1, 3, 2, 3, 1, 2], 2, 256),
+    ("unordered", [3] * 12, 8, 4096),
+    ("ordered", [1, 2, 1, 2, 1], 1, 4096),
+    ("ordered", [1, 3, 2, 1, 3, 1, 2, 1, 3, 1], 2, 256),
+    ("ordered", [1, 2] * 12, 12, 4096),
+])
+def test_validate_oracle_queries_only_where_a_check_reads(kind, sizes, k, samples):
+    hidden = _hidden_classes(sizes)
+    o = _counting(synth_oracle(kind, hidden, k))
+    validate_oracle(o, samples=samples)
+    universe = sorted(o.universe())
+    n = len(universe)
+    if 1 << n <= samples:
+        masks = range(1 << n)
+    else:
+        rng = random.Random(0)
+        masks = sorted({rng.randrange(1 << n) for _ in range(samples)})
+    expected = []
+    for bits in masks:
+        Y = frozenset(x for i, x in enumerate(universe) if bits >> i & 1)
+        if kind == "ordered":
+            count = len(blocks(LinearPreorder(o.classes), Y))
+            read = count <= 1 or count >= k + 3
+        else:
+            cuts = sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls))
+            read = cuts == 0 or cuts >= k
+        if read:
+            expected.append(bits)
+    assert 0 < len(expected) < len(masks)
+    if kind == "ordered":
+        # then every interval of classes, left end first
+        for i in range(len(hidden)):
+            for j in range(i, len(hidden)):
+                Y = frozenset().union(*hidden[i:j + 1])
+                expected.append(sum(1 << universe.index(x) for x in Y))
+    assert o.queried == expected

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -72,6 +73,20 @@ def test_qf_type_out_of_range():
     s = path(3)
     with pytest.raises(ValueError):
         qf_type(s, (0, 5))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 1, 2), "tuple (0, 1, 2) has wrong arity for E"),
+    ((1,), "tuple (1,) has wrong arity for E"),
+    ((2, 3), "tuple (2, 3) out of range in E"),
+    ((-1, 0), "tuple (-1, 0) out of range in E"),
+])
+def test_structure_names_the_offending_tuple(bad, message):
+    vocabulary = Vocabulary((("le", 2), ("E", 2)))
+    good = {(0, 1), (1, 2), (2, 0)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Structure.make(vocabulary, 3, {"le": good, "E": good | {bad}})
+    Structure.make(vocabulary, 3, {"le": good, "E": good})
 
 
 def test_qf_type_isomorphism_invariance():
