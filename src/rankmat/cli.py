@@ -22,7 +22,7 @@ from .kronecker import (
     two_by_two_claim,
 )
 from .rank import Graph, distinct_row_rank, graph_cut_rank, matrix_ranks, type_matrix
-from .recovery import recover_partition, recover_preorder
+from .recovery import recover_partition, recover_preorder, validate_oracle
 from .semigroup import Overflow, green, identity_suite, omega, syntactic_class_count
 from .structures import Structure
 from .suites import Report, run_suite
@@ -222,6 +222,7 @@ def _cmd_recover(args) -> list:
         return [Report("recover-partition", args.file, "pass",
                        {"classes": classes})]
     if args.action == "preorder":
+        validate_oracle(oracle)
         recovered = recover_preorder(oracle, args.d)
         return [Report("recover-preorder", args.file, "pass",
                        {"d": args.d,

@@ -8,6 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import caps
 from .semigroup import FiniteSemigroup
+from .structures import submasks
 
 __all__ = [
     "SemigroupMatrix",
@@ -339,21 +340,8 @@ def hypergraph_rank(G: Hypergraph, X: int) -> int:
     """Distinct rows of the matrix (subsets of X) x (subsets of the
     complement) whose cell is the colour of the union."""
     full = (1 << G.vertices) - 1
-    comp = full & ~X
-
-    def subsets(mask: int):
-        sub = mask
-        out = [0]
-        while sub:
-            out.append(sub)
-            sub = (sub - 1) & mask
-        return sorted(set(out))
-
-    rows = set()
-    comp_subsets = subsets(comp)
-    for r in subsets(X):
-        rows.add(tuple(G.edge(r | c) for c in comp_subsets))
-    return len(rows)
+    comp_subsets = tuple(submasks(full & ~X))
+    return len({tuple(G.edge(r | c) for c in comp_subsets) for r in submasks(X)})
 
 
 @dataclass(frozen=True)

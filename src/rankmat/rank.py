@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import caps
-from .structures import MonadicStructure, Structure, qf_type
+from .structures import MonadicStructure, Structure, qf_type, submasks
 
 __all__ = [
     "TypeMatrix",
@@ -38,7 +38,6 @@ __all__ = [
     "reference_rank",
     "union_rank_table",
     "smallest_prime_at_least",
-    "generic_matrix_ranks",
 ]
 
 
@@ -64,8 +63,9 @@ def _matrix_index(s: Structure, X: Iterable[int], m: int) -> tuple:
     return X, tuple(product(inside, repeat=m)), tuple(product(outside, repeat=m))
 
 
-def _type_id(s: Structure) -> Callable[[tuple], int]:
-    """Tuple -> id of its ``qf_type`` in ``s``'s memo."""
+def _id_rows(s: Structure, rows: tuple, cols: tuple) -> Iterator[tuple]:
+    """The type matrix's rows as tuples of ids in ``s``'s memo.  A
+    generator: the memo is not touched before the first row is read."""
     ids = s.qf_type_ids
     known = ids.of_tuple.get
     intern = ids.intern
@@ -74,13 +74,13 @@ def _type_id(s: Structure) -> Callable[[tuple], int]:
         found = known(t)
         return intern(s, t) if found is None else found
 
-    return type_id
+    for r in rows:
+        yield tuple([type_id(r + c) for c in cols])
 
 
 def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:
     X, rows, cols = _matrix_index(s, X, m)
-    type_id = _type_id(s)
-    cells = [[type_id(r + c) for c in cols] for r in rows]
+    cells = list(_id_rows(s, rows, cols))
     # value ids in QfType.sort_key order, as _field_rank reads them
     types = s.qf_type_ids.types
     ordered = sorted({i for row in cells for i in row}, key=lambda i: types[i].sort_key())
@@ -123,35 +123,32 @@ def _field_rank(table: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+def _distinct_rows(rows: Iterable[tuple], n_rows: int, n_cols: int) -> int:
+    """0 with no rows, 1 with no columns (every row is the empty row), else
+    the number of distinct rows.  ``rows`` is read only in the last case."""
+    if not n_rows:
+        return 0
+    if not n_cols:
+        return 1
+    return len(set(rows))
+
+
 def matrix_ranks(M: TypeMatrix):
     """(distinct_rows, distinct_cols, field_rank over GF(p), p smallest
     prime >= number of distinct values)."""
-    return generic_matrix_ranks(M.table, len(M.rows), len(M.cols), len(M.values))
-
-
-def generic_matrix_ranks(table, n_rows: int, n_cols: int, n_values: int):
-    distinct_rows = len({tuple(row) for row in table}) if n_rows else 0
-    if n_rows and n_cols == 0:
-        distinct_rows = 1
-    cols = [tuple(table[r][c] for r in range(n_rows)) for c in range(n_cols)]
-    distinct_cols = len(set(cols)) if n_cols else 0
-    if n_cols and n_rows == 0:
-        distinct_cols = 1
-    p = smallest_prime_at_least(max(n_values, 1))
-    field_rank = _field_rank(table, p)
-    return distinct_rows, distinct_cols, field_rank
+    n_rows, n_cols = len(M.rows), len(M.cols)
+    p = smallest_prime_at_least(max(len(M.values), 1))
+    return (_distinct_rows(M.table, n_rows, n_cols),
+            _distinct_rows(zip(*M.table), n_cols, n_rows),
+            _field_rank(M.table, p))
 
 
 def distinct_row_rank(s: Structure, X: Iterable[int], m: int = 1) -> int:
     """Cut-rank of X as the number of distinct rows of its type matrix:
-    ``matrix_ranks(type_matrix(s, X, m))[0]`` without building the matrix."""
+    ``matrix_ranks(type_matrix(s, X, m))[0]`` without building the matrix.
+    No type is computed when X or its complement is empty."""
     _, rows, cols = _matrix_index(s, X, m)
-    if not rows:
-        return 0
-    if not cols:
-        return 1
-    type_id = _type_id(s)
-    return len({tuple([type_id(r + c) for c in cols]) for r in rows})
+    return _distinct_rows(_id_rows(s, rows, cols), len(rows), len(cols))
 
 
 @dataclass(frozen=True)
@@ -372,26 +369,16 @@ class MonadicTypeMatrix:
     values: tuple  # cell value -> interned id of its depth-d type
 
 
-def _subsets_of(mask_bits: Sequence[int]):
-    bits = list(mask_bits)
-    for choice in range(1 << len(bits)):
-        sub = 0
-        for i, b in enumerate(bits):
-            if choice >> i & 1:
-                sub |= 1 << b
-        yield sub
-
-
 def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
                         residues: Sequence[int] = ()) -> MonadicTypeMatrix:
     X = frozenset(X)
     caps.check("monadic_matrix_mn", m * ms.universe_size, "monadic type matrix")
     if d < 0:
         raise ValueError("d must be >= 0")
-    inside = sorted(X)
-    outside = sorted(set(range(ms.universe_size)) - X)
-    rows = tuple(product(tuple(_subsets_of(inside)), repeat=m))
-    cols = tuple(product(tuple(_subsets_of(outside)), repeat=m))
+    inside = sum(1 << x for x in X)
+    outside = ((1 << ms.universe_size) - 1) & ~inside
+    rows = tuple(product(tuple(submasks(inside)), repeat=m))
+    cols = tuple(product(tuple(submasks(outside)), repeat=m))
     type_id = _typer_for(ms, residues).type_id
     numbers: dict = {}
     table = tuple(
@@ -405,11 +392,7 @@ def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
 
 
 def monadic_matrix_distinct_rows(M: MonadicTypeMatrix) -> int:
-    if not M.rows:
-        return 0
-    if not M.cols:
-        return 1
-    return len({row for row in M.table})
+    return _distinct_rows(M.table, len(M.rows), len(M.cols))
 
 
 def _validate_linear_order(s: Structure):

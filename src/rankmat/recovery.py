@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .rank import Graph, distinct_row_rank, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
-from .structures import Structure, qf_type
+from .structures import Structure, qf_type, subsets
 from .trees import LaminarTree, LinearPreorder, set_partitions, subforests
 
 __all__ = [
@@ -62,16 +62,15 @@ def max_twin_independent_set(s: Structure) -> frozenset:
     """Lexicographically least maximum set of pairwise non-twin elements."""
     n = s.universe_size
     pairs = twins(s)
-    best: tuple = ()
-    for bits in range(1 << n):
-        chosen = tuple(i for i in range(n) if bits >> i & 1)
+    best = frozenset()
+    for chosen in subsets(range(n)):
         if len(chosen) <= len(best):
             continue
         if all(
-            (a, b) not in pairs for a, b in combinations(chosen, 2)
+            (a, b) not in pairs for a, b in combinations(sorted(chosen), 2)
         ):
             best = chosen
-    return frozenset(best)
+    return best
 
 
 def _is_informative(s: Structure, colours: Sequence[int]) -> bool:
@@ -259,9 +258,17 @@ class UnorderedOracle:
             raise ValueError("an oracle needs at least one class")
         if len(self.lam) != len(self.classes):
             raise ValueError("one lambda table per class")
-        for cls, table in zip(self.classes, self.lam):
-            if set(table) != {frozenset(sub) for sub in _all_subsets(cls)}:
+        elements = semigroup.elements()
+        for i, (cls, table) in enumerate(zip(self.classes, self.lam)):
+            if set(table) != set(subsets(sorted(cls))):
                 raise ValueError("lambda must cover every subset of its class")
+            for sub, value in table.items():
+                if value not in elements:
+                    raise ValueError(f"lambda value {value} of class {i} on {sorted(sub)} "
+                                     f"is not a semigroup element")
+        for value in self.accept:
+            if value not in elements:
+                raise ValueError(f"accept value {value} is not a semigroup element")
         self._universe = frozenset().union(*self.classes)
         self.sorted_universe = tuple(sorted(self._universe))
         self._bit = {x: 1 << i for i, x in enumerate(self.sorted_universe)}
@@ -317,14 +324,6 @@ class OrderedOracle(UnorderedOracle):
         return LinearPreorder(self.classes)
 
 
-def _all_subsets(cls: frozenset) -> list:
-    items = sorted(cls)
-    return [
-        frozenset(items[i] for i in range(len(items)) if bits >> i & 1)
-        for bits in range(1 << len(items))
-    ]
-
-
 def _kind(cls: frozenset, sub: frozenset) -> str:
     if not sub:
         return "empty"
@@ -357,7 +356,7 @@ def synth_oracle(kind: str, classes: Sequence[Iterable], k: int,
         lam = []
         for cls, g in zip(classes, groups):
             table = {}
-            for sub in _all_subsets(cls):
+            for sub in subsets(sorted(cls)):
                 w = _kind(cls, sub)
                 if w == "cut":
                     table[sub] = index[(frozenset(), 1)]
@@ -372,7 +371,7 @@ def synth_oracle(kind: str, classes: Sequence[Iterable], k: int,
         lam = []
         for cls in classes:
             table = {}
-            for sub in _all_subsets(cls):
+            for sub in subsets(sorted(cls)):
                 w = letter[_kind(cls, sub)]
                 table[sub] = index[(w, w, 1)]
             lam.append(table)
@@ -395,7 +394,7 @@ def _unordered_counter(k: int, gids: tuple) -> tuple:
     elements = [
         (frozenset(t), c)
         for c in range(k + 1)
-        for t in _all_subsets(frozenset(tags))
+        for t in subsets(sorted(tags))
     ]
     def mul(a, b):
         return (a[0] | b[0], min(k, a[1] + b[1]))
@@ -552,7 +551,7 @@ def find_seed(oracle) -> Seed:
 
 
 def _cut_patterns(cls: frozenset) -> list:
-    return [sub for sub in _all_subsets(cls) if sub and sub != cls]
+    return [sub for sub in subsets(sorted(cls)) if sub and sub != cls]
 
 
 def _maximal_candidates(oracle) -> list:
@@ -611,10 +610,8 @@ def _good_seed_family(oracle, Y0: frozenset, special: tuple) -> list:
         *(Y0 & oracle.classes[i] for i in special)
     ) if special else frozenset()
     family = []
-    for bits in range(1 << len(nonspecial)):
-        Y = base.union(
-            *(oracle.classes[i] for j, i in enumerate(nonspecial) if bits >> j & 1)
-        )
+    for chosen in subsets([oracle.classes[i] for i in nonspecial]):
+        Y = base.union(*chosen)
         if oracle.phi(Y):
             family.append(Y)
     return family
@@ -806,10 +803,10 @@ def recover_preorder(oracle: OrderedOracle, d: int) -> LinearPreorder:
     index-modulo-2d colouring advice (the transduction's guess): the gap-d
     and gap-(d+1) relations combine into the successor, whose transitive
     closure is the order. The two end classes are the always-special guess,
-    verified against phi."""
+    verified against phi. The caller validates the oracle first
+    (``validate_oracle``); recovery does not repeat it."""
     if d < oracle.k:
         raise ValueError("d must be at least the oracle's k")
-    validate_oracle(oracle)
     classes = oracle.classes
     n = len(classes)
     if n <= 3 or n < 2 * d + 3:

@@ -109,6 +109,8 @@ def factorial(S: FiniteSemigroup, a: int) -> int:
 
 
 def _closure(S: FiniteSemigroup, generators: Iterable[int]) -> frozenset:
+    """The subsemigroup generated by the generators: each round multiplies
+    the elements found so far with the last round's new ones, both ways."""
     out = set(generators)
     frontier = list(out)
     while frontier:
@@ -351,7 +353,7 @@ def identity_suite(S: FiniteSemigroup) -> IdentityReport:
 def premise_checks(S: FiniteSemigroup, sigma: Iterable[int]) -> dict:
     sigma = sorted(set(sigma))
     squared = {S.mult(a, b) for a in S.elements() for b in S.elements()}
-    generated = _products_closure(S, sigma)
+    generated = _closure(S, sigma)
     context_separated = all(
         any(
             S.product((x, a, y)) != S.product((x, b, y))
@@ -367,20 +369,6 @@ def premise_checks(S: FiniteSemigroup, sigma: Iterable[int]) -> dict:
         "generates": generated == set(S.elements()),
         "context_separated": context_separated,
     }
-
-
-def _products_closure(S: FiniteSemigroup, generators: Iterable[int]) -> set:
-    out = set(generators)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(out):
-            for b in list(out):
-                x = S.mult(a, b)
-                if x not in out:
-                    out.add(x)
-                    changed = True
-    return out
 
 
 def counts_non_increasing_after_repeat(counts: Sequence[int]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
 
@@ -31,6 +31,8 @@ __all__ = [
     "composition_tables",
     "compositionality_check",
     "all_partial_tuples",
+    "submasks",
+    "subsets",
 ]
 
 
@@ -242,6 +244,24 @@ def all_partial_tuples(elements: Sequence[int], k: int) -> Iterable[tuple]:
     return product(tuple(elements) + (None,), repeat=k)
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of a nonnegative mask, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def subsets(items: Sequence) -> Iterator[frozenset]:
+    """Every subset of items as a frozenset, in bitmask order: bit i of the
+    mask stands for items[i]."""
+    items = tuple(items)
+    for bits in range(1 << len(items)):
+        yield frozenset(x for i, x in enumerate(items) if bits >> i & 1)
+
+
 @dataclass(frozen=True)
 class LocalTypeIndex:
     """Classes of partial k-tuples over X by behaviour inside the induced
@@ -270,19 +290,19 @@ def _external_tuples(s: Structure, X: frozenset, m: int) -> list:
     return exts
 
 
-def _local_key(s: Structure, t: tuple, exts: list):
-    internal = qf_type(s, t).sort_key()
-    row = tuple(qf_type(s, t + ext).sort_key() for ext in exts)
-    return (internal, row)
-
-
 def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTypeIndex:
+    """Groups the partial k-tuples over X by their row of types against
+    the external tuples; the first external tuple is the empty one, so the
+    row starts with the internal type.  Classes come in the order of their
+    rows' sort keys."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     X = frozenset(X)
     exts = _external_tuples(s, X, m)
     groups: dict = {}
     for t in all_partial_tuples(sorted(X), k):
-        groups.setdefault(_local_key(s, t, exts), []).append(t)
-    keyed = sorted(groups.items(), key=lambda item: item[0])
+        groups.setdefault(tuple([qf_type(s, t + e) for e in exts]), []).append(t)
+    keyed = sorted(groups.items(), key=lambda item: [ty.sort_key() for ty in item[0]])
     classes = tuple(tuple(sorted(members, key=_tuple_sort_key)) for _, members in keyed)
     return LocalTypeIndex(X, k, m, classes)
 

@@ -61,7 +61,7 @@ from .semigroup import (
     syntactic_class_counts,
     validate,
 )
-from .structures import MonadicStructure, Structure, compositionality_check
+from .structures import MonadicStructure, Structure, compositionality_check, subsets
 from .trees import (
     Obstruction,
     Orientation,
@@ -186,8 +186,7 @@ def suite_clique_edgeless() -> list:
     instances = 0
     for n in range(1, 9):
         k, e = clique_graph(n), edgeless_graph(n)
-        for bits in range(1 << n):
-            X = {i for i in range(n) if bits >> i & 1}
+        for X in subsets(range(n)):
             instances += 1
             if graph_cut_rank(k, X) > 1:
                 failures.append(_fail("clique-edgeless", f"K{n}", {"subset": sorted(X)}))
@@ -205,8 +204,7 @@ def suite_grid_sandwich() -> list:
     for side in (3, 4):
         g = grid_graph(side, side)
         n = side * side
-        for bits in range(1 << n):
-            X = {i for i in range(n) if bits >> i & 1}
+        for X in subsets(range(n)):
             if not X or len(X) > n // 2:
                 continue
             r = graph_cut_rank(g, X)
@@ -226,8 +224,7 @@ def suite_grid_sandwich() -> list:
 def _sandwich_checks(s: Structure, failures: list, label: str) -> int:
     n = s.universe_size
     checked = 0
-    for bits in range(1 << n):
-        X = {i for i in range(n) if bits >> i & 1}
+    for X in subsets(range(n)):
         M = type_matrix(s, X, 1)
         dr, dc, fr = matrix_ranks(M)
         p = smallest_prime_at_least(max(len(M.values), 1))
@@ -286,7 +283,7 @@ def suite_ef_bound() -> list:
     failures = []
     instances = 0
     for n in (2, 3):
-        all_X = [{i for i in range(n) if b >> i & 1} for b in range(1 << n)]
+        all_X = list(subsets(range(n)))
         for bits in range(1 << n):
             ms = MonadicStructure(n, (("U", 1, frozenset({(bits,)})),))
             instances += _ef_checks(ms, all_X, failures, f"n{n}-principal{bits}")
@@ -298,17 +295,15 @@ def suite_ef_bound() -> list:
             ms = MonadicStructure(n, (("U", 1, interp),))
             instances += _ef_checks(ms, all_X, failures, f"n{n}-random{trial}")
     rng = random.Random(9)
+    all_X = list(subsets(range(4)))
     for bits in range(16):
         ms = MonadicStructure(4, (("U", 1, frozenset({(bits,)})),))
-        chosen = [
-            {i for i in range(4) if b >> i & 1}
-            for b in rng.sample(range(16), 4)
-        ]
+        chosen = [all_X[b] for b in rng.sample(range(16), 4)]
         instances += _ef_checks(ms, chosen, failures, f"n4-principal{bits}")
     return _summary("ef-bound", instances, failures)
 
 
-def _tree_corpus(decode_leaves: int, full_leaves: int, shape_leaves: int):
+def _tree_corpus(full_leaves: int, shape_leaves: int):
     """(label, tree) pairs: all labeled trees up to full_leaves, shapes
     between full_leaves+1 and shape_leaves."""
     for n in range(1, full_leaves + 1):
@@ -330,18 +325,17 @@ def suite_trees() -> list:
 
     failures = []
     instances = 0
-    for label, t in _tree_corpus(6, 6, 7):
+    for label, t in _tree_corpus(6, 7):
         instances += 1
         if ternary_decode(ternary_encode(t)) != t:
             failures.append(_fail("trees", label,
                                   {"nodes": sorted(map(sorted, t.nodes))}))
-    for label, t in _tree_corpus(5, 5, 7):
+    for label, t in _tree_corpus(5, 7):
         n = len(t.leaves)
         enc = ternary_encode(t)
         sf = subforests(t)
         level1 = ({s for s in sf} | {t.root() - s for s in sf}) - {frozenset(), t.root()}
-        for bits in range(1 << n):
-            X = frozenset(i for i in range(n) if bits >> i & 1)
+        for X in subsets(range(n)):
             _, _, d = interesting_analysis(t, X)
             instances += 1
             if distinct_row_rank(enc, X) < d:

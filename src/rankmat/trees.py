@@ -552,8 +552,10 @@ def set_partitions(items: Sequence) -> Iterable[list]:
 
 def all_laminar_trees(leaves: Sequence) -> Iterable[LaminarTree]:
     """All laminar trees (no unary nodes) on the given leaves, each once:
-    the root's children are the blocks of a set partition, recursively."""
-    leaves = sorted(leaves)
+    the root's children are the blocks of a set partition, recursively.
+    Distinct partitions give distinct root children, so no tree repeats;
+    a repeated leaf counts once."""
+    leaves = sorted(set(leaves))
 
     def trees(items: list) -> Iterable[frozenset]:
         if len(items) == 1:
@@ -567,11 +569,7 @@ def all_laminar_trees(leaves: Sequence) -> Iterable[LaminarTree]:
                 nodes = frozenset({frozenset(items)}).union(*chosen)
                 yield nodes
 
-    seen = set()
     for nodes in trees(list(leaves)):
-        if nodes in seen:
-            continue
-        seen.add(nodes)
         yield LaminarTree(frozenset(leaves), nodes)
 
 

@@ -25,25 +25,27 @@ import pytest
 
 from rankmat.suites import SUITES
 
+# Each summary's data, pinned: a change that silently drops instances (or
+# finds a new failure count) fails here even when every check passes.
 CRITERIA = [
-    (1, "path-bound"),
-    (2, "clique-edgeless"),
-    (3, "grid-sandwich"),
-    (4, "rank-sandwich"),
-    (5, "ef-bound"),
-    (6, "trees"),
-    (7, "orientation"),
-    (8, "semigroups"),
-    (9, "finitary-generator"),
-    (10, "two-by-two"),
-    (11, "kronecker-inequality"),
-    (12, "recovery"),
-    (13, "compositionality"),
-    (14, "rank-decreasing"),
+    (1, "path-bound", {"failures": 0, "instances": 364}),
+    (2, "clique-edgeless", {"failures": 0, "instances": 510}),
+    (3, "grid-sandwich", {"failures": 0, "instances": 39457, "tighter_violations": 0}),
+    (4, "rank-sandwich", {"failures": 0, "instances": 16964}),
+    (5, "ef-bound", {"failures": 0, "instances": 528}),
+    (6, "trees", {"failures": 0, "instances": 24748}),
+    (7, "orientation", {"failures": 0, "instances": 1172}),
+    (8, "semigroups", {"almost_commutative": 123, "failures": 0, "instances": 129}),
+    (9, "finitary-generator", {"failures": 0, "instances": 82}),
+    (10, "two-by-two", {"failures": 0, "instances": 1180}),
+    (11, "kronecker-inequality", {"failures": 0, "instances": 520}),
+    (12, "recovery", {"failures": 0, "instances": 300}),
+    (13, "compositionality", {"failures": 0, "instances": 3194}),
+    (14, "rank-decreasing", {"failures": 0, "instances": 2, "k8_p8_table": {"0": 0, "1": 4}}),
 ]
 
 
-def run_criterion(number: int, suite: str) -> None:
+def run_criterion(number: int, suite: str, pinned: dict) -> None:
     reports = SUITES[suite]()
     summary = reports[-1]
     assert summary.instance == "summary"
@@ -51,8 +53,9 @@ def run_criterion(number: int, suite: str) -> None:
     verdict = "FAIL" if failures else "PASS"
     print(f"criterion {number:2d} ({suite}): {verdict} {summary.data}")
     assert not failures, [r.as_dict() for r in failures[:3]]
+    assert summary.data == pinned
 
 
-@pytest.mark.parametrize("number,suite", CRITERIA, ids=[s for _, s in CRITERIA])
-def test_criterion(number, suite):
-    run_criterion(number, suite)
+@pytest.mark.parametrize("number,suite,pinned", CRITERIA, ids=[s for _, s, _ in CRITERIA])
+def test_criterion(number, suite, pinned):
+    run_criterion(number, suite, pinned)

@@ -316,6 +316,33 @@ def test_cli_recover_preorder(tmp_path, capsys):
     assert json.loads(out.strip())["data"]["classes"] == [[0], [1, 2], [3]]
 
 
+def test_cli_recover_preorder_validates_the_oracle(tmp_path, capsys):
+    # three classes take the route that asks phi nothing, so only the
+    # validation before recovery can reject this oracle
+    oracle = synth_oracle("ordered", [{0}, {1, 2}, {3}], 2)
+    (tmp_path / "s.sgp").write_text(formats.write_semigroup(oracle.semigroup))
+    text = formats.write_oracle(oracle, "s.sgp")
+    accept = next(line for line in text.splitlines() if line.startswith("accept"))
+    (tmp_path / "o.orc").write_text(text.replace(accept, "accept 0"))
+    code = main(["recover", "preorder", str(tmp_path / "o.orc"), "--d", "2"])
+    assert code == 2
+    assert "completeness fails on [0, 1, 2, 3]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("lambda 0 0,1 3", "lambda 0 0,1 999", "lambda value 999 of class 0"),
+    ("lambda 0 0,1 3", "lambda 0 0,1 -1", "lambda value -1 of class 0"),
+    ("accept 0 1 2 3", "accept 0 1 2 3 999", "accept value 999"),
+])
+def test_cli_recover_rejects_values_outside_the_semigroup(workdir, capsys, old, new, message):
+    text = (workdir / "o.orc").read_text()
+    assert old in text
+    (workdir / "o.orc").write_text(text.replace(old, new))
+    code = main(["recover", "partition", str(workdir / "o.orc")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_verify_json_schema(capsys):
     code, out = run_cli(capsys, "--json", "verify", "rank-decreasing")
     assert code == 0

@@ -96,6 +96,21 @@ def test_type_matrix_full_X_convention():
     assert field_rank == 0
 
 
+def test_distinct_rows_rule():
+    # 0 with no rows, 1 with no columns, else the distinct rows; the rows
+    # are read only in the last case
+    def unread():
+        raise AssertionError("rows were read")
+        yield
+
+    assert rank._distinct_rows(unread(), 0, 3) == 0
+    assert rank._distinct_rows(unread(), 0, 0) == 0
+    assert rank._distinct_rows(unread(), 2, 0) == 1
+    assert rank._distinct_rows([(0, 1), (0, 1), (1, 0)], 3, 2) == 2
+    # matrix_ranks counts columns by the same rule, transposed
+    assert matrix_ranks(type_matrix(path_structure(3), set(), 1))[:2] == (0, 1)
+
+
 def test_type_matrix_cap():
     import os
 

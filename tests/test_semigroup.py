@@ -19,6 +19,7 @@ from rankmat.enumerate import (
 )
 from rankmat.semigroup import (
     FiniteSemigroup,
+    _closure,
     Overflow,
     counts_non_increasing_after_repeat,
     factorial,
@@ -354,3 +355,35 @@ def test_nilpotent_monoid_products():
     assert s.product([1, 2]) == 3  # a b = 0
     assert s.product([0, 1]) == 1  # 1 a = a
     assert omega(s) == 2
+
+
+def reference_products_closure(S, generators):
+    """The former ``semigroup._products_closure``: square the set until it
+    stops growing."""
+    out = set(generators)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(out):
+            for b in list(out):
+                x = S.mult(a, b)
+                if x not in out:
+                    out.add(x)
+                    changed = True
+    return out
+
+
+@st.composite
+def tables_and_generators(draw):
+    """Any binary operation on at most four elements, associative or not,
+    and a set of generators."""
+    n = draw(st.integers(1, 4))
+    table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n))
+    return FiniteSemigroup(n, table), draw(st.frozensets(st.integers(0, n - 1)))
+
+
+@settings(deadline=None)
+@given(tables_and_generators())
+def test_closure_matches_former_products_closure(spec):
+    S, generators = spec
+    assert _closure(S, generators) == reference_products_closure(S, generators)

@@ -21,6 +21,8 @@ from rankmat.structures import (
     possible_type_count,
     qf_type,
     singleton_lifting,
+    submasks,
+    subsets,
 )
 
 LE = Vocabulary((("le", 2),))
@@ -270,3 +272,89 @@ def test_lifting_preserves_type_distinctions(n):
                         ms, tuple(1 << x for x in ta), d
                     ) == monadic_d_type(ms, tuple(1 << x for x in tb), d)
                     assert elem_equal == lift_equal, (s, ta, tb, d)
+
+
+# ---------------------------------------------------------------------------
+# bitmask subsets against the copies they replaced
+
+
+def reference_subsets_of(mask_bits):
+    """The former ``rank._subsets_of``: masks over the given bit positions."""
+    bits = list(mask_bits)
+    for choice in range(1 << len(bits)):
+        sub = 0
+        for i, b in enumerate(bits):
+            if choice >> i & 1:
+                sub |= 1 << b
+        yield sub
+
+
+def reference_hypergraph_subsets(mask):
+    """The former nested ``subsets`` of ``kronecker.hypergraph_rank``."""
+    sub = mask
+    out = [0]
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    return sorted(set(out))
+
+
+def reference_all_subsets(cls):
+    """The former ``recovery._all_subsets``."""
+    items = sorted(cls)
+    return [
+        frozenset(items[i] for i in range(len(items)) if bits >> i & 1)
+        for bits in range(1 << len(items))
+    ]
+
+
+@given(st.frozensets(st.integers(0, 9), max_size=7))
+def test_submasks_match_replaced_copies(positions):
+    mask = sum(1 << b for b in positions)
+    got = list(submasks(mask))
+    assert got == list(reference_subsets_of(sorted(positions)))
+    assert got == reference_hypergraph_subsets(mask)
+
+
+@given(st.frozensets(st.integers(-5, 20), max_size=7))
+def test_subsets_match_replaced_copy(cls):
+    got = list(subsets(sorted(cls)))
+    assert got == reference_all_subsets(cls)
+    assert len(got) == 1 << len(cls)
+    # bit i of the position stands for items[i]
+    items = sorted(cls)
+    for bits, sub in enumerate(got):
+        assert sub == {x for i, x in enumerate(items) if bits >> i & 1}
+
+
+# ---------------------------------------------------------------------------
+# local type classes against the former key, internal type plus row
+
+
+def reference_local_classes(s, X, k, m):
+    """The former ``_local_key`` grouping, sorted by its keys."""
+    X = frozenset(X)
+    outside = sorted(set(s.universe()) - X)
+    exts = [e for ell in range(m + 1) for e in itertools.product(outside, repeat=ell)]
+    groups = {}
+    for t in all_partial_tuples(sorted(X), k):
+        key = (qf_type(s, t).sort_key(), tuple(qf_type(s, t + e).sort_key() for e in exts))
+        groups.setdefault(key, []).append(t)
+    by_position = lambda t: tuple(-1 if x is None else x for x in t)
+    return tuple(tuple(sorted(members, key=by_position))
+                 for _, members in sorted(groups.items(), key=lambda item: item[0]))
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n * n) - 1), st.integers(0, (1 << n) - 1),
+    st.integers(0, 2), st.integers(0, 2))))
+def test_local_type_index_matches_former_key(spec):
+    n, bits, x_bits, k, m = spec
+    s = binary_structure(n, bits)
+    X = {i for i in range(n) if x_bits >> i & 1}
+    assert local_type_index(s, X, k, m).classes == reference_local_classes(s, X, k, m)
+
+
+def test_local_type_index_rejects_negative_m():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        local_type_index(path(3), {0}, 1, -1)

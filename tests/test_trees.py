@@ -361,8 +361,11 @@ def test_set_partitions_bell_numbers(n):
 
 
 def test_all_laminar_trees_counts():
-    counts = [len(list(all_laminar_trees(range(n)))) for n in range(1, 6)]
-    assert counts == [1, 1, 4, 26, 236]
+    # OEIS A000311; each tree comes once without a duplicate check
+    for n, count in enumerate([1, 1, 4, 26, 236, 2752], start=1):
+        trees = list(all_laminar_trees(range(n)))
+        assert len(trees) == len(set(trees)) == count
+    assert list(all_laminar_trees([1, 0, 1])) == list(all_laminar_trees([0, 1]))
 
 
 def test_rankwidth_edgeless_and_clique_and_path():
