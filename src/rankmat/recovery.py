@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product, repeat
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .rank import Graph, distinct_row_rank, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
-from .structures import Structure, qf_type, subsets
+from .structures import Structure, qf_type, submasks, subsets
 from .trees import LaminarTree, LinearPreorder, set_partitions, subforests
 
 __all__ = [
@@ -288,10 +289,6 @@ class UnorderedOracle:
     def universe(self) -> frozenset:
         return self._universe
 
-    def hidden_classes(self) -> tuple:
-        """Test-only accessor for the hidden partition."""
-        return self.classes
-
     def phi_mask(self, bits: int) -> bool:
         """phi of the subset with the given bitmask; bits outside the
         universe are ignored."""
@@ -469,13 +466,8 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
             if refuted and holds:
                 raise ValueError(f"soundness fails on {_members(universe, bits)}")
     # ordered completeness over every interval, even beyond the sample
-    if ordered:
-        for i in range(len(class_masks)):
-            interval = 0
-            for j in range(i, len(class_masks)):
-                interval |= class_masks[j]
-                if not phi_mask(interval):
-                    raise ValueError(f"interval {i}..{j} fails phi")
+    if ordered and (failing := _failing_interval(class_masks, phi_mask)):
+        raise ValueError("interval {}..{} fails phi".format(*failing))
     # the lambda value determines full/empty/cut
     by_kind: dict = {"full": set(), "empty": set(), "cut": set()}
     for cls, table in zip(oracle.classes, oracle.lam):
@@ -484,74 +476,86 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     for a, b in combinations(by_kind, 2):
         if by_kind[a] & by_kind[b]:
             raise ValueError(f"lambda does not separate {a} from {b}")
-    if homogeneous:
-        _check_homogeneous(oracle)
+    if homogeneous and (fault := _homogeneity_fault(oracle)):
+        raise ValueError(fault)
 
 
 def _members(universe: Sequence, bits: int) -> list:
-    """The sorted elements of the subset with the given bitmask."""
-    return sorted(x for i, x in enumerate(universe) if bits >> i & 1)
+    """The elements of the subset with the given bitmask, in universe order."""
+    return [x for i, x in enumerate(universe) if bits >> i & 1]
 
 
-def _check_homogeneous(oracle) -> None:
-    """Shared idempotent full and empty values, and a shared cut image over
-    the classes that have cut subsets. (The literal image-equality reading
-    is unsatisfiable once size-1 classes are mixed with larger ones, and
-    the recovery argument only needs this weaker form.)"""
+def _union(masks: Iterable[int]) -> int:
+    return reduce(or_, masks, 0)
+
+
+def _failing_interval(masks: Sequence[int], phi_mask) -> Optional[tuple]:
+    """The first (i, j), left end first, whose interval masks[i..j] fails
+    phi; None when every interval holds."""
+    for i in range(len(masks)):
+        interval = 0
+        for j in range(i, len(masks)):
+            interval |= masks[j]
+            if not phi_mask(interval):
+                return i, j
+    return None
+
+
+def _homogeneity_fault(oracle) -> Optional[str]:
+    """Why the oracle is not homogeneous, or None. Homogeneous means shared
+    idempotent full and empty values, and a shared cut image over the
+    classes that have cut subsets. (The literal image-equality reading is
+    unsatisfiable once size-1 classes are mixed with larger ones, and the
+    recovery argument only needs this weaker form.)"""
     S = oracle.semigroup
     fulls = {table[cls] for cls, table in zip(oracle.classes, oracle.lam)}
     empties = {table[frozenset()] for table in oracle.lam}
     if len(fulls) != 1 or len(empties) != 1:
-        raise ValueError("full and empty values must be shared")
-    for v in fulls | empties:
-        if S.mult(v, v) != v:
-            raise ValueError("full and empty values must be idempotent")
+        return "full and empty values must be shared"
+    if any(S.mult(v, v) != v for v in fulls | empties):
+        return "full and empty values must be idempotent"
     cut_images = {
         frozenset(v for sub, v in table.items() if _kind(cls, sub) == "cut")
         for cls, table in zip(oracle.classes, oracle.lam)
         if len(cls) >= 2
     }
     if len(cut_images) > 1:
-        raise ValueError("cut images must agree across classes")
-
-
-def _is_homogeneous(oracle) -> bool:
-    try:
-        _check_homogeneous(oracle)
-        return True
-    except ValueError:
-        return False
+        return "cut images must agree across classes"
+    return None
 
 
 # ---------------------------------------------------------------------------
-# seeds
+# seeds: the search reads the oracle only through ``class_masks``,
+# ``sorted_universe``, ``phi_mask`` and ``k``, and every subset is a bitmask
+
+_NO_SEED = "no candidate seed satisfies phi: the oracle is not complete"
 
 
-def _seed_of(oracle, Y: frozenset) -> Seed:
-    cut = tuple(
-        i for i, cls in enumerate(oracle.classes) if 0 < len(Y & cls) < len(cls)
-    )
+def _seed_of(oracle, bits: int) -> Seed:
+    parts = [(bits & cmask, cmask) for cmask in oracle.class_masks]
     return Seed(
-        subset=Y,
-        satisfies_phi=oracle.phi(Y),
-        has_full=any(cls <= Y for cls in oracle.classes),
-        has_empty=any(not (cls & Y) for cls in oracle.classes),
-        cut_classes=cut,
+        subset=frozenset(_members(oracle.sorted_universe, bits)),
+        satisfies_phi=oracle.phi_mask(bits),
+        has_full=any(x == cmask for x, cmask in parts),
+        has_empty=any(not x for x, _ in parts),
+        cut_classes=tuple(i for i, (x, cmask) in enumerate(parts) if x and x != cmask),
     )
 
 
 def find_seed(oracle) -> Seed:
     """The canonical seed: the first class full, everything else empty."""
-    if len(oracle.classes) < 2:
+    if len(oracle.class_masks) < 2:
         raise ValueError("a seed needs at least two classes")
-    seed = _seed_of(oracle, oracle.classes[0])
+    seed = _seed_of(oracle, oracle.class_masks[0])
     if not seed.is_seed():
         raise RecoveryError("the first class alone fails phi: the oracle is not complete")
     return seed
 
 
-def _cut_patterns(cls: frozenset) -> list:
-    return [sub for sub in subsets(sorted(cls)) if sub and sub != cls]
+def _cut_patterns(cmask: int) -> list:
+    """The nonempty proper submasks of a class mask, in increasing order
+    (the order of ``subsets`` over the sorted class)."""
+    return list(submasks(cmask))[1:-1]
 
 
 def _maximal_candidates(oracle) -> list:
@@ -559,78 +563,84 @@ def _maximal_candidates(oracle) -> list:
     for homogeneous oracles the uncut classes can be fixed to one canonical
     full class with the rest empty, since the shared idempotent full and
     empty values make phi independent of how full and empty classes are
-    distributed. Returns (cut_classes, full_class, subset) triples."""
-    n = len(oracle.classes)
-    best: list = []
-    best_cuts = -1
+    distributed. Returns (cut_classes, full_class, mask) triples."""
+    masks = oracle.class_masks
+    n = len(masks)
     for c in range(min(oracle.k - 1, n - 2), -1, -1):
-        if best_cuts >= 0 and c < best_cuts:
-            break
+        found = []
         for cut_set in combinations(range(n), c):
-            rest = [i for i in range(n) if i not in cut_set]
-            for full_class in rest:
-                for patterns in product(*(_cut_patterns(oracle.classes[i]) for i in cut_set)):
-                    Y = frozenset(oracle.classes[full_class]).union(*patterns) \
-                        if patterns else frozenset(oracle.classes[full_class])
-                    if oracle.phi(Y):
-                        if c > best_cuts:
-                            best, best_cuts = [], c
-                        best.append((cut_set, full_class, Y))
-    return best
+            for full_class in (i for i in range(n) if i not in cut_set):
+                for patterns in product(*(_cut_patterns(masks[i]) for i in cut_set)):
+                    Y = masks[full_class] | _union(patterns)
+                    if oracle.phi_mask(Y):
+                        found.append((cut_set, full_class, Y))
+        if found:
+            return found
+    return []
 
 
 def maximal_seed(oracle) -> tuple:
     """A seed cutting the maximal number of classes, with its special
     classes: the cut classes plus one designated full and one designated
     empty class. Ties resolve to the lexicographically least subset."""
-    if len(oracle.classes) < 2:
+    if len(oracle.class_masks) < 2:
         raise ValueError("a seed needs at least two classes")
-    candidates = _maximal_candidates(oracle)
-    cut_set, full_class, Y = min(
-        candidates, key=lambda t: (sorted(t[2]), t[0], t[1])
-    )
-    empty_class = min(
-        i for i in range(len(oracle.classes))
-        if i not in cut_set and i != full_class
-    )
-    special = tuple(sorted(set(cut_set) | {full_class, empty_class}))
+    view = _view_for(oracle, _maximal_candidates(oracle), None)
+    if view is None:
+        raise RecoveryError(_NO_SEED)
+    Y, special = view
     return _seed_of(oracle, Y), tuple(oracle.classes[i] for i in special)
+
+
+def _view_for(oracle, candidates, target: Optional[int]):
+    """The least maximal-seed candidate whose special classes avoid the
+    target class (None avoids nothing), with designations chosen
+    accordingly: the cut classes, the full class and the first other
+    class as the empty one."""
+    n = len(oracle.class_masks)
+    options = []
+    for cut_set, full_class, Y in candidates:
+        if target in cut_set or target == full_class:
+            continue
+        empties = [
+            i for i in range(n)
+            if i not in cut_set and i != full_class and i != target
+        ]
+        if not empties:
+            continue
+        special = tuple(sorted(set(cut_set) | {full_class, empties[0]}))
+        options.append((_members(oracle.sorted_universe, Y), Y, special))
+    if not options:
+        return None
+    _, Y, special = min(options)
+    return Y, special
 
 
 # ---------------------------------------------------------------------------
 # partition recovery
 
 
-def _good_seed_family(oracle, Y0: frozenset, special: tuple) -> list:
+def _good_seeds(oracle, Y0: int, special: tuple) -> list:
     """All phi-satisfying sets that agree with Y0 on the special classes
-    and are full or empty on the others. By maximality no good seed cuts a
-    non-special class, which _check_maximality checks."""
-    nonspecial = [i for i in range(len(oracle.classes)) if i not in special]
-    base = frozenset().union(
-        *(Y0 & oracle.classes[i] for i in special)
-    ) if special else frozenset()
+    and are full or empty on the others, after checking maximality: no
+    phi-satisfying set that agrees with Y0 there cuts a non-special class."""
+    masks = oracle.class_masks
+    base = _union(Y0 & masks[i] for i in special)
+    nonspecial = [(i, m) for i, m in enumerate(masks) if i not in special]
+    for i, cmask in nonspecial:
+        for pattern in _cut_patterns(cmask):
+            Y = base | pattern
+            if oracle.phi_mask(Y):
+                message = f"maximality violated: a good seed cuts class {i}"
+                if _cut_and_block_counts(masks, Y)[0] >= oracle.k:
+                    message += f"; soundness fails on {_members(oracle.sorted_universe, Y)}"
+                raise RecoveryError(message)
     family = []
-    for chosen in subsets([oracle.classes[i] for i in nonspecial]):
-        Y = base.union(*chosen)
-        if oracle.phi(Y):
+    for chosen in range(1 << len(nonspecial)):
+        Y = base | _union(m for j, (_, m) in enumerate(nonspecial) if chosen >> j & 1)
+        if oracle.phi_mask(Y):
             family.append(Y)
     return family
-
-
-def _check_maximality(oracle, Y0: frozenset, special: tuple) -> None:
-    nonspecial = [i for i in range(len(oracle.classes)) if i not in special]
-    base = frozenset().union(*(Y0 & oracle.classes[i] for i in special))
-    for i in nonspecial:
-        if len(oracle.classes[i]) < 2:
-            continue
-        for pattern in _cut_patterns(oracle.classes[i]):
-            Y = base | pattern
-            if oracle.phi(Y):
-                message = f"maximality violated: a good seed cuts class {i}"
-                cuts = sum(1 for cls in oracle.classes if 0 < len(Y & cls) < len(cls))
-                if cuts >= oracle.k:
-                    message += f"; soundness fails on {sorted(Y)}"
-                raise RecoveryError(message)
 
 
 def _split_by_lambda_image(oracle) -> list:
@@ -664,81 +674,61 @@ def _restrict_oracle(oracle, class_indices: list) -> UnorderedOracle:
     )
 
 
+def _join(same: dict, members: Iterable) -> None:
+    """Merges the groups of the given elements into one."""
+    group = set().union(*(same[x] for x in members))
+    for x in group:
+        same[x] = group
+
+
 def recover_partition(oracle: UnorderedOracle) -> tuple:
     """Recovers the hidden partition. Non-special elements are classified
     purely by phi queries (two are together iff no good seed separates
     them); the classes that stay special in every view play the role of the
     transduction's guess and are verified against phi. Non-homogeneous
     oracles are pre-grouped by lambda image and recovered per group."""
-    if not _is_homogeneous(oracle):
+    if fault := _homogeneity_fault(oracle):
+        groups = _split_by_lambda_image(oracle)
+        if len(groups) == 1:
+            raise RecoveryError(f"the oracle is not homogeneous ({fault}) "
+                                "and all its classes share one lambda image")
         parts: list = []
-        for group in _split_by_lambda_image(oracle):
+        for group in groups:
             parts.extend(recover_partition(_restrict_oracle(oracle, group)))
         return _canonical_partition(parts)
-    classes = oracle.classes
-    n = len(classes)
+    universe, masks = oracle.sorted_universe, oracle.class_masks
+    n = len(masks)
     if n == 1:
         return (oracle.universe(),)
     candidates = _maximal_candidates(oracle)
-    same: dict = {x: {x} for x in oracle.universe()}
-    diff: set = set()
-    covered: set = set()
+    if not candidates:
+        raise RecoveryError(_NO_SEED)
+    same: dict = {x: {x} for x in universe}
+    views: list = []  # per view, one element of each membership pattern
+    covered = 0
     for target in range(n):
         view = _view_for(oracle, candidates, target)
         if view is None:
             continue
         Y0, special = view
-        _check_maximality(oracle, Y0, special)
-        family = _good_seed_family(oracle, Y0, special)
-        nonspecial_elements = sorted(
-            x for i in range(n) if i not in special for x in classes[i]
-        )
-        covered.update(nonspecial_elements)
-        for x, y in combinations(nonspecial_elements, 2):
-            separated = any(
-                (x in Y) != (y in Y) for Y in family
-            )
-            if separated:
-                diff.add((x, y))
-            else:
-                same[x] |= same[y]
-                for z in same[x]:
-                    same[z] = same[x]
-    for x, y in diff:
-        if y in same[x]:
+        family = _good_seeds(oracle, Y0, special)
+        nonspecial = _union(m for i, m in enumerate(masks) if i not in special)
+        covered |= nonspecial
+        by_pattern: dict = {}
+        for i, x in enumerate(universe):
+            if nonspecial >> i & 1:
+                pattern = tuple(Y >> i & 1 for Y in family)
+                by_pattern.setdefault(pattern, []).append(x)
+        for members in by_pattern.values():
+            _join(same, members)
+        views.append([members[0] for members in by_pattern.values()])
+    for firsts in views:
+        if len({frozenset(same[x]) for x in firsts}) < len(firsts):
             raise RecoveryError("oracle answers are inconsistent")
     # classes never non-special in any view mirror the transduction's guess
-    for cls in classes:
-        leftovers = cls - covered
-        for x in leftovers:
-            same[x] |= {y for y in cls}
-            for z in same[x]:
-                same[z] = same[x]
-    return _canonical_partition(
-        {frozenset(group) for group in same.values()}
-    )
-
-
-def _view_for(oracle, candidates, target: int):
-    """The least maximal-seed candidate whose special classes avoid the
-    target class, with designations chosen accordingly."""
-    n = len(oracle.classes)
-    options = []
-    for cut_set, full_class, Y in candidates:
-        if target in cut_set or target == full_class:
-            continue
-        empties = [
-            i for i in range(n)
-            if i not in cut_set and i != full_class and i != target
-        ]
-        if not empties:
-            continue
-        special = tuple(sorted(set(cut_set) | {full_class, empties[0]}))
-        options.append((sorted(Y), Y, special))
-    if not options:
-        return None
-    _, Y, special = min(options)
-    return Y, special
+    for cmask in masks:
+        _join(same, _members(universe, cmask & ~covered))
+    return _canonical_partition(same.values())
 
 
 def _canonical_partition(parts: Iterable) -> tuple:
@@ -749,52 +739,48 @@ def _canonical_partition(parts: Iterable) -> tuple:
 # preorder recovery
 
 
-def _boundary_seeds(oracle) -> list:
-    """phi-satisfying prefix-full sets; they all agree with the canonical
-    maximal seed on its special classes (the first class full, the last
-    class empty)."""
-    out = []
-    for p in range(1, len(oracle.classes)):
-        Y = frozenset().union(*oracle.classes[:p])
-        if oracle.phi(Y):
-            out.append(Y)
-    return out
-
-
-def _gap_relation(oracle, seeds: list, middle: list, index: dict,
-                  gap: int, modulus: int) -> set:
+def _gap_relation(seeds_of: dict, index: dict, gap: int, modulus: int) -> set:
     """Pairs (x, y) of middle elements whose index colours (taken modulo
     the given modulus, the transduction's guessed colouring) differ by the
-    gap and for which some good seed contains x but not y; by the
-    separation claim these are exactly the pairs with x < y whose true
-    index gap is congruent to the given one."""
-    rel = set()
-    for x in middle:
-        for y in middle:
-            if x == y:
-                continue
-            cx, cy = index[x] % modulus, index[y] % modulus
-            if (cy - cx) % modulus != gap:
-                continue
-            if any(x in Y and y not in Y for Y in seeds):
-                rel.add((x, y))
-    return rel
+    gap and for which some good seed contains x but not y (``seeds_of``
+    holds each element's good seeds as a bitset); by the separation claim
+    these are exactly the pairs with x < y whose true index gap is
+    congruent to the given one."""
+    return {
+        (x, y)
+        for x, sx in seeds_of.items()
+        for y, sy in seeds_of.items()
+        if (index[y] - index[x]) % modulus == gap and sx & ~sy
+    }
 
 
-def _exact_gap_relation(oracle, seeds: list, middle: list, index: dict,
-                        gap: int) -> set:
+def _exact_gap_relation(seeds_of: dict, index: dict, gap: int) -> set:
     """Pairs at index gap exactly `gap`. A single modulo-2*gap colouring
     keeps every odd multiple of the gap (two relation steps always sum to
     0 modulo 2*gap, so the no-intermediate filter removes nothing);
     intersecting with a second colouring modulo 2*(gap+1) pins the gap, for
     class counts below 2*gap*(gap+1) + gap."""
-    rel = _gap_relation(oracle, seeds, middle, index, gap, 2 * gap)
-    rel &= _gap_relation(oracle, seeds, middle, index, gap, 2 * (gap + 1))
+    rel = _gap_relation(seeds_of, index, gap, 2 * gap)
+    rel &= _gap_relation(seeds_of, index, gap, 2 * (gap + 1))
     return {
         (x, y)
         for x, y in rel
-        if not any((x, z) in rel and (z, y) in rel for z in {a for a, _ in rel})
+        if not any((x, z) in rel and (z, y) in rel for z in seeds_of)
     }
+
+
+def _reachable(succ: dict) -> dict:
+    """Each node's set of nodes reachable in one or more steps, itself
+    excluded: the transitive closure of the successor map."""
+    reach = {}
+    for start in succ:
+        seen, stack = set(), [start]
+        while stack:
+            new = succ[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
+        reach[start] = seen - {start}
+    return reach
 
 
 def recover_preorder(oracle: OrderedOracle, d: int) -> LinearPreorder:
@@ -816,56 +802,50 @@ def recover_preorder(oracle: OrderedOracle, d: int) -> LinearPreorder:
         return LinearPreorder(classes)
     if n > 2 * d * (d + 1) + d + 2:
         raise ValueError("class count too large for the gap arithmetic")
-    seeds = _boundary_seeds(oracle)
-    middle = [x for cls in classes[1:-1] for x in cls]
-    index = {x: i for i, cls in enumerate(classes) for x in cls}
-    succ: set = set()
-    rels = {
-        D: _exact_gap_relation(oracle, seeds, middle, index, D)
-        for D in (d, d + 1)
+    universe, masks = oracle.sorted_universe, oracle.class_masks
+    # the phi-satisfying prefix-full sets; they all agree with the
+    # canonical maximal seed on its special classes (the first class full,
+    # the last class empty)
+    seeds, prefix = [], 0
+    for cmask in masks[:-1]:
+        prefix |= cmask
+        if oracle.phi_mask(prefix):
+            seeds.append(prefix)
+    index = {x: i for i, cmask in enumerate(masks) for x in _members(universe, cmask)}
+    seeds_of = {
+        x: sum(1 << j for j, Y in enumerate(seeds) if Y >> pos & 1)
+        for pos, x in enumerate(universe)
+        if 0 < index[x] < n - 1
     }
-    for x, z in rels[d + 1]:
-        for y, z2 in rels[d]:
-            if z2 == z and x != y:
-                succ.add((x, y))
-    for z, x in rels[d]:
-        for z2, y in rels[d + 1]:
-            if z2 == z and x != y:
-                succ.add((x, y))
-    # transitive closure of the successor gives the strict order
-    order = set(succ)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(order):
-            for y2, z in list(order):
-                if y2 == y and (x, z) not in order and x != z:
-                    order.add((x, z))
-                    changed = True
+    near, far = (_exact_gap_relation(seeds_of, index, D) for D in (d, d + 1))
+    succ: dict = {x: set() for x in seeds_of}
+    for x, z in far:
+        succ[x].update(y for y, z2 in near if z2 == z and y != x)
+    for z, x in near:
+        succ[x].update(y for z2, y in far if z2 == z and y != x)
+    later = _reachable(succ)  # the middle elements after each one
     groups: list = []
-    for x in sorted(middle):
+    for x in seeds_of:
         for group in groups:
             rep = next(iter(group))
-            if (x, rep) not in order and (rep, x) not in order:
+            if rep not in later[x] and x not in later[rep]:
                 group.add(x)
                 break
         else:
             groups.append({x})
     def group_key(group):
         rep = next(iter(group))
-        return sum(1 for other in groups if (next(iter(other)), rep) in order)
+        return sum(1 for other in groups if rep in later[next(iter(other))])
     groups.sort(key=group_key)
     for a, b in zip(groups, groups[1:]):
-        if (next(iter(a)), next(iter(b))) not in order:
+        if next(iter(b)) not in later[next(iter(a))]:
             raise RecoveryError("middle order is not total")
     result = LinearPreorder(
         (classes[0],) + tuple(frozenset(g) for g in groups) + (classes[-1],)
     )
     # verify the guess: every interval of the result satisfies phi
-    m = len(result.classes)
-    for i in range(m):
-        for j in range(i, m):
-            Y = frozenset().union(*result.classes[i:j + 1])
-            if not oracle.phi(Y):
-                raise RecoveryError("recovered preorder fails interval check")
+    bit = {x: 1 << pos for pos, x in enumerate(universe)}
+    result_masks = [_union(map(bit.__getitem__, cls)) for cls in result.classes]
+    if _failing_interval(result_masks, oracle.phi_mask):
+        raise RecoveryError("recovered preorder fails interval check")
     return result

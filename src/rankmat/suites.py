@@ -80,6 +80,15 @@ from .trees import (
 
 __all__ = ["Report", "SUITES", "run_suite", "enumerate_instances"]
 
+# The seeded sample sizes and the count cap the suites run at; the
+# acceptance tests pin the instance counts they give.
+_RANK_SANDWICH_N4_SAMPLE = 800
+_SEMIGROUP_COUNT_CAP = 20000
+_KRONECKER_TRIALS = 500
+_RECOVERY_UNORDERED_TRIALS = 200
+_RECOVERY_ORDERED_TRIALS = 100
+_COMPOSITIONALITY_N4_SAMPLE = 40
+
 
 @dataclass(frozen=True)
 class Report:
@@ -245,7 +254,7 @@ def _sandwich_checks(s: Structure, failures: list, label: str) -> int:
     return checked
 
 
-def suite_rank_sandwich(n4_sample: int = 800) -> list:
+def suite_rank_sandwich() -> list:
     """Rank-variant inequalities and exact transposition duality on all
     binary structures with <= 3 elements plus a seeded n=4 sample (the
     exhaustive n=4 sweep exceeds the time budget)."""
@@ -254,7 +263,7 @@ def suite_rank_sandwich(n4_sample: int = 800) -> list:
     for s in binary_structures(3):
         instances += _sandwich_checks(s, failures, f"n{s.universe_size}")
     rng = random.Random(4)
-    for _ in range(n4_sample):
+    for _ in range(_RANK_SANDWICH_N4_SAMPLE):
         bits = rng.getrandbits(16)
         s = binary_structure(4, bits)
         instances += _sandwich_checks(s, failures, f"n4-bits{bits}")
@@ -396,7 +405,7 @@ def _semigroup_corpus():
         yield f"curated{i}", s
 
 
-def suite_semigroups(cap: int = 20000) -> list:
+def suite_semigroups() -> list:
     """Almost-commutative tables satisfy the identity suite and have
     syntactic class counts that never increase after the first repeat
     (k <= 4); the rest grow strictly or overflow the cap."""
@@ -406,7 +415,7 @@ def suite_semigroups(cap: int = 20000) -> list:
     for label, S in _semigroup_corpus():
         instances += 1
         ac, _ = is_almost_commutative(S)
-        counts = syntactic_class_counts(S, 4, cap)
+        counts = syntactic_class_counts(S, 4, _SEMIGROUP_COUNT_CAP)
         if ac:
             ac_count += 1
             numeric = all(isinstance(c, int) for c in counts)
@@ -473,7 +482,7 @@ def suite_two_by_two() -> list:
     return _summary("two-by-two", instances, failures)
 
 
-def suite_kronecker_inequality(trials: int = 500) -> list:
+def suite_kronecker_inequality() -> list:
     """distinct rows of a Kronecker product never exceed the product of
     the factors' distinct row counts; plus an equivalence-congruence
     spot-check on duplicated-row variants."""
@@ -492,7 +501,7 @@ def suite_kronecker_inequality(trials: int = 500) -> list:
             [[rng.randrange(S.size) for _ in range(c)] for _ in range(r)], S
         )
 
-    for trial in range(trials):
+    for trial in range(_KRONECKER_TRIALS):
         S = sgps[trial % len(sgps)]
         M1, M2 = random_matrix(S), random_matrix(S)
         P = kronecker_product(M1, M2)
@@ -523,7 +532,7 @@ def suite_kronecker_inequality(trials: int = 500) -> list:
     return _summary("kronecker-inequality", instances, failures)
 
 
-def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> list:
+def suite_recovery() -> list:
     """Seeded synthesized oracles: recover_partition and recover_preorder
     return exactly the hidden structure on every validated instance.
     Unordered instances use k=1 to keep the counter semigroup at 8
@@ -531,7 +540,7 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
     failures = []
     instances = 0
     rng = random.Random(12)
-    for trial in range(unordered_trials):
+    for trial in range(_RECOVERY_UNORDERED_TRIALS):
         n_classes = rng.randint(2, 6)
         sizes = [rng.randint(1, 5) for _ in range(n_classes)]
         while sum(sizes) > 30:
@@ -545,7 +554,7 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
         if set(recover_partition(oracle)) != {frozenset(c) for c in hidden}:
             failures.append(_fail("recovery", f"unordered{trial}",
                                   {"sizes": sizes, "k": 1}))
-    for trial in range(ordered_trials):
+    for trial in range(_RECOVERY_ORDERED_TRIALS):
         n_classes = rng.randint(2, 12)
         sizes = [rng.randint(1, 3) for _ in range(n_classes)]
         hidden = _hidden_classes(sizes)
@@ -559,7 +568,7 @@ def suite_recovery(unordered_trials: int = 200, ordered_trials: int = 100) -> li
     return _summary("recovery", instances, failures)
 
 
-def suite_compositionality(n4_sample: int = 40) -> list:
+def suite_compositionality() -> list:
     """Reconstruction of quantifier-free types from per-part local type
     colours, exact on all (structure, partition) pairs for n <= 3 with
     m = 2, plus a seeded n=4 sample (the exhaustive n=4 sweep exceeds
@@ -568,7 +577,7 @@ def suite_compositionality(n4_sample: int = 40) -> list:
     instances = 0
     rng = random.Random(13)
     sizes_and_bits = [(n, bits) for n in (1, 2, 3) for bits in range(1 << n * n)]
-    sizes_and_bits += [(4, rng.getrandbits(16)) for _ in range(n4_sample)]
+    sizes_and_bits += [(4, rng.getrandbits(16)) for _ in range(_COMPOSITIONALITY_N4_SAMPLE)]
     partitions = {n: list(set_partitions(list(range(n)))) for n in (1, 2, 3, 4)}
     for n, bits in sizes_and_bits:
         s = binary_structure(n, bits)

@@ -68,6 +68,18 @@ class _TreeIndex:
             (x for x in nodes if len(x) > 1), key=lambda x: (len(x), sorted(x))
         )
 
+    @cached_property
+    def forests(self) -> tuple:
+        """The subforests (see ``subforests``) by size, then by sorted
+        leaves; built on first use."""
+        out = {self.by_size[-1]}  # the root
+        for node in self.internal:
+            kids = self.children[node]
+            for k in range(1, len(kids) + 1):
+                for chosen in combinations(kids, k):
+                    out.add(frozenset().union(*chosen))
+        return tuple(sorted(out, key=lambda f: (len(f), sorted(f))))
+
 
 @dataclass(frozen=True)
 class LaminarTree:
@@ -167,13 +179,7 @@ def ternary_decode(s: Structure) -> LaminarTree:
 
 def subforests(t: LaminarTree) -> frozenset:
     """All nonempty unions of sibling subtrees, plus the full leaf set."""
-    out = {t.root()}
-    for node in t.internal_nodes():
-        kids = t.children(node)
-        for k in range(1, len(kids) + 1):
-            for chosen in combinations(kids, k):
-                out.add(frozenset().union(*chosen))
-    return frozenset(out)
+    return frozenset(t._index.forests)
 
 
 def _cuts(X: frozenset, Y: frozenset) -> bool:
@@ -225,7 +231,7 @@ def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
     X = frozenset(X)
     if X == frozenset() or X == t.root():
         return 0
-    forests = sorted(subforests(t), key=lambda f: (len(f), sorted(f)))
+    forests = t._index.forests
     leaves = sorted(t.leaves)
     for m in range(1, limit + 1):
         for chosen in combinations(forests, m):

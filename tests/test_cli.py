@@ -306,6 +306,29 @@ def test_cli_recovery_error_survives_optimisation(accept_all):
     assert "maximality violated" in out.stderr
 
 
+# two singleton classes with one lambda table over Z/2: the full value 1 is
+# not idempotent, so the oracle is not homogeneous, and grouping the classes
+# by lambda image leaves them together
+NOT_IDEMPOTENT_ORC = """oracle unordered 1
+semigroup z2.sgp
+class 0
+class 1
+lambda 0 - 0
+lambda 0 0 1
+lambda 1 - 0
+lambda 1 1 1
+accept 0 1
+"""
+
+
+def test_cli_recover_not_homogeneous_single_image_exit_2(tmp_path, capsys):
+    (tmp_path / "z2.sgp").write_text("semigroup 2\nunit 0\n0 1\n1 0\n")
+    (tmp_path / "o.orc").write_text(NOT_IDEMPOTENT_ORC)
+    code = main(["recover", "partition", str(tmp_path / "o.orc")])
+    assert code == 2
+    assert "not homogeneous (full and empty values must be idempotent)" in capsys.readouterr().err
+
+
 def test_cli_recover_preorder(tmp_path, capsys):
     oracle = synth_oracle("ordered", [{0}, {1, 2}, {3}], 2)
     (tmp_path / "s.sgp").write_text(formats.write_semigroup(oracle.semigroup))

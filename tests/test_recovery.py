@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import re
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from rankmat.enumerate import (
     BINARY,
+    associative_tables,
     binary_structures,
     clique_graph,
+    curated_size4_semigroups,
+    cyclic_group,
     edgeless_graph,
     path_graph,
 )
@@ -32,7 +36,7 @@ from rankmat.recovery import (
     validate_oracle,
 )
 from rankmat.semigroup import validate as validate_semigroup
-from rankmat.structures import Structure, qf_type
+from rankmat.structures import Structure, qf_type, subsets
 from rankmat.trees import (
     LinearPreorder,
     all_laminar_trees,
@@ -40,6 +44,8 @@ from rankmat.trees import (
     ternary_encode,
     validate_tree,
 )
+
+import reference_recovery as ref
 
 
 def graph_struct(g):
@@ -306,8 +312,10 @@ def test_unsound_oracle_raises_recovery_error():
     # accepting every set cuts a non-special class in a good seed
     with pytest.raises(RecoveryError, match="maximality violated"):
         recover_partition(constant_oracle(True))
-    with pytest.raises(RecoveryError, match="not complete"):
-        find_seed(constant_oracle(False))
+    # rejecting every set leaves no seed candidate
+    for recover in (find_seed, maximal_seed, recover_partition):
+        with pytest.raises(RecoveryError, match="not complete"):
+            recover(constant_oracle(False))
 
 
 def test_unsound_oracle_names_the_unsound_set():
@@ -508,3 +516,110 @@ def test_validate_oracle_queries_only_where_a_check_reads(kind, sizes, k, sample
                 Y = frozenset().union(*hidden[i:j + 1])
                 expected.append(sum(1 << universe.index(x) for x in Y))
     assert o.queried == expected
+
+
+# ---------------------------------------------------------------------------
+# the bitmask seed search and recovery against the frozenset reference
+
+
+def test_not_homogeneous_single_image_raises_recovery_error():
+    # two singleton classes over Z/2 with the same lambda table: the full
+    # value 1 is not idempotent, and no lambda image tells the classes apart
+    lam = [{frozenset(): 0, frozenset({x}): 1} for x in (0, 1)]
+    o = UnorderedOracle([{0}, {1}], cyclic_group(2), lam, {0, 1}, 1)
+    validate_oracle(o, homogeneous=False)
+    with pytest.raises(RecoveryError, match=re.escape(
+            "not homogeneous (full and empty values must be idempotent)")):
+        recover_partition(o)
+
+
+class FixPoint(Exception):
+    """Where the reference reaches one of the two cases the bitmask code
+    fixes; carries the error the bitmask code raises there."""
+
+
+@contextlib.contextmanager
+def stopping_at_fix_points():
+    """Makes the reference raise FixPoint where it would find no seed
+    candidate (and return the classes, or fail in ``min``), and where it
+    would split a non-homogeneous oracle into one group (and recurse
+    forever)."""
+    candidates, split = ref._maximal_candidates, ref._split_by_lambda_image
+
+    def checked_candidates(o):
+        found = candidates(o)
+        if not found:
+            raise FixPoint("no candidate seed satisfies phi: the oracle is not complete")
+        return found
+
+    def checked_split(o):
+        groups = split(o)
+        if len(groups) == 1:
+            try:
+                ref._check_homogeneous(o)
+            except ValueError as fault:
+                raise FixPoint(f"the oracle is not homogeneous ({fault}) "
+                               "and all its classes share one lambda image")
+        return groups
+
+    ref._maximal_candidates, ref._split_by_lambda_image = checked_candidates, checked_split
+    try:
+        yield
+    finally:
+        ref._maximal_candidates, ref._split_by_lambda_image = candidates, split
+
+
+def outcome(call, *args):
+    try:
+        return "returns", call(*args)
+    except FixPoint as fix:
+        return "raises", RecoveryError, str(fix)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+@st.composite
+def perturbed_synth_oracles(draw):
+    kind = draw(st.sampled_from(["unordered", "grouped", "ordered"]))
+    n = draw(st.integers(2, 10))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    labels = draw(st.permutations(range(sum(sizes))))
+    hidden = [frozenset(labels[x] for x in cls) for cls in _hidden_classes(sizes)]
+    k = draw(st.integers(1, 3))
+    groups = None
+    if kind == "grouped":
+        groups = draw(st.lists(st.integers(0, 1), min_size=len(hidden), max_size=len(hidden)))
+    o = synth_oracle("ordered" if kind == "ordered" else "unordered", hidden, k, groups)
+    # half of them keep the accept set, so that recovery gets far
+    flip = draw(st.sets(st.sampled_from(o.semigroup.elements()), max_size=3)
+                if draw(st.booleans()) else st.just(frozenset()))
+    return type(o)(o.classes, o.semigroup, o.lam, o.accept ^ flip, o.k)
+
+
+SMALL_SEMIGROUPS = list(associative_tables(3)) + curated_size4_semigroups()
+
+
+@st.composite
+def random_table_oracles(draw):
+    S = draw(st.sampled_from(SMALL_SEMIGROUPS))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=7))
+    labels = draw(st.permutations(range(sum(sizes))))
+    classes = [frozenset(labels[x] for x in cls) for cls in _hidden_classes(sizes)]
+    value = st.sampled_from(S.elements())
+    lam = [{sub: draw(value) for sub in subsets(sorted(cls))} for cls in classes]
+    accept = draw(st.sets(value))
+    kind = draw(st.sampled_from([UnorderedOracle, OrderedOracle]))
+    return kind(classes, S, lam, accept, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(perturbed_synth_oracles(), random_table_oracles()), st.integers(0, 1))
+def test_recovery_matches_the_frozenset_reference(o, extra_d):
+    d = o.k + extra_d
+    for new, old, args in [(find_seed, ref.find_seed, ()),
+                           (maximal_seed, ref.maximal_seed, ()),
+                           (recover_partition, ref.recover_partition, ()),
+                           (recover_preorder, ref.recover_preorder, (d,))]:
+        with stopping_at_fix_points():
+            expected = outcome(old, o, *args)
+        assert outcome(new, o, *args) == expected, new.__name__

@@ -141,14 +141,17 @@ def test_subforests_star3_all_nonempty():
 
 
 def test_subforests_matches_bruteforce():
-    for t in all_laminar_trees(range(4)):
+    for t in itertools.chain(*(all_laminar_trees(range(n)) for n in range(1, 6))):
         expected = {t.root()}
         for node in t.internal_nodes():
             kids = t.children(node)
             for k in range(1, len(kids) + 1):
                 for chosen in itertools.combinations(kids, k):
                     expected.add(frozenset().union(*chosen))
+        assert "forests" not in vars(t._index)
         assert subforests(t) == frozenset(expected)
+        # the order min_boolean_combination tries them in
+        assert t._index.forests == tuple(sorted(expected, key=lambda f: (len(f), sorted(f))))
 
 
 def test_interesting_analysis_empty_X():
