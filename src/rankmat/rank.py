@@ -66,16 +66,9 @@ def _matrix_index(s: Structure, X: Iterable[int], m: int) -> tuple:
 def _id_rows(s: Structure, rows: tuple, cols: tuple) -> Iterator[tuple]:
     """The type matrix's rows as tuples of ids in ``s``'s memo.  A
     generator: the memo is not touched before the first row is read."""
-    ids = s.qf_type_ids
-    known = ids.of_tuple.get
-    intern = ids.intern
-
-    def type_id(t: tuple) -> int:
-        found = known(t)
-        return intern(s, t) if found is None else found
-
+    type_id = s.qf_type_ids.id_of
     for r in rows:
-        yield tuple([type_id(r + c) for c in cols])
+        yield tuple([type_id(s, r + c) for c in cols])
 
 
 def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:

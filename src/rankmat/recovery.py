@@ -259,6 +259,15 @@ class UnorderedOracle:
             raise ValueError("an oracle needs at least one class")
         if len(self.lam) != len(self.classes):
             raise ValueError("one lambda table per class")
+        if not self.ordered:
+            # ordered classes are checked by LinearPreorder, with its message
+            owner: dict = {}
+            for i, cls in enumerate(self.classes):
+                for x in sorted(cls):
+                    j = owner.setdefault(x, i)
+                    if j != i:
+                        raise ValueError(f"unordered classes must be disjoint: element {x} "
+                                         f"is in classes {j} and {i}")
         elements = semigroup.elements()
         for i, (cls, table) in enumerate(zip(self.classes, self.lam)):
             if set(table) != set(subsets(sorted(cls))):

@@ -5,6 +5,14 @@ undefined coordinates.  A quantifier-free type records which coordinates
 are defined, which are equal, and which atomic relation facts hold; two
 tuples get equal types exactly when they satisfy the same quantifier-free
 formulas.
+
+Typing work is shared per structure through two memos on the instance,
+freed with it: ``Structure.qf_type_ids`` interns each tuple's type as a
+small int, and ``Structure.local_type_indices`` keeps each
+``local_type_index(s, X, k, m)`` built, so ``induced_local_type``,
+``composition_tables`` and every partition containing a part reuse one
+index.  ``composition_tables`` types each tuple through ``qf_type_ids`` and
+compares ids, which are equal exactly when the types are.
 """
 from __future__ import annotations
 
@@ -109,6 +117,12 @@ class Structure:
         ``hash`` and ``repr`` ignore it and it is freed with the structure."""
         return QfTypeIds()
 
+    @cached_property
+    def local_type_indices(self) -> dict:
+        """``local_type_index`` results keyed by ``(frozenset(X), k, m)``,
+        kept in the instance ``__dict__`` as ``qf_type_ids`` is."""
+        return {}
+
 
 @dataclass(frozen=True)
 class QfType:
@@ -128,25 +142,30 @@ class QfType:
 
 
 def qf_type(s: Structure, t: Sequence[Optional[int]]) -> QfType:
-    k = len(t)
-    for x in t:
-        if x is not None and not (0 <= x < s.universe_size):
-            raise ValueError(f"coordinate {x} out of range")
-    mask = tuple(x is not None for x in t)
+    size = s.universe_size
+    mask = []
     equality = []
-    for i in range(k):
-        if t[i] is None:
+    first: dict = {}  # element -> its first coordinate
+    defined = []
+    values = []
+    for i, x in enumerate(t):
+        if x is None:
+            mask.append(False)
             equality.append(None)
-        else:
-            equality.append(next(j for j in range(k) if t[j] == t[i]))
-    defined = [i for i in range(k) if t[i] is not None]
-    facts = set()
+            continue
+        if not 0 <= x < size:
+            raise ValueError(f"coordinate {x} out of range")
+        mask.append(True)
+        equality.append(first.setdefault(x, i))
+        defined.append(i)
+        values.append(x)
+    facts = []
     for name, arity in s.vocabulary.relations:
         rel = s.relation(name)
-        for idx in product(defined, repeat=arity):
-            if tuple(t[i] for i in idx) in rel:
-                facts.add((name, idx))
-    return QfType(mask, tuple(equality), frozenset(facts))
+        facts += [(name, idx) for idx, image in zip(product(defined, repeat=arity),
+                                                    product(values, repeat=arity))
+                  if image in rel]
+    return QfType(tuple(mask), tuple(equality), frozenset(facts))
 
 
 class QfTypeIds:
@@ -180,6 +199,13 @@ class QfTypeIds:
             self.types.append(ty)
         self.of_tuple[t] = found
         return found
+
+    def id_of(self, s: Structure, t: tuple) -> int:
+        """The id of ``qf_type(s, t)``, interned on first sight of ``t``."""
+        try:
+            return self.of_tuple[t]
+        except KeyError:
+            return self.intern(s, t)
 
 
 def possible_type_count(vocabulary: Vocabulary, k: int) -> int:
@@ -294,10 +320,19 @@ def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTyp
     """Groups the partial k-tuples over X by their row of types against
     the external tuples; the first external tuple is the empty one, so the
     row starts with the internal type.  Classes come in the order of their
-    rows' sort keys."""
+    rows' sort keys.  Built once per ``(X, k, m)`` and kept in
+    ``s.local_type_indices``."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    X = frozenset(X)
+    key = (frozenset(X), k, m)
+    memo = s.local_type_indices
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _build_local_type_index(s, *key)
+    return found
+
+
+def _build_local_type_index(s: Structure, X: frozenset, k: int, m: int) -> LocalTypeIndex:
     exts = _external_tuples(s, X, m)
     groups: dict = {}
     for t in all_partial_tuples(sorted(X), k):
@@ -378,17 +413,19 @@ def composition_tables(s: Structure, partition: Sequence[Iterable[int]], ell: in
         colour += len(idx.classes)
     colours = range(colour)
 
-    gamma: dict = {}
+    ids = s.qf_type_ids
+    type_id = ids.id_of
+    gamma_ids: dict = {}  # colours -> type id
     last: dict = {}  # colours -> the latest tuple seen with them
     for chosen in combinations(range(len(parts)), ell):
         union = sorted(set().union(*(parts[i] for i in chosen)))
         for t in all_partial_tuples(union, m):
-            key = tuple(colour_of[i][_project(t, parts[i])] for i in chosen)
-            ty = qf_type(s, t)
-            if key in gamma and gamma[key] != ty:
+            key = tuple([colour_of[i][_project(t, parts[i])] for i in chosen])
+            found = type_id(s, t)
+            if gamma_ids.setdefault(key, found) != found:
                 raise CompositionConflict(key, last[key], t)
-            gamma[key] = ty
             last[key] = t
+    gamma = {key: ids.types[found] for key, found in gamma_ids.items()}
     return lambdas, gamma, colours
 
 

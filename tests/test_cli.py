@@ -329,6 +329,30 @@ def test_cli_recover_not_homogeneous_single_image_exit_2(tmp_path, capsys):
     assert "not homogeneous (full and empty values must be idempotent)" in capsys.readouterr().err
 
 
+OVERLAPPING_ORC = """oracle unordered 1
+semigroup z2.sgp
+class 0 1
+class 1 2
+lambda 0 - 0
+lambda 0 0 0
+lambda 0 1 0
+lambda 0 0,1 0
+lambda 1 - 0
+lambda 1 1 0
+lambda 1 2 0
+lambda 1 1,2 0
+accept 0
+"""
+
+
+def test_cli_recover_overlapping_unordered_classes_exit_2(tmp_path, capsys):
+    (tmp_path / "z2.sgp").write_text("semigroup 2\nunit 0\n0 1\n1 0\n")
+    (tmp_path / "o.orc").write_text(OVERLAPPING_ORC)
+    code = main(["recover", "partition", str(tmp_path / "o.orc")])
+    assert code == 2
+    assert "element 1 is in classes 0 and 1" in capsys.readouterr().err
+
+
 def test_cli_recover_preorder(tmp_path, capsys):
     oracle = synth_oracle("ordered", [{0}, {1, 2}, {3}], 2)
     (tmp_path / "s.sgp").write_text(formats.write_semigroup(oracle.semigroup))

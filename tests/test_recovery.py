@@ -380,6 +380,16 @@ def test_validate_oracle_rejects_overlapping_ordered_classes():
         validate_oracle(o)
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([{0, 1}, {1, 2}, {3}], "element 1 is in classes 0 and 1"),
+    ([{0}, {1, 2}, {3, 2}], "element 2 is in classes 1 and 2"),
+    ([{4, 5}, {0}, {5, 4}], "element 4 is in classes 0 and 2"),
+])
+def test_unordered_oracle_rejects_overlapping_classes(classes, message):
+    with pytest.raises(ValueError, match=f"^unordered classes must be disjoint: {message}$"):
+        synth_oracle("unordered", classes, 1)
+
+
 @pytest.mark.parametrize("n, budget", [(0, 1), (1, 2), (5, 32), (5, 31), (6, 32), (12, 4096),
                                        (13, 4096), (12, 4095), (30, 256), (36, 4096),
                                        (20, 256)])

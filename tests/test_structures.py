@@ -24,6 +24,7 @@ from rankmat.structures import (
     submasks,
     subsets,
 )
+from rankmat.trees import set_partitions
 
 LE = Vocabulary((("le", 2),))
 EDGE = Vocabulary((("E", 2),))
@@ -73,8 +74,10 @@ def test_qf_type_equal_tuples_equal_types():
 
 def test_qf_type_out_of_range():
     s = path(3)
-    with pytest.raises(ValueError):
-        qf_type(s, (0, 5))
+    # the first coordinate out of range is named, whatever follows it
+    for t, bad in [((0, 5), 5), ((3, 0), 3), ((None, -1, 2), -1), ((0, 0, 7, -2), 7)]:
+        with pytest.raises(ValueError, match=f"^coordinate {bad} out of range$"):
+            qf_type(s, t)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -358,3 +361,140 @@ def test_local_type_index_matches_former_key(spec):
 def test_local_type_index_rejects_negative_m():
     with pytest.raises(ValueError, match="m must be >= 0"):
         local_type_index(path(3), {0}, 1, -1)
+
+
+# ---------------------------------------------------------------------------
+# qf_type against the body it replaced
+
+
+def reference_qf_type(s, t):
+    """The former ``qf_type`` body: a range scan before any work, equality
+    by a linear search, and facts collected in a set."""
+    k = len(t)
+    for x in t:
+        if x is not None and not (0 <= x < s.universe_size):
+            raise ValueError(f"coordinate {x} out of range")
+    mask = tuple(x is not None for x in t)
+    equality = []
+    for i in range(k):
+        if t[i] is None:
+            equality.append(None)
+        else:
+            equality.append(next(j for j in range(k) if t[j] == t[i]))
+    defined = [i for i in range(k) if t[i] is not None]
+    facts = set()
+    for name, arity in s.vocabulary.relations:
+        rel = s.relation(name)
+        for idx in itertools.product(defined, repeat=arity):
+            if tuple(t[i] for i in idx) in rel:
+                facts.add((name, idx))
+    return structures.QfType(mask, tuple(equality), frozenset(facts))
+
+
+MIXED = Vocabulary((("E", 2), ("R", 3), ("U", 1)))
+
+
+@st.composite
+def mixed_structures(draw):
+    """A structure over MIXED with random relations, half the time built
+    with ``Structure(...)`` and its interpretation in reverse vocabulary
+    order."""
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    rels = {name: draw(st.frozensets(st.tuples(*[element] * arity), max_size=12))
+            for name, arity in MIXED.relations}
+    if draw(st.booleans()):
+        interpretation = tuple((name, rels[name]) for name, _ in reversed(MIXED.relations))
+        return Structure(MIXED, n, interpretation)
+    return Structure.make(MIXED, n, rels)
+
+
+@given(st.one_of(
+    st.integers(0, 3).flatmap(lambda n: st.integers(0, (1 << n * n) - 1).map(
+        lambda bits: binary_structure(n, bits))),
+    mixed_structures(),
+).flatmap(lambda s: st.tuples(st.just(s), st.lists(
+    st.one_of(st.none(), st.integers(-1, s.universe_size)), max_size=4))))
+def test_qf_type_matches_the_replaced_body(case):
+    s, t = case
+    t = tuple(t)
+    try:
+        expected = reference_qf_type(s, t)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            qf_type(s, t)
+        return
+    assert qf_type(s, t) == expected
+
+
+# ---------------------------------------------------------------------------
+# the per-structure local type memo
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * n) - 1))))
+def test_cached_local_type_index_equals_a_fresh_one(spec):
+    n, bits = spec
+    s = binary_structure(n, bits)
+    for X in subsets(range(n)):
+        for k in range(3):
+            for m in range(3):
+                first = local_type_index(s, X, k, m)
+                again = local_type_index(s, set(X), k, m)
+                assert again is first
+                fresh = local_type_index(binary_structure(n, bits), X, k, m)
+                assert fresh is not first
+                assert fresh == first
+                assert fresh.classes == first.classes
+    assert len(s.local_type_indices) == (1 << n) * 9
+
+
+def test_induced_local_type_reuses_one_index(monkeypatch):
+    built = []
+    build = structures._build_local_type_index
+
+    def counted(*args):
+        built.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(structures, "_build_local_type_index", counted)
+    s = path(4)
+    ids = [induced_local_type(s, [0, 1], (x, y), m=2)
+           for x in (0, 1, None) for y in (0, 1, None)]
+    assert built == [(frozenset({0, 1}), 2, 2)]
+    index = s.local_type_indices[frozenset({0, 1}), 2, 2]
+    assert ids == [index.class_of((x, y)) for x in (0, 1, None) for y in (0, 1, None)]
+    induced_local_type(s, {1, 0}, (1,), m=2)
+    assert built == [(frozenset({0, 1}), 2, 2), (frozenset({0, 1}), 1, 2)]
+    assert s.local_type_indices[frozenset({0, 1}), 2, 2] is index
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.integers(0, (1 << n * n) - 1).map(lambda bits: binary_structure(n, bits)),
+    st.sampled_from(list(set_partitions(list(range(n))))),
+    st.integers(1, 2), st.integers(0, 2))))
+def test_composition_gamma_is_qf_type_of_every_tuple_seen(case):
+    s, partition, ell, m = case
+    ell = min(ell, len(partition))
+    lambdas, gamma, _ = composition_tables(s, partition, ell, m)
+    parts = [frozenset(p) for p in partition]
+    seen = {}
+    for chosen in itertools.combinations(range(len(parts)), ell):
+        union = sorted(set().union(*(parts[i] for i in chosen)))
+        for t in all_partial_tuples(union, m):
+            key = tuple(
+                lambdas[i][local_type_index(s, parts[i], m, m).class_of(
+                    tuple(x if x in parts[i] else None for x in t))]
+                for i in chosen)
+            assert gamma[key] == qf_type(s, t)
+            seen.setdefault(key, t)
+    assert list(gamma) == list(seen)
+
+
+def test_no_memo_before_the_negative_m_error():
+    s = path(3)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        local_type_index(s, {0}, 1, -1)
+    assert "local_type_indices" not in vars(s)
+    local_type_index(s, {0}, 1, 0)
+    assert list(vars(s)["local_type_indices"]) == [(frozenset({0}), 1, 0)]
