@@ -165,16 +165,6 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
 
-    def to_structure(self) -> Structure:
-        from .structures import Vocabulary
-
-        rel = set()
-        for e in self.edges:
-            u, v = tuple(e)
-            rel.add((u, v))
-            rel.add((v, u))
-        return Structure.make(Vocabulary((("E", 2),)), self.n, {"E": rel})
-
 
 def gf2_rank(rows: Sequence[int]) -> int:
     """Rank over GF(2) of rows given as int bitsets."""

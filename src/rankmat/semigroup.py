@@ -138,9 +138,6 @@ class GreenData:
     def common_prefix(self, a: int, b: int) -> bool:
         return bool(self.prefixes[a] & self.prefixes[b])
 
-    def common_suffix(self, a: int, b: int) -> bool:
-        return bool(self.suffixes[a] & self.suffixes[b])
-
 
 def green(S: FiniteSemigroup) -> GreenData:
     n = S.size

@@ -1,13 +1,18 @@
 """Verification suites: lemma-level checks over enumerated small instances.
 
-Each suite returns a list of Report objects.  Pass results are aggregated
-into one summary report per check; every failure gets its own report
-carrying a replayable witness (instance serialization + parameters).
-Report order is canonical (sorted by instance id) regardless of how the
-per-instance work is scheduled, and every enumeration is deterministic.
+Each suite is a generator body registered with `@_suite(name)`.  It
+yields `(instance, witness)` for every failure, where the witness is
+replayable data (instance serialization + parameters), and returns its
+summary fields, `{"instances": n, **extra}`.  The one driver in
+`_suite` turns that into the list of Report objects that `SUITES[name]()`
+returns: the failure reports, sorted by instance id (stable), then one
+summary report.  Report order is therefore canonical regardless of how
+the per-instance work is scheduled, and every enumeration is
+deterministic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -37,7 +42,7 @@ from .kronecker import (
     two_by_two_claim,
 )
 from .rank import (
-    Graph,
+    distinct_row_rank,
     graph_cut_rank,
     matrix_ranks,
     monadic_matrix_distinct_rows,
@@ -76,6 +81,7 @@ from .trees import (
     subforests,
     ternary_decode,
     ternary_encode,
+    validate_tree,
 )
 
 __all__ = ["Report", "SUITES", "run_suite", "enumerate_instances"]
@@ -106,18 +112,39 @@ class Report:
         }
 
 
-def _summary(check: str, instances: int, failures: list, extra: dict = None) -> list:
-    data = {"instances": instances, "failures": len(failures)}
-    if extra:
-        data.update(extra)
-    status = "fail" if failures else "pass"
-    return sorted(failures, key=lambda r: r.instance) + [
-        Report(check, "summary", status, data)
-    ]
+SUITES: dict = {}
 
 
-def _fail(check: str, instance: str, witness: dict) -> Report:
-    return Report(check, instance, "fail", witness)
+def _suite(name: str):
+    """Register a suite body in SUITES under `name`, in definition order.
+
+    The body is a generator: it yields `(instance, witness)` for each
+    failure and returns `{"instances": n, **extra}`.  The registered
+    callable runs it and returns the failure reports, stable-sorted by
+    instance, then the summary report, whose data keys are `instances`,
+    `failures`, then the extras in the body's order.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run() -> list:
+            failures = []
+            checks = body()
+            try:
+                while True:
+                    instance, witness = next(checks)
+                    failures.append(Report(name, instance, "fail", witness))
+            except StopIteration as done:
+                extra = dict(done.value)
+            data = {"instances": extra.pop("instances"), "failures": len(failures), **extra}
+            failures.sort(key=lambda r: r.instance)
+            status = "fail" if failures else "pass"
+            return failures + [Report(name, "summary", status, data)]
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _hidden_classes(sizes: list) -> list:
@@ -167,10 +194,14 @@ def enumerate_instances(kind: str, bound: int, seed: int = 0) -> Iterator:
 # the suites
 
 
-def suite_path_bound() -> list:
+def _nodes(t) -> list:
+    return sorted(map(sorted, t.nodes))
+
+
+@_suite("path-bound")
+def suite_path_bound():
     """Connected subsets of paths have GF(2) cut-rank at most 2, and the
     bound is attained from 4 vertices on."""
-    failures = []
     instances = 0
     for n in range(1, 13):
         g = path_graph(n)
@@ -182,32 +213,30 @@ def suite_path_bound() -> list:
                 best = max(best, r)
                 instances += 1
                 if r > 2:
-                    failures.append(
-                        _fail("path-bound", f"path{n}", {"subset": sorted(X), "rank": r})
-                    )
+                    yield f"path{n}", {"subset": sorted(X), "rank": r}
         if n >= 4 and best != 2:
-            failures.append(_fail("path-bound", f"path{n}", {"max_rank": best}))
-    return _summary("path-bound", instances, failures)
+            yield f"path{n}", {"max_rank": best}
+    return {"instances": instances}
 
 
-def suite_clique_edgeless() -> list:
-    failures = []
+@_suite("clique-edgeless")
+def suite_clique_edgeless():
     instances = 0
     for n in range(1, 9):
         k, e = clique_graph(n), edgeless_graph(n)
         for X in subsets(range(n)):
             instances += 1
             if graph_cut_rank(k, X) > 1:
-                failures.append(_fail("clique-edgeless", f"K{n}", {"subset": sorted(X)}))
+                yield f"K{n}", {"subset": sorted(X)}
             if graph_cut_rank(e, X) != 0:
-                failures.append(_fail("clique-edgeless", f"E{n}", {"subset": sorted(X)}))
-    return _summary("clique-edgeless", instances, failures)
+                yield f"E{n}", {"subset": sorted(X)}
+    return {"instances": instances}
 
 
-def suite_grid_sandwich() -> list:
+@_suite("grid-sandwich")
+def suite_grid_sandwich():
     """ceil(sqrt(|X|)) - 1 <= cut-rank <= |X| on square grids; violations
     of the tighter slack-free lower bound are reported, not failed."""
-    failures = []
     instances = 0
     tighter_violations = 0
     for side in (3, 4):
@@ -220,17 +249,13 @@ def suite_grid_sandwich() -> list:
             lo = math.ceil(math.sqrt(len(X))) - 1
             instances += 1
             if not lo <= r <= len(X):
-                failures.append(
-                    _fail("grid-sandwich", f"grid{side}x{side}",
-                          {"subset": sorted(X), "rank": r})
-                )
+                yield f"grid{side}x{side}", {"subset": sorted(X), "rank": r}
             if r < lo + 1:
                 tighter_violations += 1
-    return _summary("grid-sandwich", instances, failures,
-                    {"tighter_violations": tighter_violations})
+    return {"instances": instances, "tighter_violations": tighter_violations}
 
 
-def _sandwich_checks(s: Structure, failures: list, label: str) -> int:
+def _sandwich_checks(s: Structure, label: str):
     n = s.universe_size
     checked = 0
     for X in subsets(range(n)):
@@ -245,32 +270,32 @@ def _sandwich_checks(s: Structure, failures: list, label: str) -> int:
         ok = ok and dr == dcc and dc == drc
         checked += 1
         if not ok:
-            failures.append(_fail("rank-sandwich", label, {
+            yield label, {
                 "relation": sorted(map(list, s.relation("E"))),
                 "subset": sorted(X),
                 "ranks": [dr, dc, fr],
                 "complement_ranks": [drc, dcc],
-            }))
+            }
     return checked
 
 
-def suite_rank_sandwich() -> list:
+@_suite("rank-sandwich")
+def suite_rank_sandwich():
     """Rank-variant inequalities and exact transposition duality on all
     binary structures with <= 3 elements plus a seeded n=4 sample (the
     exhaustive n=4 sweep exceeds the time budget)."""
-    failures = []
     instances = 0
     for s in binary_structures(3):
-        instances += _sandwich_checks(s, failures, f"n{s.universe_size}")
+        instances += yield from _sandwich_checks(s, f"n{s.universe_size}")
     rng = random.Random(4)
     for _ in range(_RANK_SANDWICH_N4_SAMPLE):
         bits = rng.getrandbits(16)
         s = binary_structure(4, bits)
-        instances += _sandwich_checks(s, failures, f"n4-bits{bits}")
-    return _summary("rank-sandwich", instances, failures)
+        instances += yield from _sandwich_checks(s, f"n4-bits{bits}")
+    return {"instances": instances}
 
 
-def _ef_checks(ms: MonadicStructure, subsets: Iterable, failures: list, label: str) -> int:
+def _ef_checks(ms: MonadicStructure, subsets: Iterable, label: str):
     checked = 0
     for X in subsets:
         for d in (0, 1):
@@ -278,38 +303,36 @@ def _ef_checks(ms: MonadicStructure, subsets: Iterable, failures: list, label: s
             lo = monadic_matrix_distinct_rows(monadic_type_matrix(ms, X, d, 2))
             checked += 1
             if hi > 2**lo:
-                failures.append(_fail("ef-bound", label,
-                                      {"subset": sorted(X), "d": d,
-                                       "hi": hi, "lo": lo}))
+                yield label, {"subset": sorted(X), "d": d, "hi": hi, "lo": lo}
     return checked
 
 
-def suite_ef_bound() -> list:
+@_suite("ef-bound")
+def suite_ef_bound():
     """distinct_rows(M_{d+1,1}) <= 2^distinct_rows(M_{d,2}) for d in {0,1}
     on monadic structures with one unary set relation: exhaustive principal
     interpretations for n <= 3 plus seeded interpretations and an n=4
     sample (full n=4 enumeration exceeds the time budget)."""
-    failures = []
     instances = 0
     for n in (2, 3):
         all_X = list(subsets(range(n)))
         for bits in range(1 << n):
             ms = MonadicStructure(n, (("U", 1, frozenset({(bits,)})),))
-            instances += _ef_checks(ms, all_X, failures, f"n{n}-principal{bits}")
+            instances += yield from _ef_checks(ms, all_X, f"n{n}-principal{bits}")
         rng = random.Random(5 + n)
         for trial in range(10):
             interp = frozenset(
                 (b,) for b in range(1 << n) if rng.random() < 0.4
             )
             ms = MonadicStructure(n, (("U", 1, interp),))
-            instances += _ef_checks(ms, all_X, failures, f"n{n}-random{trial}")
+            instances += yield from _ef_checks(ms, all_X, f"n{n}-random{trial}")
     rng = random.Random(9)
     all_X = list(subsets(range(4)))
     for bits in range(16):
         ms = MonadicStructure(4, (("U", 1, frozenset({(bits,)})),))
         chosen = [all_X[b] for b in rng.sample(range(16), 4)]
-        instances += _ef_checks(ms, chosen, failures, f"n4-principal{bits}")
-    return _summary("ef-bound", instances, failures)
+        instances += yield from _ef_checks(ms, chosen, f"n4-principal{bits}")
+    return {"instances": instances}
 
 
 def _tree_corpus(full_leaves: int, shape_leaves: int):
@@ -323,48 +346,47 @@ def _tree_corpus(full_leaves: int, shape_leaves: int):
             yield f"shape{n}-{i}", t
 
 
-def suite_trees() -> list:
+@_suite("trees")
+def suite_trees():
     """decode(encode) identity; ternary cut-rank >= the interesting-child
     count; min_boolean_combination = 1 exactly on subforests and their
     complements (complement is one of the allowed boolean operations).
     All labeled trees <= 6 leaves for the identity, <= 5 for the rank
     checks, plus all 6- and 7-leaf shapes (the full labeled 7-leaf sweep
-    exceeds the time budget)."""
-    from .rank import distinct_row_rank
-
-    failures = []
+    exceeds the time budget).  One pass enumerates each tree once: the
+    6-leaf shapes are the labeled 6-leaf trees that get the rank checks,
+    under their shape label."""
+    shape6 = {t: f"shape6-{i}" for i, t in enumerate(all_tree_shapes(6))}
     instances = 0
     for label, t in _tree_corpus(6, 7):
-        instances += 1
-        if ternary_decode(ternary_encode(t)) != t:
-            failures.append(_fail("trees", label,
-                                  {"nodes": sorted(map(sorted, t.nodes))}))
-    for label, t in _tree_corpus(5, 7):
-        n = len(t.leaves)
         enc = ternary_encode(t)
+        instances += 1
+        if ternary_decode(enc) != t:
+            yield label, {"nodes": _nodes(t)}
+        n = len(t.leaves)
+        if n == 6:
+            if t not in shape6:
+                continue
+            label = shape6[t]
         sf = subforests(t)
         level1 = ({s for s in sf} | {t.root() - s for s in sf}) - {frozenset(), t.root()}
         for X in subsets(range(n)):
             _, _, d = interesting_analysis(t, X)
             instances += 1
             if distinct_row_rank(enc, X) < d:
-                failures.append(_fail("trees", label,
-                                      {"subset": sorted(X), "d": d,
-                                       "nodes": sorted(map(sorted, t.nodes))}))
+                yield label, {"subset": sorted(X), "d": d, "nodes": _nodes(t)}
             one = min_boolean_combination(t, X, limit=1) == 1
             if one != (X in level1):
-                failures.append(_fail("trees", label,
-                                      {"subset": sorted(X), "bool_one": one,
-                                       "nodes": sorted(map(sorted, t.nodes))}))
-    return _summary("trees", instances, failures)
+                yield label, {"subset": sorted(X), "bool_one": one, "nodes": _nodes(t)}
+    return {"instances": instances}
 
 
-def suite_orientation() -> list:
+@_suite("orientation")
+def suite_orientation():
     """group_orientation mod 4 succeeds and re-validates on all tree shapes
     <= 9 leaves (labeled 9-leaf trees number in the millions; the
     orientation conditions are label-invariant); mod 3 is obstructed on
     the two-star tree; chosen_leaf is injective wherever defined."""
-    failures = []
     instances = 0
     for n in range(1, 10):
         for i, t in enumerate(all_tree_shapes(n)):
@@ -372,30 +394,22 @@ def suite_orientation() -> list:
             instances += 1
             o = group_orientation(t, 4)
             if not isinstance(o, Orientation) or not orientation_is_valid(t, o):
-                failures.append(_fail("orientation", label,
-                                      {"nodes": sorted(map(sorted, t.nodes))}))
-                continue
-            internal = t.internal_nodes()
-            chosen = [chosen_leaf(t, o, node) for node in internal]
-            if len(chosen) != len(set(chosen)):
-                failures.append(_fail("orientation", label,
-                                      {"nodes": sorted(map(sorted, t.nodes)),
-                                       "chosen": chosen}))
-        for i, t in enumerate(all_tree_shapes(n)):
+                yield label, {"nodes": _nodes(t)}
+            else:
+                chosen = [chosen_leaf(t, o, node) for node in t.internal_nodes()]
+                if len(chosen) != len(set(chosen)):
+                    yield label, {"nodes": _nodes(t), "chosen": chosen}
             res = group_orientation(t, 3)
             if isinstance(res, Orientation) and not orientation_is_valid(t, res):
-                failures.append(_fail("orientation", f"shape{n}-{i}-mod3",
-                                      {"nodes": sorted(map(sorted, t.nodes))}))
-    from .trees import validate_tree
-
+                yield f"{label}-mod3", {"nodes": _nodes(t)}
     two_star = validate_tree(
         [frozenset((i,)) for i in range(6)]
         + [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset(range(6))]
     )
     instances += 1
     if not isinstance(group_orientation(two_star, 3), Obstruction):
-        failures.append(_fail("orientation", "two-star-mod3", {}))
-    return _summary("orientation", instances, failures)
+        yield "two-star-mod3", {}
+    return {"instances": instances}
 
 
 def _semigroup_corpus():
@@ -405,11 +419,11 @@ def _semigroup_corpus():
         yield f"curated{i}", s
 
 
-def suite_semigroups() -> list:
+@_suite("semigroups")
+def suite_semigroups():
     """Almost-commutative tables satisfy the identity suite and have
     syntactic class counts that never increase after the first repeat
     (k <= 4); the rest grow strictly or overflow the cap."""
-    failures = []
     instances = 0
     ac_count = 0
     for label, S in _semigroup_corpus():
@@ -426,19 +440,17 @@ def suite_semigroups() -> list:
             strictly = all(a < b for a, b in zip(numeric, numeric[1:]))
             ok = strictly or any(isinstance(c, Overflow) for c in counts)
         if not ok:
-            failures.append(_fail("semigroups", label,
-                                  {"table": [list(r) for r in S.table],
-                                   "almost_commutative": ac,
-                                   "counts": [str(c) for c in counts]}))
-    return _summary("semigroups", instances, failures,
-                    {"almost_commutative": ac_count})
+            yield label, {"table": [list(r) for r in S.table],
+                          "almost_commutative": ac,
+                          "counts": [str(c) for c in counts]}
+    return {"instances": instances, "almost_commutative": ac_count}
 
 
-def suite_finitary_generator() -> list:
+@_suite("finitary-generator")
+def suite_finitary_generator():
     """Where the whole semigroup is product-closed onto itself (A*A = A
     with Sigma = A), a finite multiplication-matrix order in either
     orientation implies almost-commutativity."""
-    failures = []
     instances = 0
     for label, S in _semigroup_corpus():
         elems = list(S.elements())
@@ -450,16 +462,15 @@ def suite_finitary_generator() -> list:
             result["order_rows_sigma"], Finite
         )
         if finite and not (result["almost_commutative"] and result["generator_swap"]):
-            failures.append(_fail("finitary-generator", label,
-                                  {"table": [list(r) for r in S.table]}))
-    return _summary("finitary-generator", instances, failures)
+            yield label, {"table": [list(r) for r in S.table]}
+    return {"instances": instances}
 
 
-def suite_two_by_two() -> list:
+@_suite("two-by-two")
+def suite_two_by_two():
     """On every monoid in the corpus and every (b, c, d): a certified
     finite order of [[1,b],[c,d]] forces d = bc = cb, and any mismatch
     yields n distinct singleton rows at Kronecker power n for n <= 6."""
-    failures = []
     instances = 0
     for label, S in _semigroup_corpus():
         unit = next(
@@ -475,21 +486,21 @@ def suite_two_by_two() -> list:
             report = two_by_two_claim(M, b, c, d, budget=5)
             witness = {"table": [list(r) for r in M.table], "b": b, "c": c, "d": d}
             if isinstance(report["order"], Finite) and not report["claim_holds"]:
-                failures.append(_fail("two-by-two", label, dict(witness, kind="claim")))
+                yield label, dict(witness, kind="claim")
             mismatch = d != report["bc"] or d != report["cb"]
             if mismatch and not report["growth_verified"]:
-                failures.append(_fail("two-by-two", label, dict(witness, kind="growth")))
-    return _summary("two-by-two", instances, failures)
+                yield label, dict(witness, kind="growth")
+    return {"instances": instances}
 
 
-def suite_kronecker_inequality() -> list:
+@_suite("kronecker-inequality")
+def suite_kronecker_inequality():
     """distinct rows of a Kronecker product never exceed the product of
     the factors' distinct row counts; plus an equivalence-congruence
     spot-check on duplicated-row variants."""
     sgps = [cyclic_group(2), cyclic_group(3), left_zero(2),
             word_monoid_1abab0(), chain_semilattice(3)]
     rng = random.Random(11)
-    failures = []
     instances = 0
 
     def distinct_rows(M):
@@ -501,15 +512,16 @@ def suite_kronecker_inequality() -> list:
             [[rng.randrange(S.size) for _ in range(c)] for _ in range(r)], S
         )
 
+    def witness(M1, M2):
+        return {"m1": [list(r) for r in M1.entries], "m2": [list(r) for r in M2.entries]}
+
     for trial in range(_KRONECKER_TRIALS):
         S = sgps[trial % len(sgps)]
         M1, M2 = random_matrix(S), random_matrix(S)
         P = kronecker_product(M1, M2)
         instances += 1
         if distinct_rows(P) > distinct_rows(M1) * distinct_rows(M2):
-            failures.append(_fail("kronecker-inequality", f"trial{trial}",
-                                  {"m1": [list(r) for r in M1.entries],
-                                   "m2": [list(r) for r in M2.entries]}))
+            yield f"trial{trial}", witness(M1, M2)
 
     def with_duplicate_row(M):
         rows = [list(r) for r in M.entries] + [list(M.entries[0])]
@@ -526,18 +538,16 @@ def suite_kronecker_inequality() -> list:
             and equivalent(kronecker_product(M1, M2), kronecker_product(D1, D2))
         )
         if not congruent:
-            failures.append(_fail("kronecker-inequality", f"congruence{trial}",
-                                  {"m1": [list(r) for r in M1.entries],
-                                   "m2": [list(r) for r in M2.entries]}))
-    return _summary("kronecker-inequality", instances, failures)
+            yield f"congruence{trial}", witness(M1, M2)
+    return {"instances": instances}
 
 
-def suite_recovery() -> list:
+@_suite("recovery")
+def suite_recovery():
     """Seeded synthesized oracles: recover_partition and recover_preorder
     return exactly the hidden structure on every validated instance.
     Unordered instances use k=1 to keep the counter semigroup at 8
     elements; ordered ones use k=2, d=2."""
-    failures = []
     instances = 0
     rng = random.Random(12)
     for trial in range(_RECOVERY_UNORDERED_TRIALS):
@@ -552,8 +562,7 @@ def suite_recovery() -> list:
         validate_oracle(oracle, samples=256)
         instances += 1
         if set(recover_partition(oracle)) != {frozenset(c) for c in hidden}:
-            failures.append(_fail("recovery", f"unordered{trial}",
-                                  {"sizes": sizes, "k": 1}))
+            yield f"unordered{trial}", {"sizes": sizes, "k": 1}
     for trial in range(_RECOVERY_ORDERED_TRIALS):
         n_classes = rng.randint(2, 12)
         sizes = [rng.randint(1, 3) for _ in range(n_classes)]
@@ -563,17 +572,16 @@ def suite_recovery() -> list:
         instances += 1
         recovered = recover_preorder(oracle, 2)
         if recovered.classes != tuple(frozenset(c) for c in hidden):
-            failures.append(_fail("recovery", f"ordered{trial}",
-                                  {"sizes": sizes, "k": 2, "d": 2}))
-    return _summary("recovery", instances, failures)
+            yield f"ordered{trial}", {"sizes": sizes, "k": 2, "d": 2}
+    return {"instances": instances}
 
 
-def suite_compositionality() -> list:
+@_suite("compositionality")
+def suite_compositionality():
     """Reconstruction of quantifier-free types from per-part local type
     colours, exact on all (structure, partition) pairs for n <= 3 with
     m = 2, plus a seeded n=4 sample (the exhaustive n=4 sweep exceeds
     the time budget)."""
-    failures = []
     instances = 0
     rng = random.Random(13)
     sizes_and_bits = [(n, bits) for n in (1, 2, 3) for bits in range(1 << n * n)]
@@ -584,58 +592,32 @@ def suite_compositionality() -> list:
         for partition in partitions[n]:
             instances += 1
             if not compositionality_check(s, partition, 2)[0]:
-                failures.append(_fail(
-                    "compositionality", f"n{n}-bits{bits}",
-                    {"relation": sorted(map(list, s.relation("E"))),
-                     "partition": partition}))
-    return _summary("compositionality", instances, failures)
+                yield f"n{n}-bits{bits}", {"relation": sorted(map(list, s.relation("E"))),
+                                           "partition": partition}
+    return {"instances": instances}
 
 
-def suite_rank_decreasing() -> list:
+@_suite("rank-decreasing")
+def suite_rank_decreasing():
     """Identity pairs yield a diagonal table; the K8 -> P8 edge-removal
     fixture has a subset whose rank grows from <= 1 to >= 2."""
-    failures = []
     g = path_graph(4)
     report = rank_decreasing_report([(g, g)])
     diagonal = not report["flagged"] and all(
         r_out == r_in for r_in, r_out in report["tables"][0].items()
     )
     if not diagonal:
-        failures.append(_fail("rank-decreasing", "identity-path4",
-                              {"table": report["tables"][0]}))
+        yield "identity-path4", {"table": report["tables"][0]}
     removal = rank_decreasing_report([(clique_graph(8), path_graph(8))])
-    table = removal["tables"][0]
-    if table.get(1, 0) < 2 or not removal["flagged"]:
-        failures.append(_fail("rank-decreasing", "K8-to-P8",
-                              {"table": {str(k): v for k, v in table.items()}}))
-    return _summary("rank-decreasing", 2, failures,
-                    {"k8_p8_table": {str(k): v for k, v in table.items()}})
-
-
-SUITES = {
-    "path-bound": suite_path_bound,
-    "clique-edgeless": suite_clique_edgeless,
-    "grid-sandwich": suite_grid_sandwich,
-    "rank-sandwich": suite_rank_sandwich,
-    "ef-bound": suite_ef_bound,
-    "trees": suite_trees,
-    "orientation": suite_orientation,
-    "semigroups": suite_semigroups,
-    "finitary-generator": suite_finitary_generator,
-    "two-by-two": suite_two_by_two,
-    "kronecker-inequality": suite_kronecker_inequality,
-    "recovery": suite_recovery,
-    "compositionality": suite_compositionality,
-    "rank-decreasing": suite_rank_decreasing,
-}
+    table = {str(k): v for k, v in removal["tables"][0].items()}
+    if table.get("1", 0) < 2 or not removal["flagged"]:
+        yield "K8-to-P8", {"table": dict(table)}
+    return {"instances": 2, "k8_p8_table": table}
 
 
 def run_suite(name: str) -> list:
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key]())
-        return out
+        return [report for run in SUITES.values() for report in run()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          + ", ".join(sorted(SUITES) + ["all"]))

@@ -500,12 +500,6 @@ class LinearPreorder:
     def universe(self) -> frozenset:
         return frozenset().union(*self.classes)
 
-    def class_index(self, x) -> int:
-        for i, cls in enumerate(self.classes):
-            if x in cls:
-                return i
-        raise KeyError(x)
-
 
 @dataclass(frozen=True)
 class Block:

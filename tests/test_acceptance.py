@@ -48,8 +48,9 @@ CRITERIA = [
 def run_criterion(number: int, suite: str, pinned: dict) -> None:
     reports = SUITES[suite]()
     summary = reports[-1]
-    assert summary.instance == "summary"
+    assert (summary.check, summary.instance) == (suite, "summary")
     failures = [r for r in reports if r.status == "fail"]
+    assert failures == reports[:-1]
     verdict = "FAIL" if failures else "PASS"
     print(f"criterion {number:2d} ({suite}): {verdict} {summary.data}")
     assert not failures, [r.as_dict() for r in failures[:3]]

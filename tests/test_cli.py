@@ -400,6 +400,14 @@ def test_cli_verify_json_schema(capsys):
         assert obj["status"] in ("pass", "fail", "skip")
 
 
+def test_cli_verify_text_line(capsys):
+    # text mode prints the summary's data keys in dict order, not sorted
+    code, out = run_cli(capsys, "verify", "rank-decreasing")
+    assert code == 0
+    assert out == ("rank-decreasing summary: pass instances=2 failures=0 "
+                   "k8_p8_table={'0': 0, '1': 4}\n")
+
+
 def test_cli_verify_unknown_suite_exit_2(capsys):
     code = main(["verify", "no-such-suite"])
     capsys.readouterr()
