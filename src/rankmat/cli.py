@@ -1,8 +1,11 @@
 """Command line interface: rank queries, tree and semigroup tools,
 Kronecker operations, oracle recovery, and the verification suites.
 
-Exit codes: 2 on parse or validation errors, 1 when any check fails,
-0 otherwise.  With ``--json`` every result is one
+Every command line (``rankmat rank``, ``rankmat kron product``, ...) is
+registered once with ``@_command``, with the arguments its handler reads;
+``_build_parser`` builds the subparsers, nested for actions, from that
+table.  Exit codes: 2 on parse or validation errors, 1 when any check
+fails, 0 otherwise.  With ``--json`` every result is one
 ``{check, instance, status, data}`` object per line.
 """
 from __future__ import annotations
@@ -70,110 +73,153 @@ def _emit(reports: list, json_mode: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a list of Reports
+# the command table: "rank", or "kron product" for an action of a command,
+# maps to (handler, help, arguments).  A handler takes exactly the arguments
+# registered with it, as keywords, and returns a list of Reports.
+
+_COMMANDS: dict = {}
+_GROUPS = {"tree": "laminar tree tools", "sgp": "finite semigroup tools",
+           "kron": "Kronecker products over a semigroup",
+           "recover": "recover hidden structure from an oracle"}
 
 
-def _cmd_rank(args) -> list:
-    s = formats.load_structure(args.structure)
-    M = type_matrix(s, _parse_subset(args.subset), args.m)
-    dr, dc, fr = matrix_ranks(M)
-    return [Report("rank", args.structure, "pass",
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_FILE = _arg("file")
+_STRUCTURE = _arg("--structure", required=True)
+_SUBSET = _arg("--subset", default="")
+_M = _arg("--m", type=int, default=1)
+_BUDGET = _arg("--budget", type=int, default=5)
+
+
+def _command(name: str, help: str, *arguments):
+    def register(handler):
+        _COMMANDS[name] = handler, help, arguments
+        return handler
+    return register
+
+
+@_command("rank", "type-matrix ranks of a structure subset", _STRUCTURE, _SUBSET, _M)
+def _rank(structure, subset, m) -> list:
+    s = formats.load_structure(structure)
+    dr, dc, fr = matrix_ranks(type_matrix(s, _parse_subset(subset), m))
+    return [Report("rank", structure, "pass",
                    {"distinct_rows": dr, "distinct_cols": dc, "field_rank": fr})]
 
 
-def _cmd_graph_rank(args) -> list:
-    g = _structure_to_graph(formats.load_structure(args.structure))
-    r = graph_cut_rank(g, _parse_subset(args.subset))
-    return [Report("graph-rank", args.structure, "pass", {"cut_rank": r})]
+@_command("graph-rank", "GF(2) cut-rank of a graph subset", _STRUCTURE, _SUBSET)
+def _graph_rank(structure, subset) -> list:
+    g = _structure_to_graph(formats.load_structure(structure))
+    r = graph_cut_rank(g, _parse_subset(subset))
+    return [Report("graph-rank", structure, "pass", {"cut_rank": r})]
 
 
-def _cmd_tree(args) -> list:
-    if args.action == "decode":
-        s = formats.load_structure(args.file)
-        t = ternary_decode(s)
-        return [Report("tree-decode", args.file, "pass",
-                       {"tree": formats.write_tree(t).strip()})]
-    t = formats.load_tree(args.file)
-    if args.action == "validate":
-        return [Report("tree-validate", args.file, "pass",
-                       {"leaves": len(t.leaves), "nodes": len(t.nodes)})]
-    if args.action == "encode":
-        s = ternary_encode(t)
-        return [Report("tree-encode", args.file, "pass",
-                       {"structure": formats.write_structure(s)})]
-    if args.action == "subforests":
-        found = sorted((sorted(f) for f in subforests(t)), key=lambda f: (len(f), f))
-        return [Report("tree-subforests", args.file, "pass",
-                       {"count": len(found), "subforests": found})]
-    if args.action == "branching":
-        return [Report("tree-branching", args.file, "pass", {"branching": branching(t)})]
-    raise ValueError(f"unknown tree action {args.action!r}")
+@_command("tree validate", "leaf and node counts of a laminar tree", _FILE)
+def _tree_validate(file) -> list:
+    t = formats.load_tree(file)
+    return [Report("tree-validate", file, "pass",
+                   {"leaves": len(t.leaves), "nodes": len(t.nodes)})]
 
 
-def _cmd_orient(args) -> list:
-    t = formats.load_tree(args.file)
-    result = group_orientation(t, args.modulus)
+@_command("tree encode", "ternary encoding of a tree", _FILE)
+def _tree_encode(file) -> list:
+    s = ternary_encode(formats.load_tree(file))
+    return [Report("tree-encode", file, "pass", {"structure": formats.write_structure(s)})]
+
+
+@_command("tree decode", "tree of a ternary encoding", _FILE)
+def _tree_decode(file) -> list:
+    t = ternary_decode(formats.load_structure(file))
+    return [Report("tree-decode", file, "pass", {"tree": formats.write_tree(t).strip()})]
+
+
+@_command("tree subforests", "subforests of a tree", _FILE)
+def _tree_subforests(file) -> list:
+    t = formats.load_tree(file)
+    found = sorted((sorted(f) for f in subforests(t)), key=lambda f: (len(f), f))
+    return [Report("tree-subforests", file, "pass",
+                   {"count": len(found), "subforests": found})]
+
+
+@_command("tree branching", "branching of a tree", _FILE)
+def _tree_branching(file) -> list:
+    t = formats.load_tree(file)
+    return [Report("tree-branching", file, "pass", {"branching": branching(t)})]
+
+
+@_command("orient", "group orientation of a tree", _FILE,
+          _arg("--modulus", type=int, default=4))
+def _orient(file, modulus) -> list:
+    result = group_orientation(formats.load_tree(file), modulus)
     if isinstance(result, Obstruction):
-        return [Report("orient", args.file, "fail",
-                       {"modulus": args.modulus,
-                        "obstruction_node": sorted(result.node)})]
-    return [Report("orient", args.file, "pass",
-                   {"modulus": args.modulus,
+        return [Report("orient", file, "fail",
+                       {"modulus": modulus, "obstruction_node": sorted(result.node)})]
+    return [Report("orient", file, "pass",
+                   {"modulus": modulus,
                     "leaf_colours": [list(p) for p in result.leaf_colours]})]
 
 
-def _cmd_tree_rank(args) -> list:
-    t = formats.load_tree(args.file)
-    s = ternary_encode(t)
-    r = distinct_row_rank(s, _parse_subset(args.subset), args.m)
-    return [Report("tree-rank", args.file, "pass", {"cut_rank": r})]
+@_command("tree-rank", "cut-rank in the ternary encoding", _FILE, _SUBSET, _M)
+def _tree_rank(file, subset, m) -> list:
+    s = ternary_encode(formats.load_tree(file))
+    r = distinct_row_rank(s, _parse_subset(subset), m)
+    return [Report("tree-rank", file, "pass", {"cut_rank": r})]
 
 
-def _cmd_blocks(args) -> list:
-    classes = [_parse_subset(part) for part in args.classes.split(";")]
-    preorder = LinearPreorder.make(classes)
-    found = blocks(preorder, _parse_subset(args.subset))
-    return [Report("blocks", args.classes, "pass",
+@_command("blocks", "blocks of a subset in a linear preorder",
+          _arg("--classes", required=True,
+               help="semicolon-separated comma lists, e.g. '0,1;2;3,4'"), _SUBSET)
+def _blocks(classes, subset) -> list:
+    preorder = LinearPreorder.make([_parse_subset(part) for part in classes.split(";")])
+    found = blocks(preorder, _parse_subset(subset))
+    return [Report("blocks", classes, "pass",
                    {"blocks": [[b.kind, b.start, b.end] for b in found]})]
 
 
-def _cmd_rankwidth(args) -> list:
-    g = _structure_to_graph(formats.load_structure(args.structure))
+@_command("rankwidth", "exact rankwidth of a small graph", _STRUCTURE)
+def _rankwidth(structure) -> list:
+    g = _structure_to_graph(formats.load_structure(structure))
     width, tree = rankwidth(g, graph_cut_rank)
-    return [Report("rankwidth", args.structure, "pass",
+    return [Report("rankwidth", structure, "pass",
                    {"width": width,
                     "tree": sorted((sorted(n) for n in tree.nodes),
                                    key=lambda n: (len(n), n))})]
 
 
-def _cmd_sgp(args) -> list:
-    S = formats.load_semigroup(args.file)
-    if args.action == "validate":
-        return [Report("sgp-validate", args.file, "pass",
-                       {"size": S.size, "unit": S.unit})]
-    if args.action == "omega":
-        return [Report("sgp-omega", args.file, "pass", {"omega": omega(S)})]
-    if args.action == "green":
-        g = green(S)
-        return [Report("sgp-green", args.file, "pass",
-                       {"r_class": list(g.r_class), "l_class": list(g.l_class),
-                        "j_class": list(g.j_class), "h_class": list(g.h_class)})]
-    if args.action == "identities":
-        report = identity_suite(S)
-        out = []
-        for name, holds, witness in report.results:
-            out.append(Report("sgp-identities", f"{args.file}:{name}",
-                              "pass" if holds else "fail",
-                              {} if holds else {"witness": list(witness)}))
-        return out
-    if args.action == "syntactic":
-        count = syntactic_class_count(S, args.k)
-        if isinstance(count, Overflow):
-            return [Report("sgp-syntactic", args.file, "pass",
-                           {"k": args.k, "count": "overflow"})]
-        return [Report("sgp-syntactic", args.file, "pass",
-                       {"k": args.k, "count": count})]
-    raise ValueError(f"unknown sgp action {args.action!r}")
+@_command("sgp validate", "size and unit of a semigroup", _FILE)
+def _sgp_validate(file) -> list:
+    S = formats.load_semigroup(file)
+    return [Report("sgp-validate", file, "pass", {"size": S.size, "unit": S.unit})]
+
+
+@_command("sgp omega", "omega power of a semigroup", _FILE)
+def _sgp_omega(file) -> list:
+    return [Report("sgp-omega", file, "pass", {"omega": omega(formats.load_semigroup(file))})]
+
+
+@_command("sgp green", "Green's relations of a semigroup", _FILE)
+def _sgp_green(file) -> list:
+    g = green(formats.load_semigroup(file))
+    return [Report("sgp-green", file, "pass",
+                   {"r_class": list(g.r_class), "l_class": list(g.l_class),
+                    "j_class": list(g.j_class), "h_class": list(g.h_class)})]
+
+
+@_command("sgp identities", "the identity suite on a semigroup", _FILE)
+def _sgp_identities(file) -> list:
+    return [Report("sgp-identities", f"{file}:{name}", "pass" if holds else "fail",
+                   {} if holds else {"witness": list(witness)})
+            for name, holds, witness in identity_suite(formats.load_semigroup(file)).results]
+
+
+@_command("sgp syntactic", "syntactic class count of a semigroup", _FILE,
+          _arg("--k", type=int, default=1))
+def _sgp_syntactic(file, k) -> list:
+    count = syntactic_class_count(formats.load_semigroup(file), k)
+    return [Report("sgp-syntactic", file, "pass",
+                   {"k": k, "count": "overflow" if isinstance(count, Overflow) else count})]
 
 
 def _order_data(result) -> dict:
@@ -182,56 +228,62 @@ def _order_data(result) -> dict:
     return {"order": "unknown", "row_counts": list(result.row_counts)}
 
 
-def _cmd_kron(args) -> list:
-    if args.action == "product":
-        M1, M2 = formats.load_matrix(args.files[0]), formats.load_matrix(args.files[1])
-        P = kronecker_product(M1, M2)
-        return [Report("kron-product", " ".join(args.files), "pass",
-                       {"shape": list(P.shape()),
-                        "entries": [list(r) for r in P.entries]})]
-    if args.action == "power":
-        M = formats.load_matrix(args.files[0])
-        P = kronecker_power(M, args.n)
-        return [Report("kron-power", args.files[0], "pass",
-                       {"n": args.n, "shape": list(P.shape()),
-                        "entries": [list(r) for r in P.entries]})]
-    if args.action == "order":
-        M = formats.load_matrix(args.files[0])
-        return [Report("kron-order", args.files[0], "pass",
-                       dict(_order_data(finite_order(M, args.budget)),
-                            budget=args.budget))]
-    if args.action == "2x2-claim":
-        S = formats.load_semigroup(args.files[0])
-        report = two_by_two_claim(S, args.b, args.c, args.d, budget=args.budget)
-        failed = report["claim_holds"] is False or report["growth_verified"] is False
-        return [Report("kron-2x2-claim", args.files[0],
-                       "fail" if failed else "pass",
-                       {"b": args.b, "c": args.c, "d": args.d,
-                        "bc": report["bc"], "cb": report["cb"],
-                        "claim_holds": report["claim_holds"],
-                        "growth_verified": report["growth_verified"],
-                        **_order_data(report["order"])})]
-    raise ValueError(f"unknown kron action {args.action!r}")
+@_command("kron product", "Kronecker product of two matrices",
+          _arg("files", nargs=2, metavar="file"))
+def _kron_product(files) -> list:
+    P = kronecker_product(*map(formats.load_matrix, files))
+    return [Report("kron-product", " ".join(files), "pass",
+                   {"shape": list(P.shape()), "entries": [list(r) for r in P.entries]})]
 
 
-def _cmd_recover(args) -> list:
-    oracle = formats.load_oracle(args.file)
-    if args.action == "partition":
-        recovered = recover_partition(oracle)
-        classes = sorted((sorted(c) for c in recovered), key=lambda c: c)
-        return [Report("recover-partition", args.file, "pass",
-                       {"classes": classes})]
-    if args.action == "preorder":
-        validate_oracle(oracle)
-        recovered = recover_preorder(oracle, args.d)
-        return [Report("recover-preorder", args.file, "pass",
-                       {"d": args.d,
-                        "classes": [sorted(c) for c in recovered.classes]})]
-    raise ValueError(f"unknown recover action {args.action!r}")
+@_command("kron power", "Kronecker power of a matrix", _FILE,
+          _arg("--n", type=int, default=2))
+def _kron_power(file, n) -> list:
+    P = kronecker_power(formats.load_matrix(file), n)
+    return [Report("kron-power", file, "pass",
+                   {"n": n, "shape": list(P.shape()),
+                    "entries": [list(r) for r in P.entries]})]
 
 
-def _cmd_verify(args) -> list:
-    return run_suite(args.suite)
+@_command("kron order", "finite-order search on a matrix", _FILE, _BUDGET)
+def _kron_order(file, budget) -> list:
+    M = formats.load_matrix(file)
+    return [Report("kron-order", file, "pass",
+                   dict(_order_data(finite_order(M, budget)), budget=budget))]
+
+
+@_command("kron 2x2-claim", "the 2x2 claim on a semigroup", _FILE,
+          *(_arg(f"--{x}", type=int, default=0) for x in "bcd"), _BUDGET)
+def _kron_two_by_two(file, b, c, d, budget) -> list:
+    report = two_by_two_claim(formats.load_semigroup(file), b, c, d, budget=budget)
+    failed = report["claim_holds"] is False or report["growth_verified"] is False
+    return [Report("kron-2x2-claim", file, "fail" if failed else "pass",
+                   {"b": b, "c": c, "d": d, "bc": report["bc"], "cb": report["cb"],
+                    "claim_holds": report["claim_holds"],
+                    "growth_verified": report["growth_verified"],
+                    **_order_data(report["order"])})]
+
+
+@_command("recover partition", "recover the hidden partition of an oracle", _FILE)
+def _recover_partition(file) -> list:
+    recovered = recover_partition(formats.load_oracle(file))
+    return [Report("recover-partition", file, "pass",
+                   {"classes": sorted(sorted(c) for c in recovered)})]
+
+
+@_command("recover preorder", "recover the hidden preorder of an oracle", _FILE,
+          _arg("--d", type=int, default=2))
+def _recover_preorder(file, d) -> list:
+    oracle = formats.load_oracle(file)
+    validate_oracle(oracle)
+    recovered = recover_preorder(oracle, d)
+    return [Report("recover-preorder", file, "pass",
+                   {"d": d, "classes": [sorted(c) for c in recovered.classes]})]
+
+
+@_command("verify", "run a verification suite", _arg("suite"))
+def _verify(suite) -> list:
+    return run_suite(suite)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,84 +293,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true",
                         help="one {check, instance, status, data} object per line")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rank", help="type-matrix ranks of a structure subset")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--subset", default="")
-    p.add_argument("--m", type=int, default=1)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("graph-rank", help="GF(2) cut-rank of a graph subset")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--subset", default="")
-    p.set_defaults(handler=_cmd_graph_rank)
-
-    p = sub.add_parser("tree", help="laminar tree tools")
-    p.add_argument("action", choices=["validate", "encode", "decode",
-                                      "subforests", "branching"])
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_tree)
-
-    p = sub.add_parser("orient", help="group orientation of a tree")
-    p.add_argument("file")
-    p.add_argument("--modulus", type=int, default=4)
-    p.set_defaults(handler=_cmd_orient)
-
-    p = sub.add_parser("tree-rank", help="cut-rank in the ternary encoding")
-    p.add_argument("file")
-    p.add_argument("--subset", default="")
-    p.add_argument("--m", type=int, default=1)
-    p.set_defaults(handler=_cmd_tree_rank)
-
-    p = sub.add_parser("blocks", help="blocks of a subset in a linear preorder")
-    p.add_argument("--classes", required=True,
-                   help="semicolon-separated comma lists, e.g. '0,1;2;3,4'")
-    p.add_argument("--subset", default="")
-    p.set_defaults(handler=_cmd_blocks)
-
-    p = sub.add_parser("rankwidth", help="exact rankwidth of a small graph")
-    p.add_argument("--structure", required=True)
-    p.set_defaults(handler=_cmd_rankwidth)
-
-    p = sub.add_parser("sgp", help="finite semigroup tools")
-    p.add_argument("action", choices=["validate", "omega", "green",
-                                      "identities", "syntactic"])
-    p.add_argument("file")
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(handler=_cmd_sgp)
-
-    p = sub.add_parser("kron", help="Kronecker products over a semigroup")
-    p.add_argument("action", choices=["product", "power", "order", "2x2-claim"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--budget", type=int, default=5)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
-    p.add_argument("--d", type=int, default=0)
-    p.set_defaults(handler=_cmd_kron)
-
-    p = sub.add_parser("recover", help="recover hidden structure from an oracle")
-    p.add_argument("action", choices=["partition", "preorder"])
-    p.add_argument("file")
-    p.add_argument("--d", type=int, default=2)
-    p.set_defaults(handler=_cmd_recover)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
-    p.set_defaults(handler=_cmd_verify)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for name, (handler, help, arguments) in _COMMANDS.items():
+        command, _, action = name.partition(" ")
+        if not action:
+            p = commands.add_parser(command, help=help)
+        else:
+            if command not in actions:
+                group = commands.add_parser(command, help=_GROUPS[command])
+                actions[command] = group.add_subparsers(dest="action", required=True)
+            p = actions[command].add_parser(action, help=help)
+        names = [p.add_argument(*flags, **options).dest for flags, options in arguments]
+        p.set_defaults(handler=handler, arguments=names)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        reports = args.handler(args)
+        reports = args.handler(**{name: getattr(args, name) for name in args.arguments})
     except (ValueError, KeyError, OSError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

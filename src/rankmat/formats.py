@@ -8,7 +8,7 @@ Formats:
   .tree    s-expression; ``(u ...)`` unordered node, ``(o ...)`` ordered
            node, bare identifiers are leaves
   .sgp     semigroup N + N rows of N ids; optional ``unit K``
-  .mat     matrix R C sgp=<file> + R rows of C ids
+  .mat     matrix R C sgp=<file> + R rows of C ids, R and C >= 1
   .hyp     hypergraph V A + 2^V colour ids in subset-bitmask order
   .orc     oracle KIND K / semigroup <file> / class lines / lambda lines
            / accept line
@@ -239,6 +239,8 @@ def parse_matrix(text: str, base_dir: str = ".") -> SemigroupMatrix:
     if len(parts) != 4 or not parts[3].startswith("sgp="):
         _fail(lineno, "expected 'matrix R C sgp=<file>'")
     r, c = _int(parts[1], lineno), _int(parts[2], lineno)
+    if r < 1 or c < 1:
+        _fail(lineno, f"a matrix needs R >= 1 rows and C >= 1 columns, got {r} x {c}")
     sgp = load_semigroup(os.path.join(base_dir, parts[3][len("sgp="):]))
     rows = []
     for lineno, line in lines[1:]:

@@ -107,32 +107,15 @@ class NormalForm:
 
 
 def _dedup(entries: list) -> list:
-    """Remove duplicate rows, then duplicate columns, to a fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        seen = set()
-        rows = []
-        for row in entries:
-            key = tuple(row)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            rows.append(list(row))
-        entries = rows
-        if entries:
-            seen = set()
-            keep = []
-            for c in range(len(entries[0])):
-                key = tuple(row[c] for row in entries)
-                if key in seen:
-                    changed = True
-                    continue
-                seen.add(key)
-                keep.append(c)
-            entries = [[row[c] for c in keep] for row in entries]
-    return entries
+    """Keep the first occurrence of each row, then of each column.
+
+    One pass of each is the fixpoint: two rows that differ still differ
+    once a duplicate column is dropped, and the same holds for columns."""
+    rows = list(dict.fromkeys(map(tuple, entries)))
+    first = {}
+    for c, column in enumerate(zip(*rows)):
+        first.setdefault(column, c)
+    return [[row[c] for c in first.values()] for row in rows]
 
 
 def normal_form(M: SemigroupMatrix) -> NormalForm:
@@ -166,7 +149,7 @@ def is_submatrix(M: SemigroupMatrix, N: SemigroupMatrix) -> bool:
 
     def assign_rows(i: int, row_map: list, used: set) -> bool:
         if i == mr:
-            return assign_cols(0, row_map, [], set())
+            return assign_cols(0, row_map, set())
         for r in range(nr):
             if r in used:
                 continue
@@ -178,18 +161,16 @@ def is_submatrix(M: SemigroupMatrix, N: SemigroupMatrix) -> bool:
             used.remove(r)
         return False
 
-    def assign_cols(j: int, row_map: list, col_map: list, used: set) -> bool:
+    def assign_cols(j: int, row_map: list, used: set) -> bool:
         if j == mc:
             return True
         for c in range(nc):
             if c in used:
                 continue
             if all(M.entries[i][j] == N.entries[row_map[i]][c] for i in range(mr)):
-                col_map.append(c)
                 used.add(c)
-                if assign_cols(j + 1, row_map, col_map, used):
+                if assign_cols(j + 1, row_map, used):
                     return True
-                col_map.pop()
                 used.remove(c)
         return False
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
 from .structures import MonadicStructure, Structure, qf_type, submasks
@@ -447,20 +447,18 @@ def reference_rank(kind: str, s, X: Iterable[int]) -> int:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-def union_rank_table(instances: Iterable, rank_cap: int,
-                     rank_fn: Optional[Callable] = None, m: int = 1) -> dict:
-    """Empirical map: max(rank X, rank Y) bucket -> max observed rank(X u Y).
+def union_rank_table(instances: Iterable, rank_cap: int) -> dict:
+    """Empirical map: max(rank X, rank Y) bucket -> max observed rank(X u Y),
+    ranks by `distinct_row_rank` at m = 1.
 
     instances yields (structure, X, Y) triples.
     """
-    if rank_fn is None:
-        rank_fn = lambda s, X: distinct_row_rank(s, X, m)
     table: dict = {}
     for s, X, Y in instances:
         X, Y = frozenset(X), frozenset(Y)
-        bucket = max(rank_fn(s, X), rank_fn(s, Y))
+        bucket = max(distinct_row_rank(s, X, 1), distinct_row_rank(s, Y, 1))
         if bucket > rank_cap:
             continue
-        union_rank = rank_fn(s, X | Y)
+        union_rank = distinct_row_rank(s, X | Y, 1)
         table[bucket] = max(table.get(bucket, 0), union_rank)
     return table

@@ -183,17 +183,21 @@ def _sampled_masks(n: int, budget: int):
     return sorted(drawn)
 
 
-def rank_decreasing_report(pairs: Sequence[tuple], subset_budget: int = 4096) -> dict:
+_RANK_DECREASING_SUBSETS = 4096
+
+
+def rank_decreasing_report(pairs: Sequence[tuple]) -> dict:
     """For each (input, output) pair over the same universe, tabulates the
     input rank against the maximal output rank over enumerated (or
-    seeded-random, beyond the budget) subsets, and flags rank growth."""
+    seeded-random, beyond _RANK_DECREASING_SUBSETS) subsets, and flags rank
+    growth."""
     tables = []
     flagged = []
     for index, (inp, out) in enumerate(pairs):
         n = _universe_size(inp)
         if n != _universe_size(out):
             raise ValueError(f"pair {index}: universes differ")
-        masks = _sampled_masks(n, subset_budget)
+        masks = _sampled_masks(n, _RANK_DECREASING_SUBSETS)
         table: dict = {}
         witness = None
         for bits in masks:

@@ -597,20 +597,23 @@ def suite_compositionality():
     return {"instances": instances}
 
 
+def _rank_table(inp, out) -> tuple:
+    """The rank table of one (input, output) pair, its keys strings as JSON
+    writes them, and whether the pair is flagged."""
+    report = rank_decreasing_report([(inp, out)])
+    return {str(k): v for k, v in report["tables"][0].items()}, bool(report["flagged"])
+
+
 @_suite("rank-decreasing")
 def suite_rank_decreasing():
     """Identity pairs yield a diagonal table; the K8 -> P8 edge-removal
     fixture has a subset whose rank grows from <= 1 to >= 2."""
     g = path_graph(4)
-    report = rank_decreasing_report([(g, g)])
-    diagonal = not report["flagged"] and all(
-        r_out == r_in for r_in, r_out in report["tables"][0].items()
-    )
-    if not diagonal:
-        yield "identity-path4", {"table": report["tables"][0]}
-    removal = rank_decreasing_report([(clique_graph(8), path_graph(8))])
-    table = {str(k): v for k, v in removal["tables"][0].items()}
-    if table.get("1", 0) < 2 or not removal["flagged"]:
+    table, flagged = _rank_table(g, g)
+    if flagged or any(int(r_in) != r_out for r_in, r_out in table.items()):
+        yield "identity-path4", {"table": table}
+    table, flagged = _rank_table(clique_graph(8), path_graph(8))
+    if table.get("1", 0) < 2 or not flagged:
         yield "K8-to-P8", {"table": dict(table)}
     return {"instances": 2, "k8_p8_table": table}
 

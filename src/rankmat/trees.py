@@ -116,8 +116,8 @@ class LaminarTree:
         raise ValueError(f"no node contains {xs}")
 
 
-def validate_tree(family: Iterable[Iterable], leaves: Optional[Iterable] = None,
-                  no_unary: bool = True) -> LaminarTree:
+def validate_tree(family: Iterable[Iterable],
+                  leaves: Optional[Iterable] = None) -> LaminarTree:
     nodes = frozenset(frozenset(x) for x in family)
     if leaves is None:
         leaves = frozenset().union(*nodes) if nodes else frozenset()
@@ -138,10 +138,9 @@ def validate_tree(family: Iterable[Iterable], leaves: Optional[Iterable] = None,
         if a & b and not (a <= b or b <= a):
             raise ValueError(f"crossing nodes {set(a)} and {set(b)}")
     tree = LaminarTree(leaves, nodes)
-    if no_unary:
-        for node in tree.internal_nodes():
-            if len(tree.children(node)) < 2:
-                raise ValueError(f"unary node {set(node)}")
+    for node in tree.internal_nodes():
+        if len(tree.children(node)) < 2:
+            raise ValueError(f"unary node {set(node)}")
     return tree
 
 
@@ -618,12 +617,12 @@ def all_tree_shapes(n: int) -> Iterable[LaminarTree]:
         yield LaminarTree(frozenset(range(n)), frozenset(nodes))
 
 
-def rankwidth(s, rank_fn: Callable, leaf_cap: Optional[int] = None):
+def rankwidth(s, rank_fn: Callable):
     """Exhaustive minimum over laminar trees of the maximal node rank."""
     from .rank import Graph
 
     n = s.n if isinstance(s, Graph) else s.universe_size
-    cap = leaf_cap if leaf_cap is not None else caps.get("rankwidth_universe")
+    cap = caps.get("rankwidth_universe")
     if n > cap:
         raise caps.CapExceeded(f"rankwidth universe {n} exceeds cap {cap}")
     best = None

@@ -13,7 +13,7 @@ from rankmat.enumerate import cyclic_group, word_monoid_1abab0
 from rankmat.kronecker import Hypergraph, SemigroupMatrix
 from rankmat.recovery import synth_oracle
 from rankmat.suites import enumerate_instances, run_suite
-from rankmat.trees import all_laminar_trees, validate_tree
+from rankmat.trees import ternary_encode
 
 P4_STRUCT = """structure
 universe 4
@@ -38,6 +38,12 @@ def workdir(tmp_path):
     oracle = synth_oracle("unordered", [{0, 1}, {2, 3, 4}], 1)
     (tmp_path / "ctr.sgp").write_text(formats.write_semigroup(oracle.semigroup))
     (tmp_path / "o.orc").write_text(formats.write_oracle(oracle, "ctr.sgp"))
+    ordered = synth_oracle("ordered", [{0}, {1, 2}, {3}], 2)
+    (tmp_path / "ord.sgp").write_text(formats.write_semigroup(ordered.semigroup))
+    (tmp_path / "po.orc").write_text(formats.write_oracle(ordered, "ord.sgp"))
+    (tmp_path / "star.tree").write_text("(u (u 0 1 2) (u 3 4 5))\n")
+    encoded = ternary_encode(formats.parse_tree("(u (u 0 1) 2)"))
+    (tmp_path / "enc.struct").write_text(formats.write_structure(encoded))
     return tmp_path
 
 
@@ -99,6 +105,17 @@ def test_matrix_round_trip(tmp_path):
     assert loaded.semigroup == m.semigroup
 
 
+@pytest.mark.parametrize("shape", ["0 3", "2 0", "0 0"])
+def test_matrix_header_needs_a_row_and_a_column(workdir, capsys, shape):
+    with pytest.raises(ValueError, match="^line 1: a matrix needs R >= 1 rows"):
+        formats.parse_matrix(f"matrix {shape} sgp=z3.sgp\n", str(workdir))
+    (workdir / "empty.mat").write_text(f"matrix {shape} sgp=z3.sgp\n")
+    assert main(["kron", "order", str(workdir / "empty.mat")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"got {shape.replace(' ', ' x ')}" in captured.err
+
+
 def test_hypergraph_round_trip():
     g = Hypergraph(2, 2, (0, 0, 0, 1))
     assert formats.parse_hypergraph(formats.write_hypergraph(g)) == g
@@ -153,6 +170,143 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# ---------------------------------------------------------------------------
+# the full stdout of one command line per action, in text and JSON mode
+
+
+def _r(check, instance, status, **data):
+    return {"check": check, "instance": instance, "status": status, "data": data}
+
+
+ENCODED_T = ("structure\nuniverse 3\nrel T 3\n0 0 0\n0 1 0\n0 1 1\n0 2 0\n0 2 1\n"
+             "0 2 2\n1 0 0\n1 0 1\n1 1 1\n1 2 0\n1 2 1\n1 2 2\n2 0 0\n2 0 1\n"
+             "2 0 2\n2 1 0\n2 1 1\n2 1 2\n2 2 2\nend\n")
+M_KRON_M = [[0, 1, 1, 2], [1, 2, 2, 0], [1, 2, 2, 0], [2, 0, 0, 1]]
+IDENTITIES = ["ef_eq_ef_pow_omega_plus_1", "ef_eq_efef", "exf_eq_exef", "eaf_eq_eaef",
+              "factorial_homomorphism", "eae_homomorphism", "swallow_idempotents"]
+ORDER = {"order": "finite", "index": 2, "period": 1}
+
+# (action, the rest of the command line, exit code, text stdout, JSON reports)
+PINNED = [
+    ("rank", "--structure p4.struct --subset 0,1 --m 2", 0,
+     "rank p4.struct: pass distinct_rows=4 distinct_cols=4 field_rank=4\n",
+     [_r("rank", "p4.struct", "pass", distinct_rows=4, distinct_cols=4, field_rank=4)]),
+    ("graph-rank", "--structure p4.struct --subset 0,1", 0,
+     "graph-rank p4.struct: pass cut_rank=1\n",
+     [_r("graph-rank", "p4.struct", "pass", cut_rank=1)]),
+    ("tree validate", "t.tree", 0,
+     "tree-validate t.tree: pass leaves=3 nodes=5\n",
+     [_r("tree-validate", "t.tree", "pass", leaves=3, nodes=5)]),
+    ("tree encode", "t.tree", 0,
+     "tree-encode t.tree: pass structure=" + ENCODED_T,
+     [_r("tree-encode", "t.tree", "pass", structure=ENCODED_T)]),
+    ("tree decode", "enc.struct", 0,
+     "tree-decode enc.struct: pass tree=(u (u 0 1) 2)\n",
+     [_r("tree-decode", "enc.struct", "pass", tree="(u (u 0 1) 2)")]),
+    ("tree subforests", "t.tree", 0,
+     "tree-subforests t.tree: pass count=5 subforests=[[0], [1], [2], [0, 1], [0, 1, 2]]\n",
+     [_r("tree-subforests", "t.tree", "pass", count=5,
+         subforests=[[0], [1], [2], [0, 1], [0, 1, 2]])]),
+    ("tree branching", "t.tree", 0,
+     "tree-branching t.tree: pass branching=1\n",
+     [_r("tree-branching", "t.tree", "pass", branching=1)]),
+    ("orient", "star.tree --modulus 3", 1,
+     "orient star.tree: fail modulus=3 obstruction_node=[0, 1, 2, 3, 4, 5]\n",
+     [_r("orient", "star.tree", "fail", modulus=3, obstruction_node=[0, 1, 2, 3, 4, 5])]),
+    ("tree-rank", "t.tree --subset 0,1 --m 2", 0,
+     "tree-rank t.tree: pass cut_rank=2\n",
+     [_r("tree-rank", "t.tree", "pass", cut_rank=2)]),
+    ("blocks", "--classes 0,1;2;3,4 --subset 0,1,3", 0,
+     "blocks 0,1;2;3,4: pass blocks=[['full', 0, 0], ['empty', 1, 1], ['cut', 2, 2]]\n",
+     [_r("blocks", "0,1;2;3,4", "pass",
+         blocks=[["full", 0, 0], ["empty", 1, 1], ["cut", 2, 2]])]),
+    ("rankwidth", "--structure p4.struct", 0,
+     "rankwidth p4.struct: pass width=1 "
+     "tree=[[0], [1], [2], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]\n",
+     [_r("rankwidth", "p4.struct", "pass", width=1,
+         tree=[[0], [1], [2], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]])]),
+    ("sgp validate", "z3.sgp", 0,
+     "sgp-validate z3.sgp: pass size=3 unit=0\n",
+     [_r("sgp-validate", "z3.sgp", "pass", size=3, unit=0)]),
+    ("sgp omega", "z3.sgp", 0,
+     "sgp-omega z3.sgp: pass omega=3\n",
+     [_r("sgp-omega", "z3.sgp", "pass", omega=3)]),
+    ("sgp green", "z3.sgp", 0,
+     "sgp-green z3.sgp: pass r_class=[0, 0, 0] l_class=[0, 0, 0] "
+     "j_class=[0, 0, 0] h_class=[0, 0, 0]\n",
+     [_r("sgp-green", "z3.sgp", "pass", r_class=[0, 0, 0], l_class=[0, 0, 0],
+         j_class=[0, 0, 0], h_class=[0, 0, 0])]),
+    ("sgp identities", "z3.sgp", 0,
+     "".join(f"sgp-identities z3.sgp:{name}: pass\n" for name in IDENTITIES),
+     [_r("sgp-identities", f"z3.sgp:{name}", "pass") for name in IDENTITIES]),
+    ("sgp syntactic", "z3.sgp --k 2", 0,
+     "sgp-syntactic z3.sgp: pass k=2 count=3\n",
+     [_r("sgp-syntactic", "z3.sgp", "pass", k=2, count=3)]),
+    ("kron product", "m.mat m.mat", 0,
+     f"kron-product m.mat m.mat: pass shape=[4, 4] entries={M_KRON_M}\n",
+     [_r("kron-product", "m.mat m.mat", "pass", shape=[4, 4], entries=M_KRON_M)]),
+    ("kron power", "m.mat --n 2", 0,
+     f"kron-power m.mat: pass n=2 shape=[4, 4] entries={M_KRON_M}\n",
+     [_r("kron-power", "m.mat", "pass", n=2, shape=[4, 4], entries=M_KRON_M)]),
+    ("kron order", "m.mat --budget 4", 0,
+     "kron-order m.mat: pass order=finite index=2 period=1 budget=4\n",
+     [_r("kron-order", "m.mat", "pass", budget=4, **ORDER)]),
+    ("kron 2x2-claim", "z3.sgp --b 1 --c 1 --d 2", 0,
+     "kron-2x2-claim z3.sgp: pass b=1 c=1 d=2 bc=2 cb=2 claim_holds=True "
+     "growth_verified=None order=finite index=2 period=1\n",
+     [_r("kron-2x2-claim", "z3.sgp", "pass", b=1, c=1, d=2, bc=2, cb=2,
+         claim_holds=True, growth_verified=None, **ORDER)]),
+    ("recover partition", "o.orc", 0,
+     "recover-partition o.orc: pass classes=[[0, 1], [2, 3, 4]]\n",
+     [_r("recover-partition", "o.orc", "pass", classes=[[0, 1], [2, 3, 4]])]),
+    ("recover preorder", "po.orc --d 2", 0,
+     "recover-preorder po.orc: pass d=2 classes=[[0], [1, 2], [3]]\n",
+     [_r("recover-preorder", "po.orc", "pass", d=2, classes=[[0], [1, 2], [3]])]),
+    ("verify", "rank-decreasing", 0,
+     "rank-decreasing summary: pass instances=2 failures=0 k8_p8_table={'0': 0, '1': 4}\n",
+     [_r("rank-decreasing", "summary", "pass", instances=2, failures=0,
+         k8_p8_table={"0": 0, "1": 4})]),
+]
+
+
+@pytest.mark.parametrize("action,rest,code,text,reports", PINNED,
+                         ids=[case[0] for case in PINNED])
+def test_cli_pinned_output(workdir, monkeypatch, capsys, action, rest, code, text, reports):
+    monkeypatch.chdir(workdir)
+    argv = action.split() + rest.split()
+    assert run_cli(capsys, *argv) == (code, text)
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports)
+    assert run_cli(capsys, "--json", *argv) == (code, expected)
+
+
+@pytest.mark.parametrize("action", [case[0] for case in PINNED])
+def test_cli_help_exits_0(capsys, action):
+    assert main(action.split() + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rankmat ")
+
+
+def test_every_registered_action_is_pinned(capsys):
+    assert list(rankmat.cli._COMMANDS) == [case[0] for case in PINNED]
+    for action in rankmat.cli._COMMANDS:
+        assert main(action.split() + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: rankmat {action} [-h]")
+
+
+@pytest.mark.parametrize("argv", [
+    "kron product m.mat",
+    "kron product m.mat m.mat m.mat",
+    "kron product m.mat m.mat --budget 3",
+    "kron order m.mat --n 3",
+    "sgp omega z3.sgp --k 2",
+    "recover partition o.orc --d 3",
+    "kron --budget 4 order m.mat",
+])
+def test_cli_arguments_the_action_does_not_read_exit_2(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rank(workdir, capsys):

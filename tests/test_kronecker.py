@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankmat.enumerate import cyclic_group, word_monoid_1abab0
 from rankmat.kronecker import (
@@ -19,6 +21,7 @@ from rankmat.kronecker import (
     semigroup_hypergraph,
     two_by_two_claim,
 )
+from rankmat.kronecker import _dedup
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -67,6 +70,49 @@ def test_normal_form_removes_duplicates():
     nf = normal_form(m)
     assert nf.matrix.shape() == (2, 2)
     assert is_irredundant(nf.matrix)
+
+
+def reference_dedup(entries: list) -> list:
+    """The former _dedup: duplicate rows, then duplicate columns, removed
+    in a loop until nothing changes."""
+    changed = True
+    while changed:
+        changed = False
+        seen = set()
+        rows = []
+        for row in entries:
+            key = tuple(row)
+            if key in seen:
+                changed = True
+                continue
+            seen.add(key)
+            rows.append(list(row))
+        entries = rows
+        if entries:
+            seen = set()
+            keep = []
+            for c in range(len(entries[0])):
+                key = tuple(row[c] for row in entries)
+                if key in seen:
+                    changed = True
+                    continue
+                seen.add(key)
+                keep.append(c)
+            entries = [[row[c] for c in keep] for row in entries]
+    return entries
+
+
+_ENTRY_LISTS = st.integers(0, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(0, 2), min_size=c, max_size=c), max_size=6))
+
+
+@settings(max_examples=500)
+@given(_ENTRY_LISTS)
+@example([])
+@example([[], [], []])
+@example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+def test_one_pass_dedup_matches_the_fixpoint_loop(entries):
+    assert _dedup(entries) == reference_dedup(entries)
 
 
 def test_normal_form_is_idempotent_and_permutation_invariant():

@@ -4,6 +4,8 @@ Every real suite passes, so these tests break one kernel in the
 `rankmat.suites` namespace, or register suites of their own, and pin the
 failure reports and the summary that come back.
 """
+import json
+
 import pytest
 
 from rankmat import suites
@@ -50,6 +52,18 @@ def test_broken_kernel_pins_the_first_witness(monkeypatch, suite, kernel,
     assert reports[0].as_dict() == first
     assert len(reports) - 1 == data["failures"]
     assert all(r.check == suite and r.status == "fail" for r in reports[:-1])
+
+
+def test_rank_decreasing_witnesses_survive_a_json_round_trip(monkeypatch):
+    # a non-diagonal identity table fails identity-path4; its table keys are
+    # strings, as in the K8-to-P8 witness and the summary
+    monkeypatch.setattr(suites, "rank_decreasing_report",
+                        lambda pairs: {"flagged": [], "tables": [{0: 0, 1: 2}]})
+    reports = SUITES["rank-decreasing"]()
+    assert [r.instance for r in reports] == ["K8-to-P8", "identity-path4", "summary"]
+    for report in reports:
+        assert json.loads(json.dumps(report.data)) == report.data
+    assert reports[1].data == {"table": {"0": 0, "1": 2}}
 
 
 def test_failures_are_stable_sorted_by_instance(monkeypatch):
