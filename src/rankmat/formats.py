@@ -1,24 +1,25 @@
 """Line-oriented text formats for the command line tools.
 
 All formats allow blank lines and ``#`` comments.  Parse errors raise
-ValueError with a line number so the CLI can map them to exit code 2.
+ValueError, with a line number where one line is at fault, so the CLI can
+map them to exit code 2.  A header line is a keyword and then exactly the
+tokens its usage names (``_header``); a table is a fixed number of rows of
+a fixed number of ids (``_rows``).
 
 Formats:
   .struct  structure / universe N / rel NAME ARITY + tuple lines / end
-  .tree    s-expression; ``(u ...)`` unordered node, ``(o ...)`` ordered
-           node, bare identifiers are leaves
-  .sgp     semigroup N + N rows of N ids; optional ``unit K``
+  .tree    s-expression; ``(u ...)`` is a node with two or more children,
+           bare identifiers are leaves, read as ints when all are digits
+  .sgp     semigroup N + N rows of N ids; at most one ``unit K`` line
   .mat     matrix R C sgp=<file> + R rows of C ids, R and C >= 1
-  .hyp     hypergraph V A + 2^V colour ids in subset-bitmask order
-  .orc     oracle KIND K / semigroup <file> / class lines / lambda lines
-           / accept line
+  .orc     oracle KIND K / one semigroup <file> line / class lines /
+           lambda lines, one per class and subset / one accept line
 """
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-from .kronecker import Hypergraph, SemigroupMatrix
+from .kronecker import SemigroupMatrix
 from .recovery import OrderedOracle, UnorderedOracle
 from .semigroup import FiniteSemigroup
 from .semigroup import validate as validate_semigroup
@@ -34,15 +35,12 @@ __all__ = [
     "write_semigroup",
     "parse_matrix",
     "write_matrix",
-    "parse_hypergraph",
-    "write_hypergraph",
     "parse_oracle",
     "write_oracle",
     "load_structure",
     "load_tree",
     "load_semigroup",
     "load_matrix",
-    "load_hypergraph",
     "load_oracle",
 ]
 
@@ -68,26 +66,47 @@ def _int(token: str, lineno: int) -> int:
         _fail(lineno, f"expected an integer, got {token!r}")
 
 
+def _header(lines: list, usage: str):
+    """(line number, tokens after the keyword) of the first line, which must
+    be ``usage``'s keyword and then exactly as many tokens as it names."""
+    if not lines:
+        raise ValueError(f"expected '{usage}' header")
+    lineno, line = lines[0]
+    keyword, *tokens = line.split()
+    if keyword != usage.split()[0] or len(tokens) != usage.count(" "):
+        _fail(lineno, f"expected '{usage}' header")
+    return lineno, tokens
+
+
+def _rows(body: list, width: int, count: int) -> list:
+    """``count`` rows of ``width`` integers, one row per line."""
+    rows = []
+    for lineno, line in body:
+        row = [_int(p, lineno) for p in line.split()]
+        if len(row) != width:
+            _fail(lineno, f"expected {width} ids per row")
+        rows.append(row)
+    if len(rows) != count:
+        raise ValueError(f"expected {count} rows, got {len(rows)}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # .struct
 
 
 def parse_structure(text: str) -> Structure:
     lines = _lines(text)
-    if not lines or lines[0][1] != "structure":
-        raise ValueError("line 1: expected 'structure' header")
+    _header(lines, "structure")
     if lines[-1][1] != "end":
         raise ValueError("missing 'end' line")
     body = lines[1:-1]
-    if not body or not body[0][1].startswith("universe "):
-        raise ValueError("expected 'universe N' after the header")
-    lineno, line = body[0]
-    n = _int(line.split()[1], lineno)
+    lineno, (n,) = _header(body, "universe N")
+    n = _int(n, lineno)
     if n < 0:
         _fail(lineno, "universe size must be >= 0")
     relations = []
     interpretation: dict = {}
-    current: Optional[str] = None
     for lineno, line in body[1:]:
         parts = line.split()
         if parts[0] == "rel":
@@ -95,17 +114,14 @@ def parse_structure(text: str) -> Structure:
                 _fail(lineno, "expected 'rel NAME ARITY'")
             name, arity = parts[1], _int(parts[2], lineno)
             relations.append((name, arity))
-            interpretation[name] = set()
-            current = name
+            tuples = interpretation[name] = set()
+        elif not relations:
+            _fail(lineno, "tuple line before any 'rel' declaration")
+        elif len(parts) != arity:
+            _fail(lineno, f"expected {arity} ids for relation {name!r}")
         else:
-            if current is None:
-                _fail(lineno, "tuple line before any 'rel' declaration")
-            arity = dict(relations)[current]
-            if len(parts) != arity:
-                _fail(lineno, f"expected {arity} ids for relation {current!r}")
-            interpretation[current].add(tuple(_int(p, lineno) for p in parts))
-    vocab = Vocabulary(tuple(relations))
-    return Structure.make(vocab, n, interpretation)
+            tuples.add(tuple(_int(p, lineno) for p in parts))
+    return Structure.make(Vocabulary(tuple(relations)), n, interpretation)
 
 
 def write_structure(s: Structure) -> str:
@@ -122,65 +138,48 @@ def write_structure(s: Structure) -> str:
 # .tree
 
 
-def _tokenize_sexpr(text: str):
-    stripped = []
-    for raw in text.splitlines():
-        stripped.append(raw.split("#", 1)[0])
-    text = " ".join(stripped)
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_sexpr(tokens: list, pos: int):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of tree expression")
+def _parse_sexpr(tokens: list, pos: int, leaves: list, family: list):
+    """Parse the node at ``tokens[pos]``, appending its leaf names to
+    ``leaves`` and the leaf names below each of its nodes to ``family``;
+    returns the position after it."""
     token = tokens[pos]
-    if token == "(":
-        if pos + 1 >= len(tokens) or tokens[pos + 1] not in ("u", "o"):
-            raise ValueError("node must start with 'u' or 'o'")
-        kind = tokens[pos + 1]
-        pos += 2
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            child, pos = _parse_sexpr(tokens, pos)
-            children.append(child)
-        if pos >= len(tokens):
-            raise ValueError("unbalanced '(' in tree expression")
-        if len(children) < 2:
-            raise ValueError("internal nodes need at least two children")
-        return (kind, children), pos + 1
     if token == ")":
         raise ValueError("unbalanced ')' in tree expression")
-    return token, pos + 1
+    start = len(leaves)
+    if token != "(":
+        leaves.append(token)
+        pos += 1
+    else:
+        if tokens[pos + 1:pos + 2] != ["u"]:
+            raise ValueError("node must start with 'u'")
+        pos += 2
+        children = 0
+        while pos < len(tokens) and tokens[pos] != ")":
+            pos = _parse_sexpr(tokens, pos, leaves, family)
+            children += 1
+        if pos >= len(tokens):
+            raise ValueError("unbalanced '(' in tree expression")
+        if children < 2:
+            raise ValueError("internal nodes need at least two children")
+        pos += 1
+    family.append(range(start, len(leaves)))
+    return pos
 
 
 def parse_tree(text: str) -> LaminarTree:
-    tokens = _tokenize_sexpr(text)
+    text = " ".join(line for _, line in _lines(text))
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty tree expression")
-    root, pos = _parse_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after the tree expression")
     leaves: list = []
     family: list = []
-
-    def collect(node) -> frozenset:
-        if isinstance(node, str):
-            leaves.append(node)
-            leafset = frozenset((node,))
-            family.append(leafset)
-            return leafset
-        _, children = node
-        span = frozenset().union(*(collect(c) for c in children))
-        family.append(span)
-        return span
-
-    collect(root)
+    if _parse_sexpr(tokens, 0, leaves, family) != len(tokens):
+        raise ValueError("trailing tokens after the tree expression")
+    if all(name.isdigit() for name in leaves):
+        leaves = list(map(int, leaves))
     if len(set(leaves)) != len(leaves):
         raise ValueError("duplicate leaf names")
-    if all(name.isdigit() for name in leaves):
-        mapping = {name: int(name) for name in leaves}
-        family = [frozenset(mapping[x] for x in node) for node in family]
-    return validate_tree(family)
+    return validate_tree(frozenset(leaves[i] for i in node) for node in family)
 
 
 def write_tree(t: LaminarTree) -> str:
@@ -199,23 +198,21 @@ def write_tree(t: LaminarTree) -> str:
 
 def parse_semigroup(text: str) -> FiniteSemigroup:
     lines = _lines(text)
-    if not lines or not lines[0][1].startswith("semigroup "):
-        raise ValueError("expected 'semigroup N' header")
-    lineno, header = lines[0]
-    n = _int(header.split()[1], lineno)
+    lineno, (n,) = _header(lines, "semigroup N")
+    n = _int(n, lineno)
     unit = None
     rows = []
     for lineno, line in lines[1:]:
-        if line.startswith("unit "):
-            unit = _int(line.split()[1], lineno)
-            continue
-        row = [_int(p, lineno) for p in line.split()]
-        if len(row) != n:
-            _fail(lineno, f"expected {n} ids per row")
-        rows.append(row)
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    return validate_semigroup(rows, unit=unit)
+        parts = line.split()
+        if parts[0] != "unit":
+            rows.append((lineno, line))
+        elif unit is not None:
+            _fail(lineno, "a second 'unit' line")
+        elif len(parts) != 2:
+            _fail(lineno, "expected 'unit K'")
+        else:
+            unit = _int(parts[1], lineno)
+    return validate_semigroup(_rows(rows, n, n), unit=unit)
 
 
 def write_semigroup(S: FiniteSemigroup) -> str:
@@ -232,58 +229,21 @@ def write_semigroup(S: FiniteSemigroup) -> str:
 
 def parse_matrix(text: str, base_dir: str = ".") -> SemigroupMatrix:
     lines = _lines(text)
-    if not lines or not lines[0][1].startswith("matrix "):
-        raise ValueError("expected 'matrix R C sgp=<file>' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 4 or not parts[3].startswith("sgp="):
-        _fail(lineno, "expected 'matrix R C sgp=<file>'")
-    r, c = _int(parts[1], lineno), _int(parts[2], lineno)
+    usage = "matrix R C sgp=<file>"
+    lineno, (r, c, sgp) = _header(lines, usage)
+    if not sgp.startswith("sgp="):
+        _fail(lineno, f"expected '{usage}' header")
+    r, c = _int(r, lineno), _int(c, lineno)
     if r < 1 or c < 1:
         _fail(lineno, f"a matrix needs R >= 1 rows and C >= 1 columns, got {r} x {c}")
-    sgp = load_semigroup(os.path.join(base_dir, parts[3][len("sgp="):]))
-    rows = []
-    for lineno, line in lines[1:]:
-        row = [_int(p, lineno) for p in line.split()]
-        if len(row) != c:
-            _fail(lineno, f"expected {c} ids per row")
-        rows.append(row)
-    if len(rows) != r:
-        raise ValueError(f"expected {r} rows, got {len(rows)}")
-    return SemigroupMatrix.make(rows, sgp)
+    semigroup = load_semigroup(os.path.join(base_dir, sgp[len("sgp="):]))
+    return SemigroupMatrix.make(_rows(lines[1:], c, r), semigroup)
 
 
 def write_matrix(M: SemigroupMatrix, sgp_file: str) -> str:
     nr, nc = M.shape()
     out = [f"matrix {nr} {nc} sgp={sgp_file}"]
     out.extend(" ".join(map(str, row)) for row in M.entries)
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# .hyp
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    lines = _lines(text)
-    if not lines or not lines[0][1].startswith("hypergraph "):
-        raise ValueError("expected 'hypergraph V A' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        _fail(lineno, "expected 'hypergraph V A'")
-    v, a = _int(parts[1], lineno), _int(parts[2], lineno)
-    table = []
-    for lineno, line in lines[1:]:
-        table.extend(_int(p, lineno) for p in line.split())
-    if len(table) != 1 << v:
-        raise ValueError(f"expected {1 << v} colour ids, got {len(table)}")
-    return Hypergraph(v, a, tuple(table))
-
-
-def write_hypergraph(g: Hypergraph) -> str:
-    out = [f"hypergraph {g.vertices} {g.colours}"]
-    out.append(" ".join(map(str, g.table)))
     return "\n".join(out) + "\n"
 
 
@@ -299,50 +259,47 @@ def _parse_subset(token: str, lineno: int) -> frozenset:
 
 def parse_oracle(text: str, base_dir: str = "."):
     lines = _lines(text)
-    if not lines or not lines[0][1].startswith("oracle "):
-        raise ValueError("expected 'oracle KIND K' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[1] not in ("unordered", "ordered"):
-        _fail(lineno, "expected 'oracle unordered|ordered K'")
-    kind = parts[1]
-    k = _int(parts[2], lineno)
-    semigroup = None
+    usage = "oracle unordered|ordered K"
+    lineno, (kind, k) = _header(lines, usage)
+    if kind not in ("unordered", "ordered"):
+        _fail(lineno, f"expected '{usage}' header")
+    k = _int(k, lineno)
+    once: dict = {}  # the value of each of the 'semigroup' and 'accept' lines
     classes = []
-    lam_entries = []
-    accept = None
+    lam_entries: dict = {}  # (class, subset) -> value
     for lineno, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "semigroup":
-            if len(parts) != 2:
+        keyword, *args = line.split()
+        if keyword in once:
+            _fail(lineno, f"a second '{keyword}' line")
+        if keyword == "semigroup":
+            if len(args) != 1:
                 _fail(lineno, "expected 'semigroup <file>'")
-            semigroup = load_semigroup(os.path.join(base_dir, parts[1]))
-        elif parts[0] == "class":
-            classes.append(frozenset(_int(p, lineno) for p in parts[1:]))
-        elif parts[0] == "lambda":
-            if len(parts) != 4:
+            once[keyword] = load_semigroup(os.path.join(base_dir, args[0]))
+        elif keyword == "class":
+            classes.append(frozenset(_int(p, lineno) for p in args))
+        elif keyword == "lambda":
+            if len(args) != 3:
                 _fail(lineno, "expected 'lambda CLASS SUBSET VALUE'")
-            lam_entries.append(
-                (_int(parts[1], lineno), _parse_subset(parts[2], lineno),
-                 _int(parts[3], lineno))
-            )
-        elif parts[0] == "accept":
-            accept = frozenset(_int(p, lineno) for p in parts[1:])
+            key = _int(args[0], lineno), _parse_subset(args[1], lineno)
+            if key in lam_entries:
+                _fail(lineno, f"a second lambda for class {key[0]} on {sorted(key[1])}")
+            lam_entries[key] = _int(args[2], lineno)
+        elif keyword == "accept":
+            once[keyword] = frozenset(_int(p, lineno) for p in args)
         else:
-            _fail(lineno, f"unknown directive {parts[0]!r}")
-    if semigroup is None:
-        raise ValueError("missing 'semigroup' line")
-    if accept is None:
-        raise ValueError("missing 'accept' line")
+            _fail(lineno, f"unknown directive {keyword!r}")
+    for keyword in ("semigroup", "accept"):
+        if keyword not in once:
+            raise ValueError(f"missing '{keyword}' line")
     if not classes:
         raise ValueError("missing 'class' lines")
     lam = [dict() for _ in classes]
-    for idx, sub, value in lam_entries:
+    for (idx, sub), value in lam_entries.items():
         if not (0 <= idx < len(classes)):
             raise ValueError(f"lambda refers to unknown class {idx}")
         lam[idx][sub] = value
     cls = OrderedOracle if kind == "ordered" else UnorderedOracle
-    return cls(classes, semigroup, lam, accept, k)
+    return cls(classes, once["semigroup"], lam, once["accept"], k)
 
 
 def write_oracle(oracle, sgp_file: str) -> str:
@@ -381,10 +338,6 @@ def load_semigroup(path: str) -> FiniteSemigroup:
 
 def load_matrix(path: str) -> SemigroupMatrix:
     return parse_matrix(_read(path), os.path.dirname(path) or ".")
-
-
-def load_hypergraph(path: str) -> Hypergraph:
-    return parse_hypergraph(_read(path))
 
 
 def load_oracle(path: str):

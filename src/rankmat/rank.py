@@ -20,7 +20,7 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
-from .structures import MonadicStructure, Structure, qf_type, submasks
+from .structures import MonadicStructure, Structure, qf_type, singleton_lifting, submasks
 
 __all__ = [
     "TypeMatrix",
@@ -227,42 +227,14 @@ def monadic_d_type(ms: MonadicStructure, subsets: Sequence[int], d: int, residue
 
 
 def element_d_type(s: Structure, elements: Sequence[int], d: int, subsets: tuple = ()):
-    """Depth-d type of an element tuple under set quantification.
-
-    Coordinates are the original elements followed by set parameters; each
-    depth extends by one arbitrary subset.  Atoms treat an element a and
-    the singleton {a} interchangeably: relation facts fire on coordinates
-    that denote single elements, and containment/equality facts compare
-    coordinates as sets.
-    """
-    elements = tuple(elements)
-    coords = [frozenset((a,)) for a in elements] + [
-        frozenset(i for i in range(s.universe_size) if z >> i & 1) for z in subsets
-    ]
-    if d == 0:
-        k = len(coords)
-        facts = set()
-        for name, arity in s.vocabulary.relations:
-            rel = s.relation(name)
-            for idx in product(range(k), repeat=arity):
-                picked = [coords[i] for i in idx]
-                if all(len(c) == 1 for c in picked):
-                    t = tuple(next(iter(c)) for c in picked)
-                    if t in rel:
-                        facts.add(("rel", name, idx))
-        for i in range(k):
-            for j in range(k):
-                if coords[i] <= coords[j]:
-                    facts.add(("subseteq", i, j))
-                if coords[i] == coords[j]:
-                    facts.add(("eq", i, j))
-        return ("atoms", frozenset(facts))
-    below = element_d_type(s, elements, d - 1, subsets)
-    reachable = frozenset(
-        element_d_type(s, elements, d - 1, subsets + (z,))
-        for z in range(1 << s.universe_size)
-    )
-    return ("step", below, reachable)
+    """Depth-d type of an element tuple under set quantification: the
+    ``monadic_d_type`` of its singletons, then the set parameters, in the
+    singleton lifting of ``s``.  An element a and the singleton {a} are
+    interchangeable there: relation facts fire on coordinates that denote
+    single elements, and containment/equality facts compare coordinates as
+    sets."""
+    lifted = tuple(1 << a for a in elements) + tuple(subsets)
+    return monadic_d_type(singleton_lifting(s), lifted, d)
 
 
 class _MonadicTyper:

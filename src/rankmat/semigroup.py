@@ -78,6 +78,8 @@ def validate(table: Sequence[Sequence[int]], unit: Optional[int] = None) -> Fini
                         f"({a}{b}){c} = {rows[ab][c]} but {a}({b}{c}) = {rows[a][rows[b][c]]}"
                     )
     if unit is not None:
+        if not (0 <= unit < n):
+            raise ValueError(f"unit {unit} out of range")
         for a in range(n):
             if rows[unit][a] != a or rows[a][unit] != a:
                 raise ValueError(f"unit laws fail at {a}")

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .enumerate import (
     associative_tables,
@@ -37,7 +37,6 @@ from .kronecker import (
     Finite,
     SemigroupMatrix,
     equivalent,
-    finite_order,
     kronecker_product,
     two_by_two_claim,
 )
@@ -84,7 +83,7 @@ from .trees import (
     validate_tree,
 )
 
-__all__ = ["Report", "SUITES", "run_suite", "enumerate_instances"]
+__all__ = ["Report", "SUITES", "run_suite"]
 
 # The seeded sample sizes and the count cap the suites run at; the
 # acceptance tests pin the instance counts they give.
@@ -154,40 +153,6 @@ def _hidden_classes(sizes: list) -> list:
         hidden.append(set(range(start, start + size)))
         start += size
     return hidden
-
-
-# ---------------------------------------------------------------------------
-# instance enumerators
-
-
-def enumerate_instances(kind: str, bound: int, seed: int = 0) -> Iterator:
-    """Deterministic instance streams at exactly the requested size.
-
-    structures: all structures on `bound` elements over one binary
-    relation, in relation-bitmask order.  trees: all laminar trees on
-    leaves 0..bound-1, in generation order.  semigroups: all associative
-    tables of size `bound` (size 4 falls back to the curated family).
-    oracles: `bound` seeded random unordered oracle instances.
-    """
-    if kind == "structures":
-        for bits in range(1 << bound * bound):
-            yield binary_structure(bound, bits)
-    elif kind == "trees":
-        yield from all_laminar_trees(range(bound))
-    elif kind == "semigroups":
-        if bound <= 3:
-            yield from (s for s in associative_tables(bound) if s.size == bound)
-        elif bound == 4:
-            yield from curated_size4_semigroups()
-        else:
-            raise ValueError("semigroup enumeration is capped at size 4")
-    elif kind == "oracles":
-        rng = random.Random(seed)
-        for _ in range(bound):
-            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
-            yield synth_oracle("unordered", _hidden_classes(sizes), 1)
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

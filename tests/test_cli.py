@@ -10,9 +10,9 @@ import rankmat.cli
 from rankmat import formats
 from rankmat.cli import main
 from rankmat.enumerate import cyclic_group, word_monoid_1abab0
-from rankmat.kronecker import Hypergraph, SemigroupMatrix
+from rankmat.kronecker import SemigroupMatrix
 from rankmat.recovery import synth_oracle
-from rankmat.suites import enumerate_instances, run_suite
+from rankmat.suites import run_suite
 from rankmat.trees import ternary_encode
 
 P4_STRUCT = """structure
@@ -116,13 +116,6 @@ def test_matrix_header_needs_a_row_and_a_column(workdir, capsys, shape):
     assert f"got {shape.replace(' ', ' x ')}" in captured.err
 
 
-def test_hypergraph_round_trip():
-    g = Hypergraph(2, 2, (0, 0, 0, 1))
-    assert formats.parse_hypergraph(formats.write_hypergraph(g)) == g
-    with pytest.raises(ValueError, match="colour ids"):
-        formats.parse_hypergraph("hypergraph 2 2\n0 1\n")
-
-
 def test_oracle_round_trip(tmp_path):
     oracle = synth_oracle("ordered", [{0}, {1, 2}], 2)
     (tmp_path / "s.sgp").write_text(formats.write_semigroup(oracle.semigroup))
@@ -133,33 +126,6 @@ def test_oracle_round_trip(tmp_path):
     assert loaded.lam == oracle.lam
     assert loaded.accept == oracle.accept
     assert loaded.k == oracle.k
-
-
-# ---------------------------------------------------------------------------
-# instance enumerators
-
-
-def test_enumerate_structures_n2():
-    assert len(list(enumerate_instances("structures", 2))) == 16
-
-
-def test_enumerate_trees_3_leaves():
-    assert len(list(enumerate_instances("trees", 3))) == 4
-
-
-def test_enumerate_semigroups_size2():
-    assert len(list(enumerate_instances("semigroups", 2))) == 8
-
-
-def test_enumerate_oracles_seeded():
-    a = [o.classes for o in enumerate_instances("oracles", 5, seed=1)]
-    b = [o.classes for o in enumerate_instances("oracles", 5, seed=1)]
-    assert a == b and len(a) == 5
-
-
-def test_enumerate_unknown_kind():
-    with pytest.raises(ValueError):
-        list(enumerate_instances("widgets", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,26 @@
 """The text formats: the exact message of every rejection, round trips, and
 small random edits of valid files."""
+import random
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rankmat import formats
+from rankmat.cli import main
+from rankmat.enumerate import associative_tables
+from rankmat.kronecker import SemigroupMatrix
+from rankmat.recovery import synth_oracle
+from rankmat.semigroup import validate
+from rankmat.structures import Structure, Vocabulary
+from rankmat.trees import validate_tree
 
 ONE_SGP = "semigroup 1\n0\n"
 Z3_SGP = "semigroup 3\n0 1 2\n1 2 0\n2 0 1\n"
 BAD_SGP = "semigroup 2\n0 1\n0 0\n"
 NOT_ASSOCIATIVE = "not associative at (1,0,1): (10)1 = 1 but 1(01) = 0"
 
-STRUCT = "structure\nuniverse 2\nrel E 2\n0 1\nend\n"
 SGP = "semigroup 2\nunit 0\n0 1\n1 0\n"
 MAT = "matrix 2 2 sgp=z3.sgp\n0 1\n1 2\n"
 ORC = """oracle unordered 1
@@ -36,22 +47,16 @@ def parse(kind: str, text: str, base_dir: str = "."):
             "sgp": formats.parse_semigroup}[kind](text)
 
 
-def test_valid_bases_parse(sgp_dir):
-    for kind, text in [("struct", STRUCT), ("sgp", SGP), ("mat", MAT), ("orc", ORC),
-                       ("tree", "(u 0 1)")]:
-        parse(kind, text, str(sgp_dir))
-
-
 # one fault per input; the message is compared whole
 REJECTED = [
     # .struct
-    ("struct", "", "line 1: expected 'structure' header"),
+    ("struct", "", "expected 'structure' header"),
     ("struct", "universe 3\nend\n", "line 1: expected 'structure' header"),
-    ("struct", "# c\n\nstructure x\nuniverse 1\nend\n", "line 1: expected 'structure' header"),
+    ("struct", "# c\n\nstructure x\nuniverse 1\nend\n", "line 3: expected 'structure' header"),
     ("struct", "structure\nuniverse 3\n", "missing 'end' line"),
-    ("struct", "structure\nend\n", "expected 'universe N' after the header"),
-    ("struct", "structure\nrel E 2\nend\n", "expected 'universe N' after the header"),
-    ("struct", "structure\nuniverse\nend\n", "expected 'universe N' after the header"),
+    ("struct", "structure\nend\n", "expected 'universe N' header"),
+    ("struct", "structure\nrel E 2\nend\n", "line 2: expected 'universe N' header"),
+    ("struct", "structure\nuniverse\nend\n", "line 2: expected 'universe N' header"),
     ("struct", "structure\nuniverse x\nend\n", "line 2: expected an integer, got 'x'"),
     ("struct", "structure\nuniverse -1\nend\n", "line 2: universe size must be >= 0"),
     ("struct", "structure\nuniverse 2\nrel E\nend\n", "line 3: expected 'rel NAME ARITY'"),
@@ -72,17 +77,17 @@ REJECTED = [
     ("tree", "(u 0 1", "unbalanced '(' in tree expression"),
     ("tree", "(u", "unbalanced '(' in tree expression"),
     ("tree", ")", "unbalanced ')' in tree expression"),
-    ("tree", "(x 0 1)", "node must start with 'u' or 'o'"),
-    ("tree", "()", "node must start with 'u' or 'o'"),
-    ("tree", "(", "node must start with 'u' or 'o'"),
+    ("tree", "(x 0 1)", "node must start with 'u'"),
+    ("tree", "()", "node must start with 'u'"),
+    ("tree", "(", "node must start with 'u'"),
     ("tree", "(u 0 0)", "duplicate leaf names"),
     ("tree", "(u a (u b a))", "duplicate leaf names"),
     ("tree", "(u 0 1) 2", "trailing tokens after the tree expression"),
     ("tree", "(u 0 1))", "trailing tokens after the tree expression"),
     # .sgp
     ("sgp", "", "expected 'semigroup N' header"),
-    ("sgp", "group 2\n0 1\n1 0\n", "expected 'semigroup N' header"),
-    ("sgp", "semigroup\n0\n", "expected 'semigroup N' header"),
+    ("sgp", "group 2\n0 1\n1 0\n", "line 1: expected 'semigroup N' header"),
+    ("sgp", "semigroup\n0\n", "line 1: expected 'semigroup N' header"),
     ("sgp", "semigroup x\n", "line 1: expected an integer, got 'x'"),
     ("sgp", "semigroup 2\n0 1\n", "expected 2 rows, got 1"),
     ("sgp", "semigroup 1\n0\n0\n", "expected 1 rows, got 2"),
@@ -90,15 +95,15 @@ REJECTED = [
     ("sgp", "semigroup 2\n0 1\n1\n", "line 3: expected 2 ids per row"),
     ("sgp", "semigroup 2\n0 1\n1 z\n", "line 3: expected an integer, got 'z'"),
     ("sgp", "semigroup 2\nunit x\n0 1\n1 0\n", "line 2: expected an integer, got 'x'"),
-    ("sgp", "semigroup 2\nunit\n0 1\n1 0\n", "line 2: expected an integer, got 'unit'"),
+    ("sgp", "semigroup 2\nunit\n0 1\n1 0\n", "line 2: expected 'unit K'"),
     ("sgp", BAD_SGP, NOT_ASSOCIATIVE),
     ("sgp", "semigroup 2\n0 2\n1 0\n", "entry 2 out of range"),
     ("sgp", "semigroup 2\nunit 1\n0 1\n1 0\n", "unit laws fail at 0"),
     # .mat
     ("mat", "", "expected 'matrix R C sgp=<file>' header"),
-    ("mat", "mat 2 2 sgp=z3.sgp\n0 1\n1 2\n", "expected 'matrix R C sgp=<file>' header"),
-    ("mat", "matrix 2 2\n0 1\n1 2\n", "line 1: expected 'matrix R C sgp=<file>'"),
-    ("mat", "matrix 2 2 z3.sgp\n0 1\n1 2\n", "line 1: expected 'matrix R C sgp=<file>'"),
+    ("mat", "mat 2 2 sgp=z3.sgp\n0 1\n1 2\n", "line 1: expected 'matrix R C sgp=<file>' header"),
+    ("mat", "matrix 2 2\n0 1\n1 2\n", "line 1: expected 'matrix R C sgp=<file>' header"),
+    ("mat", "matrix 2 2 z3.sgp\n0 1\n1 2\n", "line 1: expected 'matrix R C sgp=<file>' header"),
     ("mat", "matrix x 2 sgp=z3.sgp\n", "line 1: expected an integer, got 'x'"),
     ("mat", "matrix 0 3 sgp=z3.sgp\n",
      "line 1: a matrix needs R >= 1 rows and C >= 1 columns, got 0 x 3"),
@@ -108,11 +113,12 @@ REJECTED = [
     ("mat", "matrix 1 2 sgp=z3.sgp\n0 q\n", "line 2: expected an integer, got 'q'"),
     ("mat", "matrix 1 1 sgp=z3.sgp\n7\n", "entry 7 out of range"),
     # .orc
-    ("orc", "", "expected 'oracle KIND K' header"),
-    ("orc", ORC.replace("oracle", "orc"), "expected 'oracle KIND K' header"),
+    ("orc", "", "expected 'oracle unordered|ordered K' header"),
+    ("orc", ORC.replace("oracle", "orc"), "line 1: expected 'oracle unordered|ordered K' header"),
     ("orc", ORC.replace("unordered 1", "unordered"),
-     "line 1: expected 'oracle unordered|ordered K'"),
-    ("orc", ORC.replace("unordered", "sideways"), "line 1: expected 'oracle unordered|ordered K'"),
+     "line 1: expected 'oracle unordered|ordered K' header"),
+    ("orc", ORC.replace("unordered", "sideways"),
+     "line 1: expected 'oracle unordered|ordered K' header"),
     ("orc", ORC.replace("unordered 1", "unordered x"), "line 1: expected an integer, got 'x'"),
     ("orc", ORC.replace("semigroup one.sgp", "semigroup"), "line 2: expected 'semigroup <file>'"),
     ("orc", ORC.replace("one.sgp", "one.sgp two.sgp"), "line 2: expected 'semigroup <file>'"),
@@ -144,3 +150,178 @@ def test_rejection_message(sgp_dir, kind, text, message):
     with pytest.raises(ValueError) as caught:
         parse(kind, text, str(sgp_dir))
     assert str(caught.value) == message
+
+
+# inputs the formats used to read while ignoring or misreading part of them
+NEWLY_REJECTED = [
+    ("tree", "(u 1 01)", "duplicate leaf names"),
+    ("tree", "(o 0 1)", "node must start with 'u'"),
+    ("sgp", "semigroup 2 junk\n0 1\n1 0\n", "line 1: expected 'semigroup N' header"),
+    ("struct", "structure\nuniverse 2 9\nend\n", "line 2: expected 'universe N' header"),
+    ("sgp", "semigroup 2\nunit 1 2\n0 1\n1 0\n", "line 2: expected 'unit K'"),
+    ("sgp", "semigroup 2\nunit 0\nunit 1\n0 1\n1 0\n", "line 3: a second 'unit' line"),
+    ("sgp", "semigroup 2\nunit 5\n0 1\n1 0\n", "unit 5 out of range"),
+    ("sgp", "semigroup 2\nunit -2\n0 1\n1 0\n", "unit -2 out of range"),
+    ("orc", ORC.replace("class 0", "semigroup one.sgp\nclass 0"),
+     "line 3: a second 'semigroup' line"),
+    ("orc", ORC + "accept 0\n", "line 7: a second 'accept' line"),
+    ("orc", ORC + "lambda 0 0 0\n", "line 7: a second lambda for class 0 on [0]"),
+    ("orc", "oracle unordered 1\nsemigroup one.sgp\nclass 0 1\nlambda 0 - 0\nlambda 0 0 0\n"
+            "lambda 0 1 0\nlambda 0 0,1 0\nlambda 0 1,0 0\naccept 0\n",
+     "line 8: a second lambda for class 0 on [0, 1]"),
+]
+
+CLI_COMMAND = {"struct": ["rank", "--structure"], "tree": ["tree", "validate"],
+               "sgp": ["sgp", "validate"], "orc": ["recover", "partition"]}
+
+
+@pytest.mark.parametrize("kind,text,message", NEWLY_REJECTED)
+def test_newly_rejected_input(sgp_dir, capsys, kind, text, message):
+    with pytest.raises(ValueError) as caught:
+        parse(kind, text, str(sgp_dir))
+    assert str(caught.value) == message
+    path = sgp_dir / f"input.{kind}"
+    path.write_text(text)
+    assert main([*CLI_COMMAND[kind], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# round trips: parse(write(x)) == x
+
+
+@st.composite
+def structures(draw):
+    n = draw(st.integers(0, 4))
+    names = draw(st.lists(st.sampled_from(["E", "R", "T_1", "u"]), max_size=3, unique=True))
+    relations = tuple((name, draw(st.integers(1, 3))) for name in names)
+    element = st.integers(0, n - 1)
+    return Structure.make(Vocabulary(relations), n, {
+        name: draw(st.sets(st.tuples(*[element] * arity), max_size=8)) if n else set()
+        for name, arity in relations
+    })
+
+
+@given(structures())
+def test_structure_round_trip(s):
+    assert formats.parse_structure(formats.write_structure(s)) == s
+
+
+@st.composite
+def laminar_trees(draw):
+    """A tree over 1 to 7 distinct int leaves: each block of two or more
+    leaves is cut into two or more consecutive parts of a shuffle."""
+    family = []
+
+    def split(block):
+        family.append(frozenset(block))
+        if len(block) > 1:
+            block = draw(st.permutations(block))
+            cuts = sorted(draw(st.sets(st.integers(1, len(block) - 1), min_size=1)))
+            for lo, hi in zip([0, *cuts], [*cuts, len(block)]):
+                split(block[lo:hi])
+
+    split(sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=7))))
+    return validate_tree(family)
+
+
+@given(laminar_trees())
+def test_tree_round_trip(t):
+    assert formats.parse_tree(formats.write_tree(t)) == t
+
+
+def _with_units():
+    """Every associative table of size 1 to 3, once without a unit and once
+    with each of its units."""
+    out = []
+    for S in associative_tables(3):
+        out.append(S)
+        out.extend(validate(S.table, unit=e) for e in S.elements()
+                   if all(S.mult(e, a) == a == S.mult(a, e) for a in S.elements()))
+    return out
+
+
+SEMIGROUPS = _with_units()
+
+
+def test_semigroups_with_and_without_unit():
+    assert any(S.unit is None for S in SEMIGROUPS) and any(S.unit is not None for S in SEMIGROUPS)
+
+
+@given(st.sampled_from(SEMIGROUPS))
+def test_semigroup_round_trip(S):
+    assert formats.parse_semigroup(formats.write_semigroup(S)) == S
+
+
+@given(st.sampled_from(SEMIGROUPS), st.data())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_matrix_round_trip(tmp_path, S, data):
+    (tmp_path / "s.sgp").write_text(formats.write_semigroup(S))
+    shape = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    entries = data.draw(st.lists(st.lists(st.integers(0, S.size - 1), min_size=shape[1],
+                                          max_size=shape[1]), min_size=shape[0],
+                                 max_size=shape[0]))
+    M = SemigroupMatrix.make(entries, S)
+    assert formats.parse_matrix(formats.write_matrix(M, "s.sgp"), str(tmp_path)) == M
+
+
+@given(st.sampled_from(["unordered", "ordered"]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 2))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=40)
+def test_oracle_round_trip(tmp_path, kind, sizes, k):
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(range(start, start + size))
+        start += size
+    oracle = synth_oracle(kind, classes, k)
+    (tmp_path / "s.sgp").write_text(formats.write_semigroup(oracle.semigroup))
+    loaded = formats.parse_oracle(formats.write_oracle(oracle, "s.sgp"), str(tmp_path))
+    assert type(loaded) is type(oracle)
+    assert (loaded.classes, loaded.semigroup, loaded.lam, loaded.accept, loaded.k) == \
+        (oracle.classes, oracle.semigroup, oracle.lam, oracle.accept, oracle.k)
+
+
+# ---------------------------------------------------------------------------
+# token edits: one to three insertions, deletions or replacements of a
+# token of a valid file give a file that parses or raises ValueError or
+# OSError, never another exception
+
+EXTRA_TOKENS = ["\n", "-1", "0", "1", "2", "5", "x", "-", "0,1", "(", ")", "u", "o", "#",
+                "unit", "rel", "end", "class", "lambda", "accept", "semigroup", "sgp=z3.sgp"]
+
+
+def _edit(rng, text: str) -> str:
+    tokens = re.findall(r"\n|[^ \n]+", text.replace("(", " ( ").replace(")", " ) "))
+    pool = sorted(set(tokens)) + EXTRA_TOKENS
+    for _ in range(rng.randint(1, 3)):
+        op, at = rng.randrange(3), rng.randrange(len(tokens) + 1)
+        if op == 0:
+            tokens.insert(at, rng.choice(pool))
+        elif tokens and at < len(tokens):
+            if op == 1:
+                del tokens[at]
+            else:
+                tokens[at] = rng.choice(pool)
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("struct", "structure\nuniverse 3\nrel E 2\n0 1\n1 2\nrel U 1\n2\nend\n"),
+    ("tree", "(u (u 0 1) 2 (u 3 4))"),
+    ("sgp", SGP),
+    ("sgp", Z3_SGP),
+    ("mat", MAT),
+    ("orc", ORC),
+    ("orc", "oracle ordered 2\nsemigroup z3.sgp\nclass 0\nclass 1\n"
+            "lambda 0 - 1\nlambda 0 0 2\nlambda 1 - 1\nlambda 1 1 2\naccept 0 1 2\n"),
+])
+def test_token_edits_raise_only_value_or_os_errors(sgp_dir, kind, text):
+    parse(kind, text, str(sgp_dir))
+    rng = random.Random(f"{kind}:{text}")
+    for _ in range(2000):
+        edited = _edit(rng, text)
+        try:
+            parse(kind, edited, str(sgp_dir))
+        except (ValueError, OSError):
+            pass

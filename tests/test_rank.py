@@ -256,6 +256,62 @@ def test_element_d_type_matches_lifting():
             assert elem == lift
 
 
+def reference_element_d_type(s, elements, d, subsets=()):
+    """The former body of ``rank.element_d_type``, which built its own atoms
+    over singleton and subset coordinates."""
+    elements = tuple(elements)
+    coords = [frozenset((a,)) for a in elements] + [
+        frozenset(i for i in range(s.universe_size) if z >> i & 1) for z in subsets
+    ]
+    if d == 0:
+        k = len(coords)
+        facts = set()
+        for name, arity in s.vocabulary.relations:
+            rel = s.relation(name)
+            for idx in itertools.product(range(k), repeat=arity):
+                picked = [coords[i] for i in idx]
+                if all(len(c) == 1 for c in picked):
+                    t = tuple(next(iter(c)) for c in picked)
+                    if t in rel:
+                        facts.add(("rel", name, idx))
+        for i in range(k):
+            for j in range(k):
+                if coords[i] <= coords[j]:
+                    facts.add(("subseteq", i, j))
+                if coords[i] == coords[j]:
+                    facts.add(("eq", i, j))
+        return ("atoms", frozenset(facts))
+    below = reference_element_d_type(s, elements, d - 1, subsets)
+    reachable = frozenset(
+        reference_element_d_type(s, elements, d - 1, subsets + (z,))
+        for z in range(1 << s.universe_size)
+    )
+    return ("step", below, reachable)
+
+
+@st.composite
+def small_structures(draw):
+    """Binary, or ternary and unary, structures on 1 to 3 elements."""
+    n = draw(st.integers(1, 3))
+    vocab = draw(st.sampled_from([EDGE, Vocabulary((("T", 3), ("U", 1)))]))
+    element = st.integers(0, n - 1)
+    return Structure.make(vocab, n, {
+        name: draw(st.sets(st.tuples(*[element] * arity), max_size=6))
+        for name, arity in vocab.relations
+    })
+
+
+@given(small_structures(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_element_d_type_is_the_lifted_monadic_type(s, data):
+    n = s.universe_size
+    elements = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+    subsets = tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1)))
+    d = data.draw(st.integers(0, 1))
+    got = element_d_type(s, elements, d, subsets)
+    assert got == reference_element_d_type(s, elements, d, subsets)
+
+
 def linear_order_structure(n):
     LE = Vocabulary((("le", 2),))
     tuples = {(i, j) for i in range(n) for j in range(n) if i <= j}

@@ -58,6 +58,13 @@ def test_validate_rejects_bad_unit():
         validate([[0, 0], [0, 0]], unit=0)
 
 
+@pytest.mark.parametrize("unit", [2, 5, -1, -2])
+def test_validate_rejects_unit_out_of_range(unit):
+    # -2 used to index the table from the end and pass the unit laws of Z/2
+    with pytest.raises(ValueError, match=f"^unit {unit} out of range$"):
+        validate([[0, 1], [1, 0]], unit=unit)
+
+
 def test_associative_table_counts():
     counts = [sum(1 for s in associative_tables(k) if s.size == k) for k in (1, 2, 3)]
     assert counts == [1, 8, 113]
