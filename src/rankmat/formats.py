@@ -138,32 +138,39 @@ def write_structure(s: Structure) -> str:
 # .tree
 
 
-def _parse_sexpr(tokens: list, pos: int, leaves: list, family: list):
-    """Parse the node at ``tokens[pos]``, appending its leaf names to
+def _parse_sexpr(tokens: list, leaves: list, family: list) -> int:
+    """Parse the node at ``tokens[0]``, appending its leaf names to
     ``leaves`` and the leaf names below each of its nodes to ``family``;
-    returns the position after it."""
-    token = tokens[pos]
-    if token == ")":
+    returns the position after it.  Open nodes wait on an explicit stack,
+    so nesting depth is not bounded by the recursion limit."""
+    if tokens[0] == ")":
         raise ValueError("unbalanced ')' in tree expression")
-    start = len(leaves)
-    if token != "(":
-        leaves.append(token)
-        pos += 1
-    else:
-        if tokens[pos + 1:pos + 2] != ["u"]:
-            raise ValueError("node must start with 'u'")
-        pos += 2
-        children = 0
-        while pos < len(tokens) and tokens[pos] != ")":
-            pos = _parse_sexpr(tokens, pos, leaves, family)
-            children += 1
-        if pos >= len(tokens):
-            raise ValueError("unbalanced '(' in tree expression")
-        if children < 2:
-            raise ValueError("internal nodes need at least two children")
-        pos += 1
-    family.append(range(start, len(leaves)))
-    return pos
+    open_nodes: list = []  # [first leaf, children so far] of each unclosed node
+    pos = 0
+    while True:
+        if open_nodes:
+            open_nodes[-1][1] += 1
+        if tokens[pos] == "(":
+            if tokens[pos + 1:pos + 2] != ["u"]:
+                raise ValueError("node must start with 'u'")
+            open_nodes.append([len(leaves), 0])
+            pos += 2
+        else:
+            leaves.append(tokens[pos])
+            family.append(range(len(leaves) - 1, len(leaves)))
+            pos += 1
+        while open_nodes:
+            if pos >= len(tokens):
+                raise ValueError("unbalanced '(' in tree expression")
+            if tokens[pos] != ")":
+                break
+            start, children = open_nodes.pop()
+            if children < 2:
+                raise ValueError("internal nodes need at least two children")
+            family.append(range(start, len(leaves)))
+            pos += 1
+        if not open_nodes:
+            return pos
 
 
 def parse_tree(text: str) -> LaminarTree:
@@ -173,9 +180,10 @@ def parse_tree(text: str) -> LaminarTree:
         raise ValueError("empty tree expression")
     leaves: list = []
     family: list = []
-    if _parse_sexpr(tokens, 0, leaves, family) != len(tokens):
+    if _parse_sexpr(tokens, leaves, family) != len(tokens):
         raise ValueError("trailing tokens after the tree expression")
-    if all(name.isdigit() for name in leaves):
+    # str.isdigit alone accepts digits such as '²' that int() rejects
+    if all(name.isascii() and name.isdigit() for name in leaves):
         leaves = list(map(int, leaves))
     if len(set(leaves)) != len(leaves):
         raise ValueError("duplicate leaf names")
@@ -183,13 +191,22 @@ def parse_tree(text: str) -> LaminarTree:
 
 
 def write_tree(t: LaminarTree) -> str:
-    def emit(node: frozenset) -> str:
-        if len(node) == 1:
-            (leaf,) = node
-            return str(leaf)
-        return "(u " + " ".join(emit(c) for c in t.children(node)) + ")"
-
-    return emit(t.root()) + "\n"
+    out = []
+    stack: list = [t.root()]  # nodes still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif len(item) == 1:
+            (leaf,) = item
+            out.append(str(leaf))
+        else:
+            parts = ["(u "]
+            for child in t.children(item):
+                parts += [child, " "]
+            parts[-1] = ")"
+            stack.extend(reversed(parts))
+    return "".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ a nested frozenset value.  ``monadic_type_matrix`` does not build those
 values: it interns each depth-d type of a structure as a small int, memoised
 per subset tuple and kept for the last structure seen, so the matrices of
 one EF comparison and the subsets X of one structure share their work.
+The atoms a new coordinate z adds are read from fact columns, one per atom
+with its value for every z, cached by the head values the atom depends on.
+A depth-1 type is keyed by its atoms and the set of new-fact rows of its
+one-step extensions, so no extension is interned on the way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
@@ -237,63 +242,110 @@ def element_d_type(s: Structure, elements: Sequence[int], d: int, subsets: tuple
     return monadic_d_type(singleton_lifting(s), lifted, d)
 
 
+class _Numbering(dict):
+    """Numbers keys 0, 1, 2, ... in order of first lookup: ``numbering[key]``
+    is the key's number, new or old."""
+
+    def __missing__(self, key):
+        value = self[key] = len(self)
+        return value
+
+
 class _MonadicTyper:
     """Hash-consed monadic types of one structure: each depth-d type of a
     subset tuple is interned as a small int, and two tuples get the same id
     exactly when ``monadic_d_type`` gives them equal values.
 
+    The facts of ``head + (z,)`` that involve its last coordinate are read
+    from fact columns: one column per atom, holding that atom's value for
+    every subset z, so ``zip(*columns)`` gives the new facts of every
+    one-step extension of ``head`` at once.  A relation atom's column
+    depends only on the head values at the atom's other positions, an
+    inclusion pair's column on one head value and a residue's on nothing,
+    so the columns are cached by those values and shared by every head.
+
     Depth 0 grows one coordinate at a time: the atoms of ``head + (z,)`` are
-    the atoms of ``head`` plus the facts that involve the new coordinate, so
-    they intern as ``(atom id of head, new facts)``.  Depth d interns as
-    ``(depth d-1 id, frozenset of depth d-1 ids one subset further)``.  Ids
-    come from one counter, so an id names one type at one depth.
+    the atoms of ``head`` plus its new facts, so they intern as ``(atom id
+    of head, new facts)``.  For a fixed tuple that key is injective in the
+    new facts, so depth 1 interns as ``(atom id, frozenset of the new facts
+    of every extension)`` without an id for any extension.  Each distinct
+    row of new facts is stored once, in ``_rows``, and the frozenset holds
+    its number.  Depth d >= 2 interns as ``(depth d-1 id, frozenset of depth
+    d-1 ids one subset further)``.  Ids come from one counter, so an id
+    names one type at one depth.
     """
 
     def __init__(self, ms: MonadicStructure, residues: tuple):
         self.ms = ms
-        self.residues = residues
-        self._ids: dict = {}
-        self._memo: dict = {((), 0): self._intern(())}
+        self._ids = _Numbering()
+        self._memo: dict = {((), 0): self._ids[()]}
         self._rel_atoms: dict = {}
-
-    def _intern(self, key) -> int:
-        return self._ids.setdefault(key, len(self._ids))
+        self._rel_columns: dict = {}
+        self._inclusion_columns: dict = {}
+        self._rows = _Numbering()
+        self._residue_columns = [tuple(z.bit_count() % q for z in ms.subsets())
+                                 for q in residues]
 
     def type_id(self, subsets: tuple, d: int) -> int:
         found = self._memo.get((subsets, d))
         if found is None:
             if d == 0:
-                head = subsets[:-1]
-                key = (self.type_id(head, 0), self._new_facts(head, subsets[-1]))
+                head, z = subsets[:-1], subsets[-1]
+                key = (self.type_id(head, 0),
+                       tuple([column[z] for column in self._columns(head)]))
+            elif d == 1:
+                columns = self._columns(subsets)
+                rows = zip(*columns) if columns else [()]
+                key = (self.type_id(subsets, 0), frozenset(map(self._rows.__getitem__, rows)))
             else:
                 key = (self.type_id(subsets, d - 1), frozenset(
                     self.type_id(subsets + (z,), d - 1) for z in self.ms.subsets()
                 ))
-            found = self._memo[(subsets, d)] = self._intern(key)
+            found = self._memo[(subsets, d)] = self._ids[key]
         return found
 
-    def _new_facts(self, head: tuple, z: int) -> tuple:
-        """The atoms of ``head + (z,)`` that involve its last coordinate, in
-        a fixed order for each length.  Equality with an earlier coordinate
-        is inclusion both ways, and the new coordinate's inclusion in and
-        equality with itself always hold, so neither is stored."""
-        row = head + (z,)
-        facts = [tuple(row[i] for i in idx) in tuples
-                 for tuples, idx in self._relation_atoms(len(head))]
-        for x in head:
-            facts.append(x & ~z == 0)
-            facts.append(z & ~x == 0)
-        facts.extend(z.bit_count() % q for q in self.residues)
-        return tuple(facts)
+    def _columns(self, head: tuple) -> list:
+        """The fact columns of ``head``, in a fixed order for each length:
+        entry z of the columns is the new facts of ``head + (z,)``.
+        Equality with an earlier coordinate is inclusion both ways, and the
+        new coordinate's inclusion in and equality with itself always hold,
+        so neither has a column."""
+        row = head + (None,)
+        columns = [self._relation_column(r, tuple([row[i] for i in idx]))
+                   for r, idx in self._relation_atoms(len(head))]
+        columns.extend(self._inclusion_column(x) for x in head)
+        columns.extend(self._residue_columns)
+        return columns
+
+    def _relation_column(self, r: int, pattern: tuple) -> tuple:
+        """Whether relation r holds of ``pattern`` with each None replaced
+        by z, for every subset z."""
+        column = self._rel_columns.get((r, pattern))
+        if column is None:
+            tuples = self.ms.relations[r][2]
+            column = self._rel_columns[(r, pattern)] = tuple(
+                tuple(z if x is None else x for x in pattern) in tuples
+                for z in self.ms.subsets()
+            )
+        return column
+
+    def _inclusion_column(self, x: int) -> tuple:
+        """Whether x ⊆ z (bit 0) and z ⊆ x (bit 1), for every subset z."""
+        column = self._inclusion_columns.get(x)
+        if column is None:
+            column = self._inclusion_columns[x] = tuple(
+                (x & ~z == 0) | (z & ~x == 0) << 1 for z in self.ms.subsets()
+            )
+        return column
 
     def _relation_atoms(self, k: int) -> list:
-        """(relation tuples, coordinate indices) for the relation atoms of a
+        """(relation index, coordinate indices) for the relation atoms of a
         (k+1)-tuple that mention coordinate k."""
         atoms = self._rel_atoms.get(k)
         if atoms is None:
             atoms = self._rel_atoms[k] = [
-                (tuples, idx)
-                for _, arity, tuples in self.ms.relations
+                (r, idx)
+                for r, (_, arity, _) in enumerate(self.ms.relations)
                 for idx in product(range(k + 1), repeat=arity)
                 if k in idx
             ]
@@ -335,14 +387,8 @@ def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
     rows = tuple(product(tuple(submasks(inside)), repeat=m))
     cols = tuple(product(tuple(submasks(outside)), repeat=m))
     type_id = _typer_for(ms, residues).type_id
-    numbers: dict = {}
-    table = tuple(
-        tuple(
-            numbers.setdefault(type_id(tuple(a | b for a, b in zip(r, c)), d), len(numbers))
-            for c in cols
-        )
-        for r in rows
-    )
+    numbers = _Numbering()
+    table = tuple(tuple(numbers[type_id(tuple(map(or_, r, c)), d)] for c in cols) for r in rows)
     return MonadicTypeMatrix(X, d, m, rows, cols, table, tuple(numbers))
 
 

@@ -1,7 +1,9 @@
 """The text formats: the exact message of every rejection, round trips, and
 small random edits of valid files."""
+import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -229,6 +231,40 @@ def laminar_trees(draw):
 @given(laminar_trees())
 def test_tree_round_trip(t):
     assert formats.parse_tree(formats.write_tree(t)) == t
+
+
+def caterpillar(depth: int) -> str:
+    """``(u depth (u depth-1 ... (u 1 0)))``: one internal node per level."""
+    text = "0"
+    for i in range(1, depth + 1):
+        text = f"(u {i} {text})"
+    return text
+
+
+def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    depth = 300
+    path = tmp_path / "caterpillar.tree"
+    path.write_text(caterpillar(depth) + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth // 2)
+    try:
+        t = formats.parse_tree(path.read_text())
+        written = formats.write_tree(t)
+        code = main(["--json", "tree", "validate", str(path)])
+    finally:
+        sys.setrecursionlimit(limit)
+    counts = {"leaves": depth + 1, "nodes": 2 * depth + 1}
+    assert {"leaves": len(t.leaves), "nodes": len(t.nodes)} == counts
+    assert formats.parse_tree(written) == t
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["data"] == counts
+
+
+def test_tree_leaf_names_with_non_ascii_digits_stay_strings():
+    # '²'.isdigit() is true, but int('²') fails
+    t = formats.parse_tree("(u ² 0)")
+    assert t.leaves == frozenset({"²", "0"})
+    assert formats.parse_tree("(u 2 0)").leaves == frozenset({2, 0})
 
 
 def _with_units():

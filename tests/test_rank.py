@@ -409,7 +409,12 @@ def monadic_structures(draw):
     mask = st.integers(0, (1 << n) - 1)
     unary = draw(st.frozensets(st.tuples(mask), max_size=4))
     binary = draw(st.frozensets(st.tuples(mask, mask), max_size=6))
-    return MonadicStructure(n, (("U", 1, unary), ("R", 2, binary)))
+    # half the triples repeat their first coordinate, so that atoms fixing
+    # one head coordinate twice can hold
+    triple = st.builds(lambda a, b, c, repeat: (a, a if repeat else b, c),
+                       mask, mask, mask, st.booleans())
+    ternary = draw(st.frozensets(triple, max_size=6))
+    return MonadicStructure(n, (("U", 1, unary), ("R", 2, binary), ("T", 3, ternary)))
 
 
 residue_choices = st.sampled_from([(), (2,)])
@@ -434,14 +439,24 @@ def nested_rows(ms, X, d, m, residues):
 @small_ef
 @given(monadic_structures(), residue_choices, st.integers(0, 2))
 def test_interned_ids_match_nested_types(ms, residues, d):
-    # tuples of lengths 0..2 (0..1 at depth 2, where nesting is slow)
+    # tuples of lengths 0..2, 0..3 at depth 1 and 0..1 at depth 2, where
+    # nesting is slow
     typer = rank._MonadicTyper(ms, residues)
-    lengths = range(3 if d < 2 else 2)
+    lengths = range({0: 3, 1: 4, 2: 2}[d])
     pairs = {
         (typer.type_id(t, d), monadic_d_type(ms, t, d, residues))
         for k in lengths for t in itertools.product(ms.subsets(), repeat=k)
     }
     assert len({i for i, _ in pairs}) == len(pairs) == len({ty for _, ty in pairs})
+
+
+@small_ef
+@given(monadic_structures(), residue_choices)
+def test_interned_ids_name_one_depth(ms, residues):
+    typer = rank._MonadicTyper(ms, residues)
+    tuples = [t for k in range(2) for t in itertools.product(ms.subsets(), repeat=k)]
+    ids = [{typer.type_id(t, d) for t in tuples} for d in range(3)]
+    assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
 
 
 @small_ef
