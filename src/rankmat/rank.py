@@ -167,6 +167,11 @@ class Graph:
     def make(n: int, edges: Iterable) -> "Graph":
         return Graph(n, frozenset(frozenset(e) for e in edges))
 
+    @property
+    def universe_size(self) -> int:
+        """The vertex count, under the name structures use for theirs."""
+        return self.n
+
     def adjacent(self, u: int, v: int) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -460,8 +465,7 @@ def reference_rank(kind: str, s, X: Iterable[int]) -> int:
 
         return len(blocks(s, X))
     if kind == "grid":
-        n = s.n if isinstance(s, Graph) else s.universe_size
-        return min(len(X), n - len(X))
+        return min(len(X), s.universe_size - len(X))
     raise ValueError(f"unknown reference kind {kind!r}")
 
 

@@ -158,12 +158,6 @@ def _rank_of(obj, X) -> int:
     return distinct_row_rank(obj, X, 1)
 
 
-def _universe_size(obj) -> int:
-    if isinstance(obj, Graph):
-        return obj.n
-    return obj.universe_size
-
-
 def _sampled_masks(n: int, budget: int):
     """Subsets of n positions as bitmasks: all 2^n in order when they fit
     the budget, else the sorted distinct values of ``budget`` draws seeded
@@ -194,8 +188,8 @@ def rank_decreasing_report(pairs: Sequence[tuple]) -> dict:
     tables = []
     flagged = []
     for index, (inp, out) in enumerate(pairs):
-        n = _universe_size(inp)
-        if n != _universe_size(out):
+        n = inp.universe_size
+        if n != out.universe_size:
             raise ValueError(f"pair {index}: universes differ")
         masks = _sampled_masks(n, _RANK_DECREASING_SUBSETS)
         table: dict = {}
@@ -218,7 +212,7 @@ def subforest_criterion(pairs: Sequence[tuple]) -> int:
     in the output structure."""
     best = 0
     for tree, out in pairs:
-        if tree.leaves != frozenset(range(_universe_size(out))):
+        if tree.leaves != frozenset(range(out.universe_size)):
             raise ValueError("tree leaves must equal the output universe")
         for X in subforests(tree):
             best = max(best, _rank_of(out, X))

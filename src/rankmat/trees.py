@@ -1,14 +1,14 @@
 """Laminar trees, ternary encoding, subforests, orientations, and widths.
 
 A laminar tree is a family of leaf subsets containing every singleton and
-the full leaf set, any two members nested or disjoint.  By default every
-internal node must have at least two children.
+the full leaf set, any two members nested or disjoint.  Since every
+singleton is a node, every internal node has at least two children.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import caps
@@ -48,24 +48,34 @@ TERNARY = Vocabulary((("T", 3),))
 
 class _TreeIndex:
     """Lookups built once per tree: nodes by size, each node's parent (its
-    smallest strict superset) and children, and the internal nodes.  In a
-    laminar family the nodes whose parent is Y are exactly the maximal
-    proper subnodes of Y."""
+    smallest strict superset) and children, each leaf's owner (its smallest
+    node), and the internal nodes.  One pass takes the nodes largest first;
+    a node's parent is the one owner so far of its leaves.  If they have
+    two owners, one not containing the node crosses it, since no earlier
+    node is a subset of it."""
 
     def __init__(self, nodes: frozenset):
         # stable, so nodes of one size keep the family's iteration order
         self.by_size = sorted(nodes, key=len)
         self.parent: dict = {}
         self.children: dict = {node: [] for node in nodes}
-        for i, node in enumerate(self.by_size):
-            up = next((x for x in self.by_size[i + 1:] if node < x), None)
+        self.owner: dict = {}
+        for node in reversed(self.by_size):
+            owners = set(map(self.owner.get, node))
+            if len(owners) > 1:
+                other = next(o for o in owners if o is not None and not node <= o)
+                raise ValueError(f"crossing nodes {set(node)} and {set(other)}")
+            up = owners.pop() if owners else None
             self.parent[node] = up
             if up is not None:
                 self.children[up].append(node)
+            self.owner.update(dict.fromkeys(node, node))
+        # siblings, and nodes of one size, are disjoint: the least leaf
+        # orders them as their sorted leaf lists would
         for kids in self.children.values():
-            kids.sort(key=sorted)
+            kids.sort(key=min)
         self.internal = sorted(
-            (x for x in nodes if len(x) > 1), key=lambda x: (len(x), sorted(x))
+            (x for x in nodes if len(x) > 1), key=lambda x: (len(x), min(x))
         )
 
     @cached_property
@@ -109,11 +119,16 @@ class LaminarTree:
         return self._index.parent[node]
 
     def least_node_containing(self, xs: Iterable) -> frozenset:
+        """The smallest node containing xs, up the parent links from the
+        owner of one of them; the first smallest node for no xs."""
         xs = set(xs)
-        for node in self._index.by_size:
-            if xs <= node:
-                return node
-        raise ValueError(f"no node contains {xs}")
+        index = self._index
+        node = index.owner.get(next(iter(xs))) if xs else next(iter(index.by_size), None)
+        while node is not None and not xs <= node:
+            node = index.parent[node]
+        if node is None:
+            raise ValueError(f"no node contains {xs}")
+        return node
 
 
 def validate_tree(family: Iterable[Iterable],
@@ -134,27 +149,22 @@ def validate_tree(family: Iterable[Iterable],
             raise ValueError("empty set is not a node")
         if not node <= leaves:
             raise ValueError(f"node {set(node)} contains non-leaves")
-    for a, b in combinations(nodes, 2):
-        if a & b and not (a <= b or b <= a):
-            raise ValueError(f"crossing nodes {set(a)} and {set(b)}")
     tree = LaminarTree(leaves, nodes)
-    for node in tree.internal_nodes():
-        if len(tree.children(node)) < 2:
-            raise ValueError(f"unary node {set(node)}")
+    tree._index  # building the index raises on crossing nodes
     return tree
 
 
 def ternary_encode(t: LaminarTree) -> Structure:
-    """Structure with T(x,y,z) iff z lies in the least node containing x,y."""
+    """Structure with T(x,y,z) iff z lies in the least node containing x,y:
+    x itself if x = y, else the node where x, y lie in distinct children."""
     leaves = sorted(t.leaves)
     if leaves != list(range(len(leaves))):
         raise ValueError("ternary encoding needs leaves 0..n-1")
-    rel = set()
-    for x in leaves:
-        for y in leaves:
-            node = t.least_node_containing((x, y))
-            for z in node:
-                rel.add((x, y, z))
+    rel = {(x, x, x) for x in leaves}
+    index = t._index
+    for node in index.internal:
+        for a, b in permutations(index.children[node], 2):
+            rel.update(product(a, b, node))
     return Structure.make(TERNARY, len(leaves), {"T": rel})
 
 
@@ -164,13 +174,10 @@ def ternary_decode(s: Structure) -> LaminarTree:
     name = s.vocabulary.relations[0][0]
     rel = s.relation(name)
     n = s.universe_size
-    family = set()
-    for x in range(n):
-        for y in range(n):
-            node = frozenset(z for z in range(n) if (x, y, z) in rel)
-            if node:
-                family.add(node)
-    tree = validate_tree(family, leaves=range(n))
+    nodes: dict = {}
+    for x, y, z in rel:
+        nodes.setdefault((x, y), set()).add(z)
+    tree = validate_tree(nodes.values(), leaves=range(n))
     if ternary_encode(tree).relation("T") != rel:
         raise ValueError("relation is not a ternary tree encoding")
     return tree
@@ -194,14 +201,13 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
     some child Y' leaves X trivial on Y minus Y'; interesting otherwise.
     """
     X = frozenset(X)
+    children = t._index.children
     interesting = set()
     for node in t.nodes:
-        if len(node) == 1:
-            continue
-        if not _cuts(X, node):
+        if len(node) == 1 or not _cuts(X, node):
             continue
         dull = False
-        for child in t.children(node):
+        for child in children[node]:
             rest = node - child
             inter = X & rest
             if not inter or inter == rest:
@@ -216,9 +222,8 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
         chain[node] = 1 + max((chain[x] for x in chain if x < node), default=0)
     ell = max(chain.values(), default=0)
     d = 0
-    for node in t.internal_nodes():
-        kids = t.children(node)
-        d = max(d, sum(1 for k in kids if k in interesting))
+    for node in t._index.internal:
+        d = max(d, sum(1 for k in children[node] if k in interesting))
     return frozenset(interesting), ell, d
 
 
@@ -418,19 +423,12 @@ def document_preorder(pt: PartiallyOrderedTree) -> frozenset:
     """Pairs (x, y) with x <= y: reflexive pairs plus pairs whose least
     common ancestor is ordered with x's child before y's child."""
     t = pt.tree
+    kinds, orders = dict(pt.kinds), dict(pt.orders)
     pairs = {(x, x) for x in t.leaves}
-    for x in t.leaves:
-        for y in t.leaves:
-            if x == y:
-                continue
-            lca = t.least_node_containing((x, y))
-            if pt.kind(lca) != "ordered":
-                continue
-            order = pt.order(lca)
-            ix = next(i for i, c in enumerate(order) if x in c)
-            iy = next(i for i, c in enumerate(order) if y in c)
-            if ix < iy:
-                pairs.add((x, y))
+    for node in t._index.internal:
+        if kinds[node] == "ordered":
+            for a, b in combinations(orders[node], 2):
+                pairs.update(product(a, b))
     return frozenset(pairs)
 
 
@@ -619,9 +617,7 @@ def all_tree_shapes(n: int) -> Iterable[LaminarTree]:
 
 def rankwidth(s, rank_fn: Callable):
     """Exhaustive minimum over laminar trees of the maximal node rank."""
-    from .rank import Graph
-
-    n = s.n if isinstance(s, Graph) else s.universe_size
+    n = s.universe_size
     cap = caps.get("rankwidth_universe")
     if n > cap:
         raise caps.CapExceeded(f"rankwidth universe {n} exceeds cap {cap}")

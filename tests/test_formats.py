@@ -241,8 +241,8 @@ def caterpillar(depth: int) -> str:
     return text
 
 
-def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
-    depth = 300
+@pytest.mark.parametrize("depth", [300, 2000])
+def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys, depth):
     path = tmp_path / "caterpillar.tree"
     path.write_text(caterpillar(depth) + "\n")
     limit = sys.getrecursionlimit()

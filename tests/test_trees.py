@@ -1,4 +1,6 @@
+import ast
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,13 +88,11 @@ def test_validate_missing_singleton():
 
 
 def test_validate_crossing():
-    with pytest.raises(ValueError):
+    # every singleton is a node, so no node is unary: {0, 1} can lose its
+    # child {1} only to a node that crosses it
+    pair = r"(\{0, 1\} and \{1, 2\}|\{1, 2\} and \{0, 1\})"
+    with pytest.raises(ValueError, match=f"^crossing nodes {pair}$"):
         validate_tree([f(0), f(1), f(2), f(0, 1), f(1, 2), f(0, 1, 2)])
-
-
-def test_validate_unary():
-    with pytest.raises(ValueError):
-        validate_tree([f(0), f(1), f(0, 1), f(0, 1, 2), f(2)][:4] + [f(2), f(1, 2)] )
 
 
 def test_ternary_encode_two_leaves():
@@ -499,6 +499,29 @@ def reference_ell(interesting):
     return max((chain_from(node) for node in interesting), default=0)
 
 
+def reference_interesting(t, X):
+    """Interesting nodes by their definition, one set difference per
+    child: X cuts Y, and X is nontrivial on Y minus each child."""
+    X = frozenset(X)
+
+    def nontrivial(Y):
+        return bool(X & Y) and X & Y != Y
+
+    return {node for node in t.nodes if len(node) > 1 and nontrivial(node)
+            and all(nontrivial(node - kid) for kid in brute_children(t, node))}
+
+
+@settings(deadline=None)
+@given(random_trees(), st.data())
+def test_interesting_analysis_matches_definition(t, data):
+    X = data.draw(st.sets(st.sampled_from(sorted(t.leaves))))
+    interesting, ell, d = interesting_analysis(t, X)
+    assert interesting == reference_interesting(t, X)
+    assert ell == reference_ell(interesting)
+    assert d == max((sum(kid in interesting for kid in brute_children(t, node))
+                     for node in t.nodes), default=0)
+
+
 @settings(deadline=None)
 @given(random_trees(), st.data())
 def test_chain_dp_matches_recursive_reference(t, data):
@@ -524,3 +547,98 @@ def test_chain_dp_counts_nested_nodes_only():
     family = [f(x) for x in range(9)] + [f(0, 1, 2, 3), f(4, 5, 6, 7, 8), f(*range(9))]
     interesting, ell, d = interesting_analysis(validate_tree(family), {0, 1, 4, 5})
     assert len(interesting) == 3 and ell == reference_ell(interesting) == 2 and d == 2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass index, encoding and preorder against the pairwise and
+# least-common-ancestor definitions they replaced
+
+
+def reference_crossings(nodes):
+    """Every pair of nodes that meet without nesting: the pairwise scan
+    validate_tree made before the index found crossings."""
+    return [(a, b) for a, b in itertools.combinations(nodes, 2)
+            if a & b and not (a <= b or b <= a)]
+
+
+def reference_ternary_encode(t):
+    """T(x, y, z) for z in the least node containing x and y, found by a
+    scan of all nodes for each pair."""
+    return {(x, y, z) for x in t.leaves for y in t.leaves
+            for z in brute_least_node_containing(t, (x, y))}
+
+
+def reference_document_preorder(pt):
+    """(x, y) for x = y, or for x's child before y's at their least common
+    ancestor when that node is ordered."""
+    t = pt.tree
+    pairs = {(x, x) for x in t.leaves}
+    for x in t.leaves:
+        for y in t.leaves:
+            lca = brute_least_node_containing(t, (x, y))
+            if x != y and pt.kind(lca) == "ordered":
+                order = pt.order(lca)
+                ix = next(i for i, c in enumerate(order) if x in c)
+                iy = next(i for i, c in enumerate(order) if y in c)
+                if ix < iy:
+                    pairs.add((x, y))
+    return pairs
+
+
+def named_crossing(message):
+    match = re.fullmatch(r"crossing nodes (\{.*\}) and (\{.*\})", message)
+    assert match, message
+    return frozenset(ast.literal_eval(match[1])), frozenset(ast.literal_eval(match[2]))
+
+
+@settings(deadline=None)
+@given(random_trees(max_leaves=8), st.data())
+def test_validate_accepts_exactly_the_laminar_families(t, data):
+    # a tree's nodes plus one to three random subsets, which often cross
+    extra = data.draw(st.lists(st.frozensets(st.sampled_from(sorted(t.leaves)), min_size=1),
+                               min_size=1, max_size=3))
+    nodes = t.nodes | frozenset(extra)
+    family = data.draw(st.permutations(sorted(nodes, key=sorted)))
+    if not reference_crossings(nodes):
+        tree = validate_tree(family)
+        assert tree.nodes == nodes
+        assert_index_matches_bruteforce(tree)
+        return
+    with pytest.raises(ValueError, match="^crossing nodes ") as raised:
+        validate_tree(family)
+    a, b = named_crossing(str(raised.value))
+    assert (a, b) in reference_crossings([a, b]) and {a, b} <= nodes
+    # built directly, the same family raises on its first index use
+    with pytest.raises(ValueError, match="^crossing nodes "):
+        LaminarTree(t.leaves, nodes).children(t.root())
+
+
+def test_validate_names_a_crossing_pair_among_nested_nodes():
+    # {1, 2} is inside {0, 1, 2} but crosses {0, 1}: the pair named is the
+    # crossing one, not the enclosing node
+    family = [f(x) for x in range(4)] + [f(0, 1, 2), f(0, 1), f(1, 2), f(0, 1, 2, 3)]
+    with pytest.raises(ValueError) as raised:
+        validate_tree(family)
+    assert set(named_crossing(str(raised.value))) == {f(0, 1), f(1, 2)}
+
+
+@settings(deadline=None)
+@given(random_trees())
+def test_ternary_encode_matches_least_common_ancestor_reference(t):
+    enc = ternary_encode(t)
+    assert enc.relation("T") == reference_ternary_encode(t)
+    assert ternary_decode(enc) == t
+
+
+@settings(deadline=None)
+@given(random_trees(), st.data())
+def test_document_preorder_matches_least_common_ancestor_reference(t, data):
+    kinds, orders = [], []
+    for node in t.internal_nodes():
+        if data.draw(st.booleans()):
+            kinds.append((node, "ordered"))
+            orders.append((node, tuple(data.draw(st.permutations(t.children(node))))))
+        else:
+            kinds.append((node, "unordered"))
+    pt = PartiallyOrderedTree(t, tuple(kinds), tuple(orders))
+    assert document_preorder(pt) == reference_document_preorder(pt)
