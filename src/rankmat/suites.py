@@ -314,21 +314,29 @@ def _tree_corpus(full_leaves: int, shape_leaves: int):
 @_suite("trees")
 def suite_trees():
     """decode(encode) identity; ternary cut-rank >= the interesting-child
-    count; min_boolean_combination = 1 exactly on subforests and their
+    count d; min_boolean_combination = 1 exactly on subforests and their
     complements (complement is one of the allowed boolean operations).
-    All labeled trees <= 6 leaves for the identity, <= 5 for the rank
+    All labeled trees <= 6 leaves for the identity, <= 5 for the other
     checks, plus all 6- and 7-leaf shapes (the full labeled 7-leaf sweep
-    exceeds the time budget).  One pass enumerates each tree once: the
-    6-leaf shapes are the labeled 6-leaf trees that get the rank checks,
-    under their shape label."""
+    exceeds the time budget); the 8-leaf shapes get the rank check only.
+    One pass enumerates each tree once: the 6-leaf shapes are the labeled
+    6-leaf trees that get the other checks, under their shape label.
+
+    The rank is read at m = 2 where d >= 2: at m = 1 all cells of a
+    nonempty X have one type, so its rank is 1 and the check could not
+    fail.  m = 2 is the next m, and the bound held there on every d = 2
+    pair of the 8- and 9-leaf shapes.  Where d <= 1 the check stays at
+    m = 1."""
     shape6 = {t: f"shape6-{i}" for i, t in enumerate(all_tree_shapes(6))}
-    instances = 0
-    for label, t in _tree_corpus(6, 7):
+    shapes8 = ((f"shape8-{i}", t) for i, t in enumerate(all_tree_shapes(8)))
+    instances = d_ge_2 = 0
+    for label, t in itertools.chain(_tree_corpus(6, 7), shapes8):
         enc = ternary_encode(t)
-        instances += 1
-        if ternary_decode(enc) != t:
-            yield label, {"nodes": _nodes(t)}
         n = len(t.leaves)
+        if n < 8:
+            instances += 1
+            if ternary_decode(enc) != t:
+                yield label, {"nodes": _nodes(t)}
         if n == 6:
             if t not in shape6:
                 continue
@@ -338,12 +346,15 @@ def suite_trees():
         for X in subsets(range(n)):
             _, _, d = interesting_analysis(t, X)
             instances += 1
-            if distinct_row_rank(enc, X) < d:
+            d_ge_2 += d >= 2
+            if distinct_row_rank(enc, X, 2 if d >= 2 else 1) < d:
                 yield label, {"subset": sorted(X), "d": d, "nodes": _nodes(t)}
+            if n == 8:
+                continue
             one = min_boolean_combination(t, X, limit=1) == 1
             if one != (X in level1):
                 yield label, {"subset": sorted(X), "bool_one": one, "nodes": _nodes(t)}
-    return {"instances": instances}
+    return {"instances": instances, "d_ge_2": d_ge_2}
 
 
 @_suite("orientation")

@@ -9,7 +9,9 @@ Pinned scales (all enumerations deterministic, seeds fixed in suites.py):
   3  3x3 and 4x4 grids, all subsets with |X| <= n^2/2
   4  all binary structures n <= 3 + seeded 800-structure n=4 sample
   5  monadic structures: exhaustive principal n <= 3 + seeded extras + n=4 sample
-  6  labeled trees <= 6 leaves (identity) / <= 5 (rank checks) + all 6-7 leaf shapes
+  6  labeled trees <= 6 leaves (identity) / <= 5 (rank and subforest checks) + all
+     6-7 leaf shapes + all 8-leaf shapes (rank check only); the rank at m = 2
+     where d >= 2, and d_ge_2 > 0 (at m = 1 every rank is at most 1)
   7  all tree shapes <= 9 leaves
   8  all associative tables size <= 3 + curated size-4 family, k <= 4
   9  same corpus filtered to product-closed tables, budget 6
@@ -33,7 +35,8 @@ CRITERIA = [
     (3, "grid-sandwich", {"failures": 0, "instances": 39457, "tighter_violations": 0}),
     (4, "rank-sandwich", {"failures": 0, "instances": 16964}),
     (5, "ef-bound", {"failures": 0, "instances": 528}),
-    (6, "trees", {"failures": 0, "instances": 24748}),
+    # d_ge_2 > 0: the rank check meets trees where m = 1 would fail it
+    (6, "trees", {"d_ge_2": 132, "failures": 0, "instances": 91564}),
     (7, "orientation", {"failures": 0, "instances": 1172}),
     (8, "semigroups", {"almost_commutative": 123, "failures": 0, "instances": 129}),
     (9, "finitary-generator", {"failures": 0, "instances": 82}),
