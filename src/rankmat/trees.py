@@ -6,9 +6,11 @@ singleton is a node, every internal node has at least two children.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, permutations, product
+from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import caps
@@ -33,13 +35,10 @@ __all__ = [
     "branching",
     "blocks",
     "rankwidth",
-    "decomposition_width",
     "all_laminar_trees",
     "set_partitions",
     "all_tree_shapes",
     "orientation_is_valid",
-    "has_complete_binary_minor",
-    "restrict_tree",
     "TERNARY",
 ]
 
@@ -52,9 +51,14 @@ class _TreeIndex:
     node), and the internal nodes.  One pass takes the nodes largest first;
     a node's parent is the one owner so far of its leaves.  If they have
     two owners, one not containing the node crosses it, since no earlier
-    node is a subset of it."""
+    node is a subset of it.
 
-    def __init__(self, nodes: frozenset):
+    The kernels work on int leaf masks, built on first use: bit i is the
+    i-th leaf of the sorted leaves, and each node and subforest is the mask
+    of its leaves."""
+
+    def __init__(self, leaves: frozenset, nodes: frozenset):
+        self.leaves = sorted(leaves)
         # stable, so nodes of one size keep the family's iteration order
         self.by_size = sorted(nodes, key=len)
         self.parent: dict = {}
@@ -79,16 +83,59 @@ class _TreeIndex:
         )
 
     @cached_property
+    def bit(self) -> dict:
+        return {leaf: 1 << i for i, leaf in enumerate(self.leaves)}
+
+    @cached_property
+    def mask(self) -> dict:
+        """Each node's leaf mask: its owned leaves, then its children's
+        masks, smallest nodes first."""
+        mask = dict.fromkeys(self.by_size, 0)
+        for leaf, node in self.owner.items():
+            mask[node] |= self.bit[leaf]
+        for node in self.by_size:
+            if self.parent[node] is not None:
+                mask[self.parent[node]] |= mask[node]
+        return mask
+
+    @cached_property
+    def splits(self) -> tuple:
+        """(node, mask, parent, the node's mask less each child's) for the
+        internal nodes, largest first, so a parent precedes its children."""
+        mask = self.mask
+        return tuple(
+            (node, mask[node], self.parent[node],
+             tuple(mask[node] & ~mask[kid] for kid in self.children[node]))
+            for node in reversed(self.internal)
+        )
+
+    @cached_property
     def forests(self) -> tuple:
-        """The subforests (see ``subforests``) by size, then by sorted
-        leaves; built on first use."""
-        out = {self.by_size[-1]}  # the root
+        """The subforests (see ``subforests``) as leaf masks, in
+        increasing order."""
+        mask = self.mask
+        out = {mask[self.by_size[-1]]}  # the root
         for node in self.internal:
-            kids = self.children[node]
+            kids = [mask[kid] for kid in self.children[node]]
             for k in range(1, len(kids) + 1):
-                for chosen in combinations(kids, k):
-                    out.add(frozenset().union(*chosen))
-        return tuple(sorted(out, key=lambda f: (len(f), sorted(f))))
+                out.update(reduce(or_, chosen) for chosen in combinations(kids, k))
+        return tuple(sorted(out))
+
+    def mask_of(self, xs: Iterable) -> int:
+        """The mask of the leaves among xs."""
+        bit, x = self.bit, 0
+        for leaf in xs:
+            x |= bit.get(leaf, 0)
+        return x
+
+    def leaves_of(self, mask: int) -> list:
+        """The sorted leaves of a mask, lowest bit first."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.leaves[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
 @dataclass(frozen=True)
@@ -100,7 +147,7 @@ class LaminarTree:
     def _index(self) -> _TreeIndex:
         # kept in the instance __dict__, outside the fields: ==, hash and
         # repr ignore it, and it is freed with the tree
-        return _TreeIndex(self.nodes)
+        return _TreeIndex(self.leaves, self.nodes)
 
     def children(self, node: frozenset) -> list:
         """Maximal proper subnodes of a node of the tree, sorted by their
@@ -154,43 +201,55 @@ def validate_tree(family: Iterable[Iterable],
     return tree
 
 
+def _child_pairs(index: _TreeIndex) -> Iterable[tuple]:
+    """(node, a, b) for each internal node and each ordered pair of its
+    distinct children: the encoding holds ``product(a, b, node)``."""
+    for node in index.internal:
+        for a, b in permutations(index.children[node], 2):
+            yield node, a, b
+
+
 def ternary_encode(t: LaminarTree) -> Structure:
     """Structure with T(x,y,z) iff z lies in the least node containing x,y:
     x itself if x = y, else the node where x, y lie in distinct children."""
     leaves = sorted(t.leaves)
     if leaves != list(range(len(leaves))):
         raise ValueError("ternary encoding needs leaves 0..n-1")
+    for leaf in leaves:
+        # without {leaf}, no child holds leaf and its pairs would be lost
+        if frozenset((leaf,)) not in t.nodes:
+            raise ValueError(f"singleton {{{leaf!r}}} missing from the family")
     rel = {(x, x, x) for x in leaves}
-    index = t._index
-    for node in index.internal:
-        for a, b in permutations(index.children[node], 2):
-            rel.update(product(a, b, node))
+    for node, a, b in _child_pairs(t._index):
+        rel.update(product(a, b, node))
     return Structure.make(TERNARY, len(leaves), {"T": rel})
 
 
 def ternary_decode(s: Structure) -> LaminarTree:
+    """The tree whose ternary encoding is s.  The nodes are the sets
+    {z : T(x, y, z)}; the encoding's triples are distinct, so s is that
+    tree's encoding exactly when it holds each of them and no others."""
     if len(s.vocabulary.relations) != 1 or s.vocabulary.relations[0][1] != 3:
         raise ValueError("expected one ternary relation")
     name = s.vocabulary.relations[0][0]
     rel = s.relation(name)
     n = s.universe_size
-    nodes: dict = {}
+    nodes = defaultdict(set)
     for x, y, z in rel:
-        nodes.setdefault((x, y), set()).add(z)
+        nodes[x, y].add(z)
     tree = validate_tree(nodes.values(), leaves=range(n))
-    if ternary_encode(tree).relation("T") != rel:
+    pairs = list(_child_pairs(tree._index))
+    if (len(rel) != n + sum(len(a) * len(b) * len(node) for node, a, b in pairs)
+            or not all((x, x, x) in rel for x in range(n))
+            or not all(rel.issuperset(product(a, b, node)) for node, a, b in pairs)):
         raise ValueError("relation is not a ternary tree encoding")
     return tree
 
 
 def subforests(t: LaminarTree) -> frozenset:
     """All nonempty unions of sibling subtrees, plus the full leaf set."""
-    return frozenset(t._index.forests)
-
-
-def _cuts(X: frozenset, Y: frozenset) -> bool:
-    inter = X & Y
-    return bool(inter) and inter != Y
+    index = t._index
+    return frozenset(frozenset(index.leaves_of(f)) for f in index.forests)
 
 
 def interesting_analysis(t: LaminarTree, X: Iterable):
@@ -199,56 +258,46 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
 
     A node Y is dull when it is a leaf, when X does not cut Y, or when
     some child Y' leaves X trivial on Y minus Y'; interesting otherwise.
+    Nested nodes lie on one path from the root, so the longest chain is
+    the most interesting nodes on such a path.
     """
-    X = frozenset(X)
-    children = t._index.children
-    interesting = set()
-    for node in t.nodes:
-        if len(node) == 1 or not _cuts(X, node):
-            continue
-        dull = False
-        for child in children[node]:
-            rest = node - child
-            inter = X & rest
-            if not inter or inter == rest:
-                dull = True
-                break
-        if not dull:
-            interesting.add(node)
-    # longest chain under inclusion: a strict subset is smaller, so it is
-    # done before its supersets
-    chain: dict = {}
-    for node in sorted(interesting, key=len):
-        chain[node] = 1 + max((chain[x] for x in chain if x < node), default=0)
-    ell = max(chain.values(), default=0)
-    d = 0
-    for node in t._index.internal:
-        d = max(d, sum(1 for k in children[node] if k in interesting))
-    return frozenset(interesting), ell, d
+    index = t._index
+    x = index.mask_of(X)
+    interesting = []
+    chain = {None: 0}  # interesting nodes from the root down to each node
+    kids: dict = {}  # interesting children of each node
+    for node, mask, parent, rests in index.splits:
+        hit = 0 != x & mask != mask and all(0 != x & rest != rest for rest in rests)
+        chain[node] = chain[parent] + hit
+        if hit:
+            interesting.append(node)
+            if parent is not None:
+                kids[parent] = kids.get(parent, 0) + 1
+    return frozenset(interesting), max(chain.values()), max(kids.values(), default=0)
 
 
 def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
     """Least number of subforests whose boolean combination is X; 0 for
     the empty set and the full leaf set; ``Overflow()`` when more than
-    ``limit`` subforests would be needed."""
+    ``limit`` subforests would be needed.  The chosen subforests cut the
+    leaves into cells, and X is a combination of them exactly when it
+    splits no cell."""
     caps.check("boolean_combination_limit", limit, "boolean combination limit")
     X = frozenset(X)
     if X == frozenset() or X == t.root():
         return 0
-    forests = t._index.forests
-    leaves = sorted(t.leaves)
+    index = t._index
+    x = index.mask_of(X)
+    full = (1 << len(index.leaves)) - 1
     for m in range(1, limit + 1):
-        for chosen in combinations(forests, m):
-            signatures: dict = {}
-            ok = True
-            for leaf in leaves:
-                sig = tuple(leaf in f for f in chosen)
-                member = leaf in X
-                if sig in signatures and signatures[sig] != member:
-                    ok = False
+        for chosen in combinations(index.forests, m):
+            cells = [full]
+            for f in chosen:
+                cells = [part for cell in cells for part in (cell & f, cell & ~f) if part]
+            for cell in cells:
+                if x & cell not in (0, cell):
                     break
-                signatures[sig] = member
-            if ok:
+            else:
                 return m
     return caps.Overflow()
 
@@ -281,17 +330,86 @@ class Obstruction:
     node: frozenset
 
 
-class _Blocked(Exception):
-    def __init__(self, node):
-        self.node = node
+def _postorder(index: _TreeIndex, root: frozenset) -> list:
+    """The nodes under root, each after its children, children in index
+    order: the order a recursion over the children finishes them in, on an
+    explicit stack, since a tree's depth is not bounded by the recursion
+    limit."""
+    out = []
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(index.children[node]))
+    return out
+
+
+def _first_choices(options: list, m: int) -> dict:
+    """For each total mod m that some tuple of ``product(*options)`` with
+    at least two entries unique in it reaches, the first such tuple in
+    product order.
+
+    A depth-first search over prefixes in product order.  A prefix's state
+    is its length, each residue's count in it capped at 2 (as the residues
+    seen once and those seen more often) and its sum mod m; the state
+    decides which completions are valid and what they total.  A state
+    reached before is skipped: if the first witness w of a total went
+    through the skipped prefix, the earlier prefix, smaller in product
+    order, followed by the rest of w would be a witness before w.  So
+    every total still gets its first witness.  The search stops once all
+    m totals have one.  With at most k * 3^m * m states for k options, it
+    is polynomial in k for a fixed m, where the product has m^k tuples.
+    """
+    k = len(options)
+    found: dict = {}
+    seen: set = set()
+    prefix: list = []
+    # per chosen prefix: the next position's options, the residues seen
+    # once and more than once, and the sum mod m
+    stack = [(iter(options[0]), 0, 0, 0)]
+    while stack and len(found) < m:
+        choices, once, more, total = stack[-1]
+        s = next(choices, None)
+        if s is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        b = 1 << s
+        if (once | more) & b:
+            once, more = once & ~b, more | b
+        else:
+            once |= b
+        total = (total + s) % m
+        j = len(stack)  # entries chosen, s included
+        if j == k:
+            if once.bit_count() >= 2 and total not in found:
+                found[total] = (*prefix, s)
+            continue
+        state = (j, once, more, total)
+        if state in seen:
+            continue
+        seen.add(state)
+        prefix.append(s)
+        stack.append((iter(options[j]), once, more, total))
+    return found
 
 
 def group_orientation(t: LaminarTree, m: int = 4):
     """Colour leaves into Z_m so that at every internal node at least two
     children have subtree sums unique among the siblings; left/right are
-    the first two unique-sum children ordered by sum.  Bottom-up dynamic
-    programming over achievable sums; returns Obstruction at the lowest
-    node admitting no valid colouring.
+    the first two unique-sum children ordered by sum.
+
+    Bottom up, each node keeps the first choice of its children's sums,
+    in ``product`` order over each child's sorted achievable sums, that
+    has two unique sums and reaches a given total, for every total some
+    choice reaches (see ``_first_choices``); top down, the root takes its
+    least total and each node hands its choice to its children.  Returns
+    Obstruction at the first node, in post-order with children in index
+    order, admitting no valid colouring.
     """
     if m < 2:
         raise ValueError("group order must be >= 2")
@@ -299,47 +417,27 @@ def group_orientation(t: LaminarTree, m: int = 4):
         if len(t.children(node)) < 2:
             raise ValueError(f"unary node {set(node)}")
 
-    achievable: dict = {}
-    witness: dict = {}
-
-    def compute(node) -> None:
+    index = t._index
+    witness: dict = {}  # node -> {total: its children's sums}
+    for node in _postorder(index, t.root()):
         if len(node) == 1:
-            achievable[node] = set(range(m))
-            witness[node] = {s: None for s in range(m)}
-            return
-        kids = t.children(node)
-        for kid in kids:
-            compute(kid)
-        sums: dict = {}
-        for choice in product(*(sorted(achievable[k]) for k in kids)):
-            counts: dict = {}
-            for s in choice:
-                counts[s] = counts.get(s, 0) + 1
-            unique = sum(1 for s in choice if counts[s] == 1)
-            if unique < 2:
-                continue
-            total = sum(choice) % m
-            if total not in sums:
-                sums[total] = choice
-        achievable[node] = set(sums)
-        witness[node] = sums
-        if not sums:
-            raise _Blocked(node)
-
-    try:
-        compute(t.root())
-    except _Blocked as blocked:
-        return Obstruction(m, blocked.node)
+            witness[node] = dict.fromkeys(range(m))
+            continue
+        found = _first_choices([sorted(witness[kid]) for kid in index.children[node]], m)
+        if not found:
+            return Obstruction(m, node)
+        witness[node] = found
 
     leaf_colours: dict = {}
     left_right: dict = {}
-
-    def assign(node, target: int) -> None:
+    stack = [(t.root(), min(witness[t.root()]))]
+    while stack:
+        node, target = stack.pop()
         if len(node) == 1:
             (leaf,) = node
             leaf_colours[leaf] = target
-            return
-        kids = t.children(node)
+            continue
+        kids = index.children[node]
         choice = witness[node][target]
         counts: dict = {}
         for s in choice:
@@ -349,11 +447,7 @@ def group_orientation(t: LaminarTree, m: int = 4):
         ]
         unique_kids.sort(key=lambda pair: pair[0])
         left_right[node] = (unique_kids[0][1], unique_kids[1][1])
-        for s, kid in zip(choice, kids):
-            assign(kid, s)
-
-    root_target = min(achievable[t.root()])
-    assign(t.root(), root_target)
+        stack.extend(zip(kids, choice))
 
     return Orientation(
         m,
@@ -435,46 +529,16 @@ def document_preorder(pt: PartiallyOrderedTree) -> frozenset:
 def branching(t: LaminarTree) -> int:
     """Largest k such that the complete binary tree of height k embeds as
     a leaf-restriction minor; Strahler-style dynamic programming."""
-
-    def value(node) -> int:
+    index = t._index
+    value: dict = {}
+    for node in _postorder(index, t.root()):
         if len(node) == 1:
-            return 0
-        kids = [value(k) for k in t.children(node)]
+            value[node] = 0
+            continue
+        kids = [value[kid] for kid in index.children[node]]
         best = max(kids)
-        if kids.count(best) >= 2:
-            return best + 1
-        return best
-
-    return value(t.root())
-
-
-def restrict_tree(t: LaminarTree, kept: Iterable) -> Optional[LaminarTree]:
-    """Leaf-restriction minor: intersect nodes with the kept leaves and
-    drop empties and duplicates."""
-    kept = frozenset(kept)
-    if not kept:
-        return None
-    family = {node & kept for node in t.nodes} - {frozenset()}
-    return LaminarTree(kept, frozenset(family))
-
-
-def has_complete_binary_minor(t: LaminarTree, k: int) -> bool:
-    """Brute-force check used as the branching oracle on small trees."""
-
-    def is_cbt(tree: LaminarTree, node: frozenset, height: int) -> bool:
-        if height == 0:
-            return len(node) == 1
-        kids = tree.children(node)
-        return len(kids) == 2 and all(is_cbt(tree, kid, height - 1) for kid in kids)
-
-    if k == 0:
-        return True
-    leaves = sorted(t.leaves)
-    for kept in combinations(leaves, 2**k):
-        sub = restrict_tree(t, kept)
-        if sub is not None and is_cbt(sub, sub.root(), k):
-            return True
-    return False
+        value[node] = best + 1 if kids.count(best) >= 2 else best
+    return value[t.root()]
 
 
 @dataclass(frozen=True)
@@ -628,22 +692,3 @@ def rankwidth(s, rank_fn: Callable):
         if best is None or width < best:
             best, best_tree = width, tree
     return best, best_tree
-
-
-def decomposition_width(g, t: LaminarTree) -> int:
-    """Maximal adhesion |{v outside X adjacent to X}| over nodes X."""
-    from .rank import Graph
-
-    if not isinstance(g, Graph):
-        raise ValueError("decomposition_width expects a graph")
-    if t.leaves != frozenset(range(g.n)):
-        raise ValueError("tree leaves must equal the vertex set")
-    width = 0
-    for node in t.nodes:
-        adhesion = {
-            v
-            for v in range(g.n)
-            if v not in node and any(g.adjacent(u, v) for u in node)
-        }
-        width = max(width, len(adhesion))
-    return width

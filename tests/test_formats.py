@@ -250,14 +250,19 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys, depth):
     try:
         t = formats.parse_tree(path.read_text())
         written = formats.write_tree(t)
-        code = main(["--json", "tree", "validate", str(path)])
+        codes = [main(["--json", *command, str(path)]) for command in
+                 (["tree", "validate"], ["tree", "branching"], ["orient"])]
     finally:
         sys.setrecursionlimit(limit)
     counts = {"leaves": depth + 1, "nodes": 2 * depth + 1}
     assert {"leaves": len(t.leaves), "nodes": len(t.nodes)} == counts
     assert formats.parse_tree(written) == t
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["data"] == counts
+    assert codes == [0, 0, 0]
+    validated, branched, oriented = map(json.loads, capsys.readouterr().out.splitlines())
+    assert validated["data"] == counts
+    assert branched["data"] == {"branching": 1}
+    assert oriented["status"] == "pass"
+    assert len(oriented["data"]["leaf_colours"]) == depth + 1
 
 
 def test_tree_leaf_names_with_non_ascii_digits_stay_strings():

@@ -36,6 +36,13 @@ BROKEN = [
      {"instances": 2, "failures": 2, "k8_p8_table": {"0": 1}},
      {"check": "rank-decreasing", "instance": "K8-to-P8", "status": "fail",
       "data": {"table": {"0": 1}}}),
+    # rank 1 fails exactly the d = 2 pairs, so the rank check is not vacuous
+    ("trees", "distinct_row_rank", lambda enc, X, m: 1,
+     {"instances": 91564, "failures": 132, "d_ge_2": 132},
+     {"check": "trees", "instance": "shape8-246", "status": "fail",
+      "data": {"subset": [0, 1, 4, 5], "d": 2,
+               "nodes": [[0], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6, 7], [1], [2], [3],
+                         [4], [4, 5, 6, 7], [5], [6], [7]]}}),
 ]
 
 

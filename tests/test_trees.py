@@ -1,28 +1,30 @@
 import ast
 import itertools
+import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankmat.caps import Overflow
 from rankmat.rank import Graph, distinct_row_rank, graph_cut_rank
+from rankmat.structures import Structure
 from rankmat.trees import (
     Block,
     LaminarTree,
+    TERNARY,
     LinearPreorder,
     Obstruction,
     Orientation,
     PartiallyOrderedTree,
     all_laminar_trees,
+    all_tree_shapes,
     blocks,
     branching,
     chosen_leaf,
-    decomposition_width,
     document_preorder,
     group_orientation,
-    has_complete_binary_minor,
     interesting_analysis,
     min_boolean_combination,
     orientation_is_valid,
@@ -32,6 +34,7 @@ from rankmat.trees import (
     ternary_decode,
     ternary_encode,
     validate_tree,
+    _first_choices,
 )
 
 
@@ -114,6 +117,14 @@ def test_ternary_encode_star():
     assert (0, 0, 1) not in rel
 
 
+def test_ternary_encode_rejects_a_missing_singleton():
+    # built directly, so nothing validated it: no child of the root holds 1,
+    # and the pairs through 1 would be missing from the encoding
+    t = LaminarTree(f(0, 1, 2), frozenset({f(0), f(2), f(0, 1, 2)}))
+    with pytest.raises(ValueError, match=r"^singleton \{1\} missing from the family$"):
+        ternary_encode(t)
+
+
 def test_decode_encode_identity_small():
     for n in range(1, 6):
         for t in all_laminar_trees(range(n)):
@@ -121,11 +132,14 @@ def test_decode_encode_identity_small():
 
 
 def test_decode_rejects_non_encoding():
-    from rankmat.structures import Structure
-    from rankmat.trees import TERNARY
-
     s = Structure.make(TERNARY, 2, {"T": {(0, 0, 0)}})
     with pytest.raises(ValueError):
+        ternary_decode(s)
+    # the diagonal of star(2)'s encoding swapped: every node, every pair
+    # triple and the triple count are as in the encoding
+    rel = ternary_encode(star(2)).relation("T") - {(0, 0, 0), (1, 1, 1)}
+    s = Structure.make(TERNARY, 2, {"T": rel | {(0, 0, 1), (1, 1, 0)}})
+    with pytest.raises(ValueError, match="^relation is not a ternary tree encoding$"):
         ternary_decode(s)
 
 
@@ -150,8 +164,9 @@ def test_subforests_matches_bruteforce():
                     expected.add(frozenset().union(*chosen))
         assert "forests" not in vars(t._index)
         assert subforests(t) == frozenset(expected)
-        # the order min_boolean_combination tries them in
-        assert t._index.forests == tuple(sorted(expected, key=lambda f: (len(f), sorted(f))))
+        # as leaf masks (leaf x is bit x), in the order min_boolean_combination
+        # tries them in
+        assert t._index.forests == tuple(sorted(sum(1 << x for x in f) for f in expected))
 
 
 def test_interesting_analysis_empty_X():
@@ -246,8 +261,6 @@ def test_group_orientation_mod4_all_trees_6():
 
 
 def test_group_orientation_mod4_shapes_8():
-    from rankmat.trees import all_tree_shapes
-
     for n in range(1, 9):
         for t in all_tree_shapes(n):
             o = group_orientation(t, 4)
@@ -256,8 +269,6 @@ def test_group_orientation_mod4_shapes_8():
 
 
 def test_tree_shape_counts():
-    from rankmat.trees import all_tree_shapes
-
     counts = [len(list(all_tree_shapes(n))) for n in range(1, 7)]
     # unlabeled rooted trees with no unary nodes, by leaf count
     assert counts == [1, 1, 2, 5, 12, 33]
@@ -313,6 +324,35 @@ def test_document_preorder_mixed():
     # lca comparable implies document order is a preorder on comparable pairs
     for x, y in rel:
         assert (x, x) in rel and (y, y) in rel
+
+
+def restrict_tree(t, kept):
+    """Leaf-restriction minor: intersect nodes with the kept leaves and
+    drop empties and duplicates."""
+    kept = frozenset(kept)
+    if not kept:
+        return None
+    family = {node & kept for node in t.nodes} - {frozenset()}
+    return LaminarTree(kept, frozenset(family))
+
+
+def has_complete_binary_minor(t, k):
+    """Brute-force check used as the branching oracle on small trees."""
+
+    def is_cbt(tree, node, height):
+        if height == 0:
+            return len(node) == 1
+        kids = tree.children(node)
+        return len(kids) == 2 and all(is_cbt(tree, kid, height - 1) for kid in kids)
+
+    if k == 0:
+        return True
+    leaves = sorted(t.leaves)
+    for kept in itertools.combinations(leaves, 2**k):
+        sub = restrict_tree(t, kept)
+        if sub is not None and is_cbt(sub, sub.root(), k):
+            return True
+    return False
 
 
 def test_branching_examples():
@@ -381,33 +421,6 @@ def test_rankwidth_edgeless_and_clique_and_path():
     p4 = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
     w, _ = rankwidth(p4, graph_cut_rank)
     assert w == 1
-
-
-def test_decomposition_width():
-    single = Graph.make(1, [])
-    t1 = validate_tree([f(0)])
-    assert decomposition_width(single, t1) == 0
-    p4 = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
-    comb = validate_tree([f(0), f(1), f(2), f(3), f(0, 1), f(0, 1, 2), f(0, 1, 2, 3)])
-    # the singleton subtree {1} has adhesion {0, 2}
-    assert decomposition_width(p4, comb) == 2
-    k4 = Graph.make(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    t = validate_tree([f(0), f(1), f(2), f(3), f(0, 1), f(2, 3), f(0, 1, 2, 3)])
-    # brute force oracle
-    expected = 0
-    for node in t.nodes:
-        adhesion = {
-            v for v in range(4) if v not in node and any(k4.adjacent(u, v) for u in node)
-        }
-        expected = max(expected, len(adhesion))
-    assert decomposition_width(k4, t) == expected == 3
-
-
-def test_decomposition_width_leaf_mismatch():
-    g = Graph.make(3, [])
-    t = star(2)
-    with pytest.raises(ValueError):
-        decomposition_width(g, t)
 
 
 # ---------------------------------------------------------------------------
@@ -642,3 +655,210 @@ def test_document_preorder_matches_least_common_ancestor_reference(t, data):
             kinds.append((node, "unordered"))
     pt = PartiallyOrderedTree(t, tuple(kinds), tuple(orders))
     assert document_preorder(pt) == reference_document_preorder(pt)
+
+
+# ---------------------------------------------------------------------------
+# the mask kernels, the counting decode check and the pruned orientation
+# search against the bodies they replaced
+
+
+def reference_min_boolean_combination(t, X, limit):
+    """The signature loop min_boolean_combination ran before its leaf
+    masks: X is a combination of the chosen subforests when leaves with
+    the same memberships in them agree on X."""
+    X = frozenset(X)
+    if X == frozenset() or X == t.root():
+        return 0
+    forests = sorted(subforests(t), key=lambda f: (len(f), sorted(f)))
+    for m in range(1, limit + 1):
+        for chosen in itertools.combinations(forests, m):
+            signatures = {}
+            ok = True
+            for leaf in sorted(t.leaves):
+                sig = tuple(leaf in f for f in chosen)
+                member = leaf in X
+                if sig in signatures and signatures[sig] != member:
+                    ok = False
+                    break
+                signatures[sig] = member
+            if ok:
+                return m
+    return Overflow()
+
+
+@settings(deadline=None)
+@given(random_trees(max_leaves=8), st.data(), st.integers(1, 3))
+def test_min_boolean_combination_matches_signature_reference(t, data, limit):
+    X = data.draw(st.sets(st.sampled_from(sorted(t.leaves))))
+    assert min_boolean_combination(t, X, limit) == reference_min_boolean_combination(t, X, limit)
+
+
+def test_min_boolean_combination_matches_signature_reference_on_6_leaves():
+    # every subset of every 6-leaf shape, where two and three subforests
+    # are needed and limit 1 and 2 overflow
+    seen = set()
+    for t in all_tree_shapes(6):
+        for bits in range(1 << 6):
+            X = {x for x in range(6) if bits >> x & 1}
+            for limit in (1, 2, 3):
+                got = min_boolean_combination(t, X, limit)
+                assert got == reference_min_boolean_combination(t, X, limit)
+                seen.add(got)
+    assert seen == {0, 1, 2, 3, Overflow()}
+
+
+def reference_first_choices(options, m):
+    """Every tuple of the product, in order; the first with two unique
+    entries for each total mod m."""
+    sums = {}
+    for choice in itertools.product(*options):
+        counts = {}
+        for s in choice:
+            counts[s] = counts.get(s, 0) + 1
+        if sum(1 for s in choice if counts[s] == 1) >= 2:
+            sums.setdefault(sum(choice) % m, choice)
+    return sums
+
+
+@st.composite
+def sum_options(draw):
+    """A modulus and the sorted achievable sums of 2..8 children."""
+    m = draw(st.integers(2, 5))
+    options = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1).map(sorted),
+                            min_size=2, max_size=8))
+    assume(math.prod(map(len, options)) <= 20000)
+    return m, options
+
+
+@settings(deadline=None, max_examples=300)
+@given(sum_options())
+# two prefixes of one length with equal capped counts but different sums;
+# the second leads to the first witness of a total
+@example((5, [[1, 4], [1], [0, 1, 2, 3, 4], [0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 4],
+              [1, 2, 3, 4]]))
+@example((4, [[0, 1, 2, 3], [0, 1, 2, 3], [3], [2], [3], [1], [0, 1], [0, 2, 3]]))
+def test_first_choices_match_the_product_loop(case):
+    m, options = case
+    assert _first_choices(options, m) == reference_first_choices(options, m)
+
+
+class _Blocked(Exception):
+    def __init__(self, node):
+        self.node = node
+
+
+def reference_group_orientation(t, m):
+    """The product-loop orientation group_orientation ran before its
+    pruned search: every choice of the children's achievable sums, in
+    product order, by recursion over the children."""
+    achievable, witness = {}, {}
+
+    def compute(node):
+        if len(node) == 1:
+            achievable[node] = set(range(m))
+            witness[node] = {s: None for s in range(m)}
+            return
+        kids = t.children(node)
+        for kid in kids:
+            compute(kid)
+        sums = reference_first_choices([sorted(achievable[k]) for k in kids], m)
+        achievable[node] = set(sums)
+        witness[node] = sums
+        if not sums:
+            raise _Blocked(node)
+
+    try:
+        compute(t.root())
+    except _Blocked as blocked:
+        return Obstruction(m, blocked.node)
+    leaf_colours, left_right = {}, {}
+
+    def assign(node, target):
+        if len(node) == 1:
+            (leaf,) = node
+            leaf_colours[leaf] = target
+            return
+        kids = t.children(node)
+        choice = witness[node][target]
+        counts = {}
+        for s in choice:
+            counts[s] = counts.get(s, 0) + 1
+        unique_kids = sorted(((s, kid) for s, kid in zip(choice, kids) if counts[s] == 1),
+                             key=lambda pair: pair[0])
+        left_right[node] = (unique_kids[0][1], unique_kids[1][1])
+        for s, kid in zip(choice, kids):
+            assign(kid, s)
+
+    assign(t.root(), min(achievable[t.root()]))
+    return Orientation(
+        m,
+        tuple(sorted(leaf_colours.items())),
+        tuple((node, lr[0], lr[1])
+              for node, lr in sorted(left_right.items(), key=lambda kv: sorted(kv[0]))),
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_group_orientation_matches_product_reference_on_shapes(m):
+    obstructed = 0
+    for n in range(1, 10):
+        for t in all_tree_shapes(n):
+            got = group_orientation(t, m)
+            assert repr(got) == repr(reference_group_orientation(t, m)), (n, m)
+            obstructed += isinstance(got, Obstruction)
+    # both outcomes occur: m = 2 and 3 obstruct some shapes, m = 4 none
+    assert (obstructed > 0) == (m < 4)
+
+
+@settings(deadline=None)
+@given(random_trees(max_leaves=10), st.integers(2, 5))
+def test_group_orientation_matches_product_reference_on_labeled_trees(t, m):
+    # leaves relabeled at random, so the children's index order is not the
+    # shapes' left-to-right order
+    assert repr(group_orientation(t, m)) == repr(reference_group_orientation(t, m))
+
+
+def test_group_orientation_on_a_wide_star_is_polynomial():
+    # the product has 3^24 choices; the pruned search has a few hundred states
+    o = group_orientation(star(24), 3)
+    assert isinstance(o, Orientation) and orientation_is_valid(star(24), o)
+    assert [c for _, c in o.leaf_colours] == [0] * 22 + [1, 2]
+
+
+def reference_ternary_decode(s):
+    """The decode check before the counting one: build the tree, then
+    compare s with its encoding, rebuilt by the least-common-ancestor
+    scan."""
+    rel = s.relation("T")
+    nodes = {}
+    for x, y, z in rel:
+        nodes.setdefault((x, y), set()).add(z)
+    tree = validate_tree(nodes.values(), leaves=range(s.universe_size))
+    if reference_ternary_encode(tree) != rel:
+        raise ValueError("relation is not a ternary tree encoding")
+    return tree
+
+
+def decode_outcome(decode, s):
+    try:
+        return decode(s)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(deadline=None)
+@given(random_trees(max_leaves=7), st.data())
+def test_ternary_decode_matches_re_encode_reference(t, data):
+    rel = set(ternary_encode(t).relation("T"))
+    n = len(t.leaves)
+    triple = st.tuples(*[st.integers(0, n - 1)] * 3)
+    edit = data.draw(st.sampled_from(["none", "add", "remove", "replace"]))
+    if edit in ("remove", "replace"):
+        rel.remove(data.draw(st.sampled_from(sorted(rel))))
+    if edit in ("add", "replace"):
+        rel.add(data.draw(triple))
+    s = Structure.make(TERNARY, n, {"T": rel})
+    got = decode_outcome(ternary_decode, s)
+    assert got == decode_outcome(reference_ternary_decode, s)
+    if edit == "none":
+        assert got == t
