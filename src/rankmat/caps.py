@@ -21,8 +21,6 @@ _DEFAULTS = {
     # Maximum number of rows or columns a Kronecker normal form may reach
     # before finite_order gives up with Unknown.
     "kronecker_normal_form": 512,
-    # Maximum vertex count of a hypergraph (2^V edge table).
-    "hypergraph_vertices": 16,
     # Maximum number of words scanned by prefix/suffix/multiset checks.
     "word_scan": 500_000,
 }

@@ -1,22 +1,19 @@
 """Matrices over finite semigroups, Kronecker products, normal forms,
-finite-order detection, the 2x2 claim, and hypergraph Kronecker products."""
+finite-order detection and the 2x2 claim."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import caps
 from .semigroup import FiniteSemigroup
-from .structures import submasks
 
 __all__ = [
     "SemigroupMatrix",
     "NormalForm",
     "Finite",
     "Unknown",
-    "Hypergraph",
-    "SemigroupHypergraph",
     "kronecker_product",
     "kronecker_power",
     "normal_form",
@@ -25,10 +22,6 @@ __all__ = [
     "finite_order",
     "multiplication_matrix",
     "two_by_two_claim",
-    "is_irredundant",
-    "hypergraph_kron",
-    "hypergraph_rank",
-    "semigroup_hypergraph",
 ]
 
 
@@ -273,73 +266,3 @@ def two_by_two_claim(S: FiniteSemigroup, b: int, c: int, d: int, budget: int = 5
                 break
         report["growth_verified"] = ok
     return report
-
-
-def is_irredundant(M: SemigroupMatrix) -> bool:
-    rows = [tuple(row) for row in M.entries]
-    nr, nc = M.shape()
-    cols = [tuple(M.entries[r][c] for r in range(nr)) for c in range(nc)]
-    return len(set(rows)) == nr and len(set(cols)) == nc
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    vertices: int
-    colours: int
-    table: tuple  # colour id per subset, bitmask ascending; length 2^V
-
-    def __post_init__(self):
-        caps.check("hypergraph_vertices", self.vertices, "hypergraph")
-        if len(self.table) != 1 << self.vertices:
-            raise ValueError("edge table must have an entry per subset")
-        for c in self.table:
-            if not (0 <= c < self.colours):
-                raise ValueError(f"colour {c} out of range")
-
-    def edge(self, subset: int) -> int:
-        return self.table[subset]
-
-
-def hypergraph_kron(G: Hypergraph, H: Hypergraph, M: Sequence[Sequence[int]],
-                    colours: Optional[int] = None) -> Hypergraph:
-    """Disjoint union of the vertices; edge(U) combines the two parts via
-    the matrix M indexed by (colour in G, colour in H)."""
-    V = G.vertices + H.vertices
-    caps.check("hypergraph_vertices", V, "hypergraph Kronecker product")
-    if colours is None:
-        colours = max(max(row) for row in M) + 1
-    mask_g = (1 << G.vertices) - 1
-    table = []
-    for U in range(1 << V):
-        cg = G.edge(U & mask_g)
-        ch = H.edge(U >> G.vertices)
-        table.append(M[cg][ch])
-    return Hypergraph(V, colours, tuple(table))
-
-
-def hypergraph_rank(G: Hypergraph, X: int) -> int:
-    """Distinct rows of the matrix (subsets of X) x (subsets of the
-    complement) whose cell is the colour of the union."""
-    full = (1 << G.vertices) - 1
-    comp_subsets = tuple(submasks(full & ~X))
-    return len({tuple(G.edge(r | c) for c in comp_subsets) for r in submasks(X)})
-
-
-@dataclass(frozen=True)
-class SemigroupHypergraph:
-    """The S(n) construction: vertices 1..n, a hyperedge is an assignment
-    of semigroup values to the vertices, its value is the word product."""
-
-    semigroup: FiniteSemigroup
-    n: int
-
-    def evaluate(self, word: Sequence[int]) -> int:
-        if len(word) != self.n:
-            raise ValueError(f"word must have length {self.n}")
-        return self.semigroup.product(word)
-
-
-def semigroup_hypergraph(S: FiniteSemigroup, n: int) -> SemigroupHypergraph:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return SemigroupHypergraph(S, n)

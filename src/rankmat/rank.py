@@ -7,11 +7,14 @@ cells.  The memo lives on the structure, not in this module, so it is freed
 with the structure; a module-level cache would keep the last structure and
 its memo alive for as long as the module stays loaded.
 
-``monadic_d_type`` is the reference definition of a depth-d monadic type as
-a nested frozenset value.  ``monadic_type_matrix`` does not build those
-values: it interns each depth-d type of a structure as a small int, memoised
-per subset tuple and kept for the last structure seen, so the matrices of
-one EF comparison and the subsets X of one structure share their work.
+A depth-0 monadic type of a subset tuple is its set of atomic facts
+(relations, inclusions, equalities and size residues); a depth-d type is the
+depth-(d-1) type with the set of depth-(d-1) types of its one-step
+extensions.  ``monadic_type_matrix`` interns each depth-d type of a
+structure as a small int, memoised per subset tuple and kept for the last
+structure seen, so the matrices of one EF comparison and the subsets X of
+one structure share their work.  The definition as nested values, which the
+ids are tested against, is ``monadic_d_type`` in ``tests/reference_types.py``.
 The atoms a new coordinate z adds are read from fact columns, one per atom
 with its value for every z, cached by the head values the atom depends on.
 A depth-1 type is keyed by its atoms and the set of new-fact rows of its
@@ -25,7 +28,7 @@ from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
-from .structures import MonadicStructure, Structure, qf_type, singleton_lifting, submasks
+from .structures import MonadicStructure, Structure, submasks
 
 __all__ = [
     "TypeMatrix",
@@ -36,12 +39,9 @@ __all__ = [
     "distinct_row_rank",
     "gf2_rank",
     "graph_cut_rank",
-    "monadic_d_type",
-    "element_d_type",
     "monadic_type_matrix",
     "monadic_matrix_distinct_rows",
     "reference_rank",
-    "union_rank_table",
     "smallest_prime_at_least",
 ]
 
@@ -203,50 +203,6 @@ def graph_cut_rank(g: Graph, X: Iterable[int]) -> int:
     return gf2_rank(rows)
 
 
-def _monadic_atomic(ms: MonadicStructure, subsets: tuple, residues: Sequence[int] = ()):
-    facts = set()
-    k = len(subsets)
-    for name, arity, tuples in ms.relations:
-        for idx in product(range(k), repeat=arity):
-            if tuple(subsets[i] for i in idx) in tuples:
-                facts.add(("rel", name, idx))
-    for i in range(k):
-        for j in range(k):
-            if subsets[i] & ~subsets[j] == 0:
-                facts.add(("subseteq", i, j))
-            if subsets[i] == subsets[j]:
-                facts.add(("eq", i, j))
-    for q in residues:
-        for i in range(k):
-            facts.add(("residue", q, i, bin(subsets[i]).count("1") % q))
-    return frozenset(facts)
-
-
-def monadic_d_type(ms: MonadicStructure, subsets: Sequence[int], d: int, residues: Sequence[int] = ()):
-    """Depth-d type of a tuple of subsets; hashable canonical value."""
-    subsets = tuple(subsets)
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if d == 0:
-        return ("atoms", _monadic_atomic(ms, subsets, residues))
-    below = monadic_d_type(ms, subsets, d - 1, residues)
-    reachable = frozenset(
-        monadic_d_type(ms, subsets + (z,), d - 1, residues) for z in ms.subsets()
-    )
-    return ("step", below, reachable)
-
-
-def element_d_type(s: Structure, elements: Sequence[int], d: int, subsets: tuple = ()):
-    """Depth-d type of an element tuple under set quantification: the
-    ``monadic_d_type`` of its singletons, then the set parameters, in the
-    singleton lifting of ``s``.  An element a and the singleton {a} are
-    interchangeable there: relation facts fire on coordinates that denote
-    single elements, and containment/equality facts compare coordinates as
-    sets."""
-    lifted = tuple(1 << a for a in elements) + tuple(subsets)
-    return monadic_d_type(singleton_lifting(s), lifted, d)
-
-
 class _Numbering(dict):
     """Numbers keys 0, 1, 2, ... in order of first lookup: ``numbering[key]``
     is the key's number, new or old."""
@@ -259,7 +215,7 @@ class _Numbering(dict):
 class _MonadicTyper:
     """Hash-consed monadic types of one structure: each depth-d type of a
     subset tuple is interned as a small int, and two tuples get the same id
-    exactly when ``monadic_d_type`` gives them equal values.
+    exactly when their nested types (``tests/reference_types.py``) are equal.
 
     The facts of ``head + (z,)`` that involve its last coordinate are read
     from fact columns: one column per atom, holding that atom's value for
@@ -467,20 +423,3 @@ def reference_rank(kind: str, s, X: Iterable[int]) -> int:
     if kind == "grid":
         return min(len(X), s.universe_size - len(X))
     raise ValueError(f"unknown reference kind {kind!r}")
-
-
-def union_rank_table(instances: Iterable, rank_cap: int) -> dict:
-    """Empirical map: max(rank X, rank Y) bucket -> max observed rank(X u Y),
-    ranks by `distinct_row_rank` at m = 1.
-
-    instances yields (structure, X, Y) triples.
-    """
-    table: dict = {}
-    for s, X, Y in instances:
-        X, Y = frozenset(X), frozenset(Y)
-        bucket = max(distinct_row_rank(s, X, 1), distinct_row_rank(s, Y, 1))
-        if bucket > rank_cap:
-            continue
-        union_rank = distinct_row_rank(s, X | Y, 1)
-        table[bucket] = max(table.get(bucket, 0), union_rank)
-    return table

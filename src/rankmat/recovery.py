@@ -1,30 +1,25 @@
-"""Twins and informative colourings, rank-growth harnesses, and the
-seed-based algorithms that recover hidden partitions and linear preorders
-from approximation oracles."""
+"""Rank-growth harnesses, and the seed-based algorithms that recover hidden
+partitions and linear preorders from approximation oracles."""
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, permutations, product, repeat
+from itertools import combinations, product, repeat
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .rank import Graph, distinct_row_rank, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
-from .structures import Structure, qf_type, submasks, subsets
-from .trees import LaminarTree, LinearPreorder, set_partitions, subforests
+from .structures import submasks, subsets
+from .trees import LinearPreorder
 
 __all__ = [
     "RecoveryError",
     "Seed",
     "UnorderedOracle",
     "OrderedOracle",
-    "twins",
-    "max_twin_independent_set",
-    "informative_colouring",
     "rank_decreasing_report",
-    "subforest_criterion",
     "synth_oracle",
     "validate_oracle",
     "find_seed",
@@ -36,116 +31,6 @@ __all__ = [
 
 class RecoveryError(ValueError):
     """The oracle's answers contradict what recovery relies on."""
-
-
-# ---------------------------------------------------------------------------
-# twins and informative colourings
-
-
-def twins(s: Structure) -> frozenset:
-    """Pairs (a, b) with a < b that no quantifier-free formula with
-    parameters outside {a, b} can separate."""
-    n = s.universe_size
-    m = max(s.vocabulary.max_arity, 1)
-    out = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            others = [x for x in range(n) if x not in (a, b)]
-            if all(
-                qf_type(s, (a,) + w) == qf_type(s, (b,) + w)
-                for w in product(others, repeat=m - 1)
-            ):
-                out.add((a, b))
-    return frozenset(out)
-
-
-def max_twin_independent_set(s: Structure) -> frozenset:
-    """Lexicographically least maximum set of pairwise non-twin elements."""
-    n = s.universe_size
-    pairs = twins(s)
-    best = frozenset()
-    for chosen in subsets(range(n)):
-        if len(chosen) <= len(best):
-            continue
-        if all(
-            (a, b) not in pairs for a, b in combinations(sorted(chosen), 2)
-        ):
-            best = chosen
-    return best
-
-
-def _is_informative(s: Structure, colours: Sequence[int]) -> bool:
-    n = s.universe_size
-    m = max(s.vocabulary.max_arity, 1)
-    seen: dict = {}
-    for length in range(1, min(m, n) + 1):
-        for tup in permutations(range(n), length):
-            key = (length, tuple(colours[x] for x in tup))
-            t = qf_type(s, tup)
-            if seen.setdefault(key, t) != t:
-                return False
-    return True
-
-
-def _normalise_colours(colours: Sequence[int]) -> tuple:
-    ids: dict = {}
-    out = []
-    for c in colours:
-        if c not in ids:
-            ids[c] = len(ids)
-        out.append(ids[c])
-    return tuple(out)
-
-
-def informative_colouring(s: Structure, max_colours: int) -> Optional[tuple]:
-    """A colouring (tuple of colour ids per element) such that the
-    quantifier-free type of every non-repeating tuple depends only on its
-    colour tuple, or None when max_colours does not suffice."""
-    n = s.universe_size
-    m = max(s.vocabulary.max_arity, 1)
-    pairs = twins(s)
-    # greedy twin classes: join a class only if a twin of every member
-    classes: list = []
-    for x in range(n):
-        for cls in classes:
-            if all((min(x, y), max(x, y)) in pairs for y in cls):
-                cls.append(x)
-                break
-        else:
-            classes.append([x])
-    # split classes whose size is in {2, ..., m} into singletons, so that
-    # same-coloured coordinates can be swapped one at a time; the unsplit
-    # twin classes are tried first since splitting only adds colours
-    split: list = []
-    for cls in classes:
-        if 2 <= len(cls) <= m:
-            split.extend([x] for x in cls)
-        else:
-            split.append(cls)
-    for candidate_classes in (classes, split):
-        colours = [0] * n
-        for i, cls in enumerate(candidate_classes):
-            for x in cls:
-                colours[x] = i
-        colours = _normalise_colours(colours)
-        if len(set(colours)) <= max_colours and _is_informative(s, colours):
-            return colours
-    # exhaustive fallback, coarsest candidates first
-    candidates = sorted(
-        set_partitions(list(range(n))),
-        key=lambda p: (len(p), sorted(sorted(c) for c in p)),
-    )
-    for part in candidates:
-        if len(part) > max_colours:
-            continue
-        cand = [0] * n
-        for i, cls in enumerate(sorted(part, key=min)):
-            for x in cls:
-                cand[x] = i
-        cand = _normalise_colours(cand)
-        if _is_informative(s, cand):
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +90,6 @@ def rank_decreasing_report(pairs: Sequence[tuple]) -> dict:
         if witness is not None:
             flagged.append((index, witness))
     return {"tables": tables, "flagged": flagged}
-
-
-def subforest_criterion(pairs: Sequence[tuple]) -> int:
-    """Max cut-rank, over all pairs and all subforests X of the tree, of X
-    in the output structure."""
-    best = 0
-    for tree, out in pairs:
-        if tree.leaves != frozenset(range(out.universe_size)):
-            raise ValueError("tree leaves must equal the output universe")
-        for X in subforests(tree):
-            best = max(best, _rank_of(out, X))
-    return best
 
 
 # ---------------------------------------------------------------------------

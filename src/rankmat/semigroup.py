@@ -14,12 +14,10 @@ __all__ = [
     "FiniteSemigroup",
     "GreenData",
     "IdentityReport",
-    "Overflow",
     "validate",
     "omega",
     "OmegaBoundExceeded",
     "idempotents",
-    "factorial",
     "green",
     "is_almost_commutative",
     "syntactic_class_count",
@@ -27,7 +25,6 @@ __all__ = [
     "prefix_suffix_multiset_determines",
     "identity_suite",
     "premise_checks",
-    "semicommutative_report",
     "finitary_generator_check",
     "counts_non_increasing_after_repeat",
 ]
@@ -103,11 +100,6 @@ def omega(S: FiniteSemigroup) -> int:
         n += 1
         if n > 2 * S.size * S.size + 2:
             raise OmegaBoundExceeded("omega search exceeded the finite bound")
-
-
-def factorial(S: FiniteSemigroup, a: int) -> int:
-    """The idempotent power a^! = a^omega."""
-    return S.power(a, omega(S))
 
 
 def _closure(S: FiniteSemigroup, generators: Iterable[int]) -> frozenset:
@@ -254,7 +246,17 @@ def syntactic_class_counts(S: FiniteSemigroup, k_max: int, cap: int = 10**6) -> 
 
 def prefix_suffix_multiset_determines(S: FiniteSemigroup, k: int, max_len: int = 8):
     """True iff equal-length words (length <= max_len) with the same first
-    k letters, last k letters, and letter multiset have equal products."""
+    k letters, last k letters, and letter multiset have equal products;
+    on failure, the first two words found with different products.
+
+    Words equal in their first and last k + 1 letters are equal in their
+    first and last k, so a determination at k holds at every larger k.
+
+    Assumed, not taken from PAPER.md (which holds only the paper's
+    induction-basis paragraph): S is almost commutative (exyf = eyxf for
+    idempotents e, f) exactly when some k makes its products determined
+    this way.  The ``semigroups`` suite checks that on its corpus at k = 2
+    and length <= 6, a bounded scan that sees no longer words."""
     n = S.size
     total = sum(n**length for length in range(1, max_len + 1))
     caps.check("word_scan", total, "prefix/suffix/multiset word scan")
@@ -380,46 +382,6 @@ def counts_non_increasing_after_repeat(counts: Sequence[int]) -> bool:
     if repeat is None:
         return False
     return all(counts[i + 1] <= counts[i] for i in range(repeat, len(counts) - 1))
-
-
-def semicommutative_report(S: FiniteSemigroup, k_max: int = 4, cap: int = 10**5,
-                           max_len: int = 6) -> dict:
-    """Empirical consistency report across the three equivalent conditions:
-    the equation, the prefix/suffix/multiset determination, and bounded
-    syntactic class counts."""
-    eq_holds, eq_witness = is_almost_commutative(S)
-    counts = syntactic_class_counts(S, k_max, cap)
-    determined = None
-    # only test k where words of length 2k + 2 fit in the scan, otherwise
-    # the check cannot even see a first-k/last-k collision
-    for k in range(0, k_max + 1):
-        if 2 * k + 2 > max_len:
-            break
-        ok, _ = prefix_suffix_multiset_determines(S, k, max_len)
-        if ok:
-            determined = k
-            break
-    all_numeric = all(isinstance(c, int) for c in counts)
-    bounded = all_numeric and counts_non_increasing_after_repeat(counts)
-    strictly_growing = all_numeric and all(
-        a < b for a, b in zip(counts, counts[1:])
-    )
-    consistent = True
-    if eq_holds and strictly_growing:
-        consistent = False
-    if eq_holds and determined is None:
-        consistent = False
-    if not eq_holds and determined is not None:
-        consistent = False
-    return {
-        "equation_holds": eq_holds,
-        "equation_witness": eq_witness,
-        "syntactic_counts": counts,
-        "determination_k": determined,
-        "counts_bounded": bounded,
-        "counts_strictly_growing": strictly_growing,
-        "consistent": consistent,
-    }
 
 
 def finitary_generator_check(S: FiniteSemigroup, sigma: Iterable[int], budget: int = 6) -> dict:

@@ -9,10 +9,10 @@ formulas.
 Typing work is shared per structure through two memos on the instance,
 freed with it: ``Structure.qf_type_ids`` interns each tuple's type as a
 small int, and ``Structure.local_type_indices`` keeps each
-``local_type_index(s, X, k, m)`` built, so ``induced_local_type``,
-``composition_tables`` and every partition containing a part reuse one
-index.  ``composition_tables`` types each tuple through ``qf_type_ids`` and
-compares ids, which are equal exactly when the types are.
+``local_type_index(s, X, k, m)`` built, so ``composition_tables`` and every
+partition containing a part reuse one index.  ``composition_tables`` types
+each tuple through ``qf_type_ids`` and compares ids, which are equal exactly
+when the types are.
 """
 from __future__ import annotations
 
@@ -32,9 +32,6 @@ __all__ = [
     "LocalTypeIndex",
     "CompositionConflict",
     "qf_type",
-    "possible_type_count",
-    "singleton_lifting",
-    "induced_local_type",
     "local_type_index",
     "composition_tables",
     "compositionality_check",
@@ -46,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Relation names with arities; max_arity is derived (0 when empty)."""
+    """Relation names with arities."""
 
     relations: tuple
 
@@ -57,10 +54,6 @@ class Vocabulary:
         for name, arity in self.relations:
             if arity < 1:
                 raise ValueError(f"relation {name!r} has arity {arity} < 1")
-
-    @property
-    def max_arity(self) -> int:
-        return max((arity for _, arity in self.relations), default=0)
 
     def arity(self, name: str) -> int:
         for rel, arity in self.relations:
@@ -208,29 +201,6 @@ class QfTypeIds:
             return self.intern(s, t)
 
 
-def possible_type_count(vocabulary: Vocabulary, k: int) -> int:
-    """Upper bound on distinct QfTypes of k-tuples: masks times equality
-    partitions times fact subsets (a crude but finite syntactic count)."""
-    bells = [1]
-    triangle = [[1]]
-    for i in range(1, k + 1):
-        row = [triangle[-1][-1]]
-        for x in triangle[-1]:
-            row.append(row[-1] + x)
-        triangle.append(row)
-        bells.append(row[0])
-    from math import comb
-
-    total = 0
-
-    for d in range(k + 1):  # number of defined coordinates
-        masks = comb(k, d)
-        partitions = bells[d]
-        atoms = sum(d**arity for _, arity in vocabulary.relations)
-        total += masks * partitions * (2**atoms)
-    return total
-
-
 @dataclass(frozen=True)
 class MonadicStructure:
     """Structure whose relations take subset (bitmask) arguments."""
@@ -253,16 +223,6 @@ class MonadicStructure:
 
     def subsets(self) -> range:
         return range(1 << self.universe_size)
-
-
-def singleton_lifting(s: Structure) -> MonadicStructure:
-    rels = []
-    for name, arity in s.vocabulary.relations:
-        lifted = frozenset(
-            tuple(1 << x for x in t) for t in s.relation(name)
-        )
-        rels.append((name, arity, lifted))
-    return MonadicStructure(s.universe_size, tuple(rels))
 
 
 def all_partial_tuples(elements: Sequence[int], k: int) -> Iterable[tuple]:
@@ -344,21 +304,6 @@ def _build_local_type_index(s: Structure, X: frozenset, k: int, m: int) -> Local
 
 def _tuple_sort_key(t: tuple):
     return tuple(-1 if x is None else x for x in t)
-
-
-def induced_local_type(s: Structure, X: Iterable[int], t: Sequence[Optional[int]], m: Optional[int] = None) -> int:
-    """Class id of the partial tuple t within the substructure induced on X."""
-    X = frozenset(X)
-    t = tuple(t)
-    if m is None:
-        m = max(s.vocabulary.max_arity, 1)
-    if len(t) > m:
-        raise ValueError("tuple longer than m")
-    for x in t:
-        if x is not None and x not in X:
-            raise ValueError(f"coordinate {x} outside X")
-    index = local_type_index(s, X, len(t), m)
-    return index.class_of(t)
 
 
 def _project(t: tuple, part: frozenset) -> tuple:

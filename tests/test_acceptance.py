@@ -13,7 +13,8 @@ Pinned scales (all enumerations deterministic, seeds fixed in suites.py):
      6-7 leaf shapes + all 8-leaf shapes (rank check only); the rank at m = 2
      where d >= 2, and d_ge_2 > 0 (at m = 1 every rank is at most 1)
   7  all tree shapes <= 9 leaves
-  8  all associative tables size <= 3 + curated size-4 family, k <= 4
+  8  all associative tables size <= 3 + curated size-4 family, k <= 4; the
+     prefix/suffix/multiset determination at k = 2, words of length <= 6
   9  same corpus filtered to product-closed tables, budget 6
   10 all monoids in the corpus, all (b, c, d), budget 5, growth n <= 6
   11 500 seeded Kronecker instances + 20 congruence spot-checks

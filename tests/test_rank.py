@@ -10,26 +10,19 @@ from rankmat.enumerate import binary_structure
 from rankmat.rank import (
     Graph,
     distinct_row_rank,
-    element_d_type,
     gf2_rank,
     graph_cut_rank,
     matrix_ranks,
-    monadic_d_type,
     monadic_matrix_distinct_rows,
     monadic_type_matrix,
     reference_rank,
     smallest_prime_at_least,
     type_matrix,
-    union_rank_table,
 )
-from rankmat.structures import (
-    MonadicStructure,
-    Structure,
-    Vocabulary,
-    qf_type,
-    singleton_lifting,
-)
+from rankmat.structures import MonadicStructure, Structure, Vocabulary, qf_type
 from rankmat.trees import all_tree_shapes, ternary_encode, validate_tree
+
+from reference_types import element_d_type, monadic_d_type, singleton_lifting
 
 EDGE = Vocabulary((("E", 2),))
 
@@ -363,39 +356,18 @@ def test_grid_sandwich_3x3():
         assert math.ceil(math.sqrt(len(X))) - 1 <= r <= len(X)
 
 
-def test_union_rank_table():
-    s = path_structure(4)
-    instances = [
-        (s, {0, 1}, {0, 1}),
-        (s, set(), {1, 2}),
-        (s, {0}, {3}),
-    ]
-    table = union_rank_table(instances, rank_cap=5)
-    # X = Y and X = empty cases give union rank equal to the component rank
-    from rankmat.rank import distinct_row_rank
-
-    assert table  # nonempty
-    r = distinct_row_rank(s, {0, 1}, 1)
-    assert table[max(r, r)] >= r
-
-
-def test_union_rank_table_monotone_small():
-    instances = []
+def test_union_rank_is_bounded_by_the_component_ranks_small():
+    # for each value of max(rank X, rank Y) at m = 1, the largest rank of
+    # X u Y over every 3-element binary structure and X, Y among the
+    # subsets of {0, 1}
+    table = {}
     for s in (binary_structure(3, bits) for bits in range(1 << 9)):
-        subsets = [frozenset({i for i in range(3) if b >> i & 1}) for b in range(8)]
-        for X in subsets[:4]:
-            for Y in subsets[:4]:
-                instances.append((s, X, Y))
-    table = union_rank_table(instances, rank_cap=6)
-    buckets = sorted(table)
-    for a, b in zip(buckets, buckets[1:]):
-        assert table[a] <= table[b]
-    ranks = [
-        (max(distinct_row_rank(s, X, 1), distinct_row_rank(s, Y, 1)),
-         distinct_row_rank(s, X | Y, 1))
-        for s, X, Y in instances
-    ]
-    assert table == {b: max(u for c, u in ranks if c == b) for b, _ in ranks}
+        subsets = [frozenset({i for i in range(3) if b >> i & 1}) for b in range(4)]
+        for X in subsets:
+            for Y in subsets:
+                bound = max(distinct_row_rank(s, X, 1), distinct_row_rank(s, Y, 1))
+                union = distinct_row_rank(s, X | Y, 1)
+                table[bound] = max(table.get(bound, 0), union)
     assert table == {0: 0, 1: 2, 2: 2}
 
 

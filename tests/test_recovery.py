@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmat.enumerate import (
-    BINARY,
     associative_tables,
-    binary_structures,
     clique_graph,
     curated_size4_semigroups,
     cyclic_group,
@@ -24,90 +22,22 @@ from rankmat.recovery import (
     Seed,
     UnorderedOracle,
     find_seed,
-    informative_colouring,
-    max_twin_independent_set,
     maximal_seed,
     rank_decreasing_report,
     recover_partition,
     recover_preorder,
-    subforest_criterion,
     synth_oracle,
-    twins,
     validate_oracle,
 )
 from rankmat.semigroup import validate as validate_semigroup
-from rankmat.structures import Structure, qf_type, subsets
+from rankmat.structures import subsets
 from rankmat.trees import (
     LinearPreorder,
-    all_laminar_trees,
     blocks,
-    ternary_encode,
     validate_tree,
 )
 
 import reference_recovery as ref
-
-
-def graph_struct(g):
-    edges = {(a, b) for e in g.edges for a in e for b in e if a != b}
-    return Structure.make(BINARY, g.n, {"E": edges})
-
-
-P3 = graph_struct(path_graph(3))
-
-
-def test_twins_edgeless_and_clique():
-    for g in (edgeless_graph(4), clique_graph(4)):
-        s = graph_struct(g)
-        assert twins(s) == frozenset(
-            (a, b) for a in range(4) for b in range(a + 1, 4)
-        )
-        assert len(max_twin_independent_set(s)) == 1
-
-
-def test_twins_p3():
-    assert twins(P3) == frozenset({(0, 2)})
-    assert max_twin_independent_set(P3) == frozenset({0, 1})
-
-
-def test_twins_symmetric_and_witnessed():
-    # non-twin pairs always have a separating tuple avoiding both elements
-    for s in itertools.islice(binary_structures(3), 0, 600, 7):
-        n = s.universe_size
-        pairs = twins(s)
-        for a in range(n):
-            for b in range(a + 1, n):
-                others = [x for x in range(n) if x not in (a, b)]
-                witnessed = any(
-                    qf_type(s, (a,) + w) != qf_type(s, (b,) + w)
-                    for w in itertools.product(others, repeat=1)
-                )
-                assert ((a, b) in pairs) == (not witnessed)
-
-
-def test_informative_colouring_trivial():
-    assert informative_colouring(graph_struct(edgeless_graph(4)), 4) == (0, 0, 0, 0)
-    assert informative_colouring(graph_struct(clique_graph(4)), 4) == (0, 0, 0, 0)
-
-
-def test_informative_colouring_p3():
-    colours = informative_colouring(P3, 4)
-    assert colours == (0, 1, 0)
-
-
-def test_informative_colouring_verified_on_small_structures():
-    from rankmat.recovery import _is_informative
-
-    for s in itertools.islice(binary_structures(3), 0, 600, 13):
-        colours = informative_colouring(s, s.universe_size)
-        assert colours is not None
-        assert _is_informative(s, colours)
-
-
-def test_informative_colouring_respects_budget():
-    # a directed path needs more than one colour
-    s = Structure.make(BINARY, 3, {"E": {(0, 1), (1, 2)}})
-    assert informative_colouring(s, 1) is None
 
 
 def test_rank_decreasing_report_identity():
@@ -134,25 +64,6 @@ def test_rank_decreasing_report_edgeless_to_path():
 def test_rank_decreasing_report_universe_mismatch():
     with pytest.raises(ValueError):
         rank_decreasing_report([(path_graph(3), path_graph(4))])
-
-
-def test_subforest_criterion_edgeless_and_clique():
-    for t in all_laminar_trees(range(4)):
-        assert subforest_criterion([(t, edgeless_graph(4))]) == 0
-        assert subforest_criterion([(t, clique_graph(4))]) <= 1
-
-
-def test_subforest_criterion_own_encoding_bounded():
-    best = 0
-    for t in all_laminar_trees(range(4)):
-        best = max(best, subforest_criterion([(t, ternary_encode(t))]))
-    assert best <= 6
-
-
-def test_subforest_criterion_leaf_mismatch():
-    t = next(iter(all_laminar_trees(range(3))))
-    with pytest.raises(ValueError):
-        subforest_criterion([(t, edgeless_graph(4))])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from rankmat.semigroup import (
     _closure,
     Overflow,
     counts_non_increasing_after_repeat,
-    factorial,
     finitary_generator_check,
     green,
     identity_suite,
@@ -32,8 +31,8 @@ from rankmat.semigroup import (
     OmegaBoundExceeded,
     prefix_suffix_multiset_determines,
     premise_checks,
-    semicommutative_report,
     syntactic_class_count,
+    syntactic_class_counts,
     validate,
 )
 
@@ -101,10 +100,10 @@ def test_omega_raises_typed_error_past_bound():
 def test_idempotents_and_factorial():
     z3 = cyclic_group(3)
     assert idempotents(z3) == frozenset({0})
-    assert factorial(z3, 1) == 0
+    assert z3.power(1, omega(z3)) == 0  # a^! = a^omega
     w = word_monoid_1abab0()
     assert idempotents(w) == frozenset({0, 5})
-    assert factorial(w, 1) == 5  # a^! = a^2 = 0
+    assert w.power(1, omega(w)) == 5  # a^! = a^2 = 0
 
 
 def test_green_group_is_one_class():
@@ -229,9 +228,9 @@ def test_syntactic_class_count_matches_reference(S, k, cap):
 
 @settings(deadline=None, max_examples=40)
 @given(semigroups, st.integers(0, 40))
-def test_semicommutative_report_counts_match_per_k(S, cap):
-    report = semicommutative_report(S, k_max=3, cap=cap)
-    assert report["syntactic_counts"] == [syntactic_class_count(S, k, cap) for k in (1, 2, 3)]
+def test_syntactic_class_counts_match_per_k(S, cap):
+    counts = syntactic_class_counts(S, 3, cap)
+    assert counts == [syntactic_class_count(S, k, cap) for k in (1, 2, 3)]
 
 
 def test_prefix_suffix_multiset_examples():
@@ -243,10 +242,94 @@ def test_prefix_suffix_multiset_examples():
     assert len(u) == len(v) and u[0] == v[0] and u[-1] == v[-1]
     assert sorted(u) == sorted(v)
     assert w.product(u) != w.product(v)
+    # not almost commutative, so undetermined at k = 2 too
+    assert not prefix_suffix_multiset_determines(w, 2, max_len=6)[0]
 
 
 def test_left_zero_determined_by_first_letter():
     assert prefix_suffix_multiset_determines(left_zero(3), 1, max_len=5)[0]
+
+
+# the least k <= 2 at which each table's products are determined by the
+# first and last k letters and the letter multiset (words of length <= 6)
+LEAST_DETERMINING_K = [
+    ("cyclic_group(3)", cyclic_group(3), 0),
+    ("left_zero(3)", left_zero(3), 1),
+    ("right_zero(3)", right_zero(3), 1),
+    ("rectangular_band(2, 2)", rectangular_band(2, 2), 1),
+    ("chain_semilattice(3)", chain_semilattice(3), 0),
+    ("nilpotent_monoid", nilpotent_monoid(), 0),
+    ("Z2 x left_zero(2)", direct_product(cyclic_group(2), left_zero(2)), 1),
+    ("word_monoid_1abab0", word_monoid_1abab0(), None),
+]
+
+
+@pytest.mark.parametrize("S,least", [case[1:] for case in LEAST_DETERMINING_K],
+                         ids=[case[0] for case in LEAST_DETERMINING_K])
+def test_least_determining_k_matches_almost_commutativity(S, least):
+    determined = [prefix_suffix_multiset_determines(S, k, max_len=6)[0] for k in range(3)]
+    assert determined == [least is not None and k >= least for k in range(3)]
+    assert is_almost_commutative(S)[0] == (least is not None)
+
+
+def test_commutative_table_is_determined_by_its_multiset():
+    z3 = cyclic_group(3)
+    assert is_almost_commutative(z3)[0]
+    assert prefix_suffix_multiset_determines(z3, 0, max_len=6) == (True, None)
+    counts = syntactic_class_counts(z3, 4)
+    assert counts == [3, 3, 3, 3]
+    assert counts_non_increasing_after_repeat(counts)
+
+
+def test_left_zero_needs_its_first_letter():
+    lz = left_zero(3)
+    assert is_almost_commutative(lz)[0]
+    assert not prefix_suffix_multiset_determines(lz, 0, max_len=6)[0]
+    assert prefix_suffix_multiset_determines(lz, 1, max_len=6)[0]
+    assert counts_non_increasing_after_repeat(syntactic_class_counts(lz, 4))
+
+
+def test_word_monoid_is_undetermined_with_growing_counts():
+    w = word_monoid_1abab0()
+    assert not is_almost_commutative(w)[0]
+    # words of length 2k + 2 fit in the scan for k <= 2
+    for k in range(3):
+        assert not prefix_suffix_multiset_determines(w, k, max_len=6)[0]
+    counts = syntactic_class_counts(w, 4)
+    assert counts == [6, 8, 10, 12]
+    assert not counts_non_increasing_after_repeat(counts)
+
+
+def test_determination_at_k2_matches_almost_commutativity_on_size3_tables():
+    for s in associative_tables(3):
+        ac = is_almost_commutative(s)[0]
+        assert prefix_suffix_multiset_determines(s, 2, max_len=6)[0] == ac, s.table
+        counts = syntactic_class_counts(s, 3)
+        if ac:  # bounded counts never grow strictly
+            assert not all(a < b for a, b in zip(counts, counts[1:])), s.table
+
+
+@settings(deadline=None, max_examples=60)
+@given(semigroups, st.integers(0, 2), st.integers(1, 5))
+def test_determination_at_k_holds_at_k_plus_1(S, k, max_len):
+    assume(S.size ** max_len <= 4096)
+    if prefix_suffix_multiset_determines(S, k, max_len)[0]:
+        assert prefix_suffix_multiset_determines(S, k + 1, max_len)[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(semigroups, st.integers(0, 2), st.integers(1, 5))
+def test_determination_witness_agrees_on_its_key(S, k, max_len):
+    assume(S.size ** max_len <= 4096)
+    ok, witness = prefix_suffix_multiset_determines(S, k, max_len)
+    if ok:
+        assert witness is None
+        return
+    u, v = witness
+    assert u != v and len(u) == len(v) <= max_len
+    assert u[:k] == v[:k] and u[len(u) - k:] == v[len(v) - k:]
+    assert sorted(u) == sorted(v)
+    assert S.product(u) != S.product(v)
 
 
 def test_identity_suite_all_hold_on_corpus():
@@ -290,37 +373,6 @@ def test_counts_non_increasing_after_repeat():
     assert counts_non_increasing_after_repeat([2, 5, 5, 4])
     assert not counts_non_increasing_after_repeat([2, 4, 6])
     assert not counts_non_increasing_after_repeat([3, 3, 4])
-
-
-def test_semicommutative_report_commutative():
-    report = semicommutative_report(cyclic_group(3))
-    assert report["equation_holds"]
-    assert report["determination_k"] == 0
-    assert report["syntactic_counts"] == [3, 3, 3, 3]
-    assert report["counts_bounded"]
-    assert report["consistent"]
-
-
-def test_semicommutative_report_left_zero():
-    report = semicommutative_report(left_zero(3))
-    assert report["equation_holds"]
-    assert report["determination_k"] == 1
-    assert report["counts_bounded"]
-    assert report["consistent"]
-
-
-def test_semicommutative_report_word_monoid():
-    report = semicommutative_report(word_monoid_1abab0())
-    assert not report["equation_holds"]
-    assert report["determination_k"] is None
-    assert report["syntactic_counts"] == [6, 8, 10, 12]
-    assert report["counts_strictly_growing"]
-    assert report["consistent"]
-
-
-def test_semicommutative_report_consistent_on_size3_corpus():
-    for s in associative_tables(3):
-        assert semicommutative_report(s, k_max=3)["consistent"], s.table
 
 
 def test_finitary_generator_check_group():

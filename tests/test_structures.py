@@ -16,15 +16,14 @@ from rankmat.structures import (
     all_partial_tuples,
     composition_tables,
     compositionality_check,
-    induced_local_type,
     local_type_index,
-    possible_type_count,
     qf_type,
-    singleton_lifting,
     submasks,
     subsets,
 )
 from rankmat.trees import set_partitions
+
+from reference_types import element_d_type, monadic_d_type, singleton_lifting
 
 LE = Vocabulary((("le", 2),))
 EDGE = Vocabulary((("E", 2),))
@@ -104,12 +103,6 @@ def test_qf_type_isomorphism_invariance():
         assert qf_type(s, t) == qf_type(s2, mapped)
 
 
-def test_possible_type_count_bounds_actual():
-    for s in (binary_structure(2, bits) for bits in range(1 << 4)):
-        types = {qf_type(s, t) for t in all_partial_tuples(range(2), 2)}
-        assert len(types) <= possible_type_count(EDGE, 2)
-
-
 def test_singleton_lifting_simple():
     s = Structure.make(EDGE, 2, {"E": {(0, 1)}})
     ms = singleton_lifting(s)
@@ -142,15 +135,14 @@ def test_local_type_empty_set_single_class():
 def test_local_type_p4_distinguishes_inner_outer():
     s = path(4)
     # 0 has external neighbours none in {2,3}; 1 is adjacent to 2
-    a = induced_local_type(s, {0, 1}, (0,), m=2)
-    b = induced_local_type(s, {0, 1}, (1,), m=2)
-    assert a != b
+    index = local_type_index(s, {0, 1}, 1, 2)
+    assert index.class_of((0,)) != index.class_of((1,))
 
 
-def test_induced_local_type_outside_X_rejected():
-    s = path(4)
-    with pytest.raises(ValueError):
-        induced_local_type(s, {0, 1}, (2,), m=2)
+def test_class_of_rejects_a_tuple_outside_X():
+    index = local_type_index(path(4), {0, 1}, 1, 2)
+    with pytest.raises(KeyError):
+        index.class_of((2,))
 
 
 def test_composition_tables_single_part():
@@ -257,8 +249,6 @@ def test_binary_structures_distinct():
 def test_lifting_preserves_type_distinctions(n):
     # two element tuples have equal d-types iff their singleton liftings
     # have equal monadic d-types
-    from rankmat.rank import element_d_type, monadic_d_type
-
     structures = [binary_structure(2, bits) for bits in range(1 << 4)] if n == 2 else [
         path(3),
         linear_order(3),
@@ -292,8 +282,9 @@ def reference_subsets_of(mask_bits):
         yield sub
 
 
-def reference_hypergraph_subsets(mask):
-    """The former nested ``subsets`` of ``kronecker.hypergraph_rank``."""
+def reference_descending_submasks(mask):
+    """Every submask of mask, walked down from mask by ``(sub - 1) & mask``,
+    then sorted."""
     sub = mask
     out = [0]
     while sub:
@@ -316,7 +307,7 @@ def test_submasks_match_replaced_copies(positions):
     mask = sum(1 << b for b in positions)
     got = list(submasks(mask))
     assert got == list(reference_subsets_of(sorted(positions)))
-    assert got == reference_hypergraph_subsets(mask)
+    assert got == reference_descending_submasks(mask)
 
 
 @given(st.frozensets(st.integers(-5, 20), max_size=7))
@@ -449,7 +440,7 @@ def test_cached_local_type_index_equals_a_fresh_one(spec):
     assert len(s.local_type_indices) == (1 << n) * 9
 
 
-def test_induced_local_type_reuses_one_index(monkeypatch):
+def test_class_ids_of_one_part_reuse_one_index(monkeypatch):
     built = []
     build = structures._build_local_type_index
 
@@ -459,12 +450,12 @@ def test_induced_local_type_reuses_one_index(monkeypatch):
 
     monkeypatch.setattr(structures, "_build_local_type_index", counted)
     s = path(4)
-    ids = [induced_local_type(s, [0, 1], (x, y), m=2)
+    ids = [local_type_index(s, [0, 1], 2, 2).class_of((x, y))
            for x in (0, 1, None) for y in (0, 1, None)]
     assert built == [(frozenset({0, 1}), 2, 2)]
     index = s.local_type_indices[frozenset({0, 1}), 2, 2]
     assert ids == [index.class_of((x, y)) for x in (0, 1, None) for y in (0, 1, None)]
-    induced_local_type(s, {1, 0}, (1,), m=2)
+    local_type_index(s, {1, 0}, 1, 2).class_of((1,))
     assert built == [(frozenset({0, 1}), 2, 2), (frozenset({0, 1}), 1, 2)]
     assert s.local_type_indices[frozenset({0, 1}), 2, 2] is index
 

@@ -31,7 +31,14 @@ BROKEN = [
      {"instances": 129, "failures": 123, "almost_commutative": 123},
      {"check": "semigroups", "instance": "curated0", "status": "fail",
       "data": {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
-               "almost_commutative": True, "counts": ["4", "4", "4", "4"]}}),
+               "almost_commutative": True, "determined": True,
+               "counts": ["4", "4", "4", "4"]}}),
+    # every table determined: the six that are not almost commutative fail
+    ("semigroups", "prefix_suffix_multiset_determines", lambda S, k, max_len: (True, None),
+     {"instances": 129, "failures": 6, "almost_commutative": 123},
+     {"check": "semigroups", "instance": "table28", "status": "fail",
+      "data": {"table": [[0, 0, 0], [0, 1, 2], [2, 2, 2]], "almost_commutative": False,
+               "determined": True, "counts": ["3", "5", "7", "9"]}}),
     ("rank-decreasing", "rank_decreasing_report", _always_flagged,
      {"instances": 2, "failures": 2, "k8_p8_table": {"0": 1}},
      {"check": "rank-decreasing", "instance": "K8-to-P8", "status": "fail",
@@ -46,8 +53,16 @@ BROKEN = [
 ]
 
 
-@pytest.mark.parametrize("suite,kernel,stand_in,data,first", BROKEN,
-                         ids=[case[0] for case in BROKEN])
+def _ids(rows):
+    """Each row's suite, with the kernel added where an earlier row breaks
+    the same suite."""
+    seen = set()
+    for suite, kernel, *_ in rows:
+        yield f"{suite}-{kernel}" if suite in seen else suite
+        seen.add(suite)
+
+
+@pytest.mark.parametrize("suite,kernel,stand_in,data,first", BROKEN, ids=list(_ids(BROKEN)))
 def test_broken_kernel_pins_the_first_witness(monkeypatch, suite, kernel,
                                                stand_in, data, first):
     monkeypatch.setattr(suites, kernel, stand_in)
