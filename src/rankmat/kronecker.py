@@ -27,16 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemigroupMatrix:
-    row_labels: tuple
-    col_labels: tuple
     entries: tuple  # tuple of row tuples of element ids
     semigroup: Optional[FiniteSemigroup] = None
 
     def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row count mismatch")
         for row in self.entries:
-            if len(row) != len(self.col_labels):
+            if len(row) != len(self.entries[0]):
                 raise ValueError("column count mismatch")
             if self.semigroup is not None:
                 for x in row:
@@ -44,20 +40,12 @@ class SemigroupMatrix:
                         raise ValueError(f"entry {x} out of range")
 
     @staticmethod
-    def make(entries: Sequence[Sequence[int]], semigroup: Optional[FiniteSemigroup] = None,
-             row_labels: Optional[Sequence] = None,
-             col_labels: Optional[Sequence] = None) -> "SemigroupMatrix":
-        entries = tuple(tuple(row) for row in entries)
-        rows = tuple(row_labels) if row_labels is not None else tuple(range(len(entries)))
-        cols = (
-            tuple(col_labels)
-            if col_labels is not None
-            else tuple(range(len(entries[0]) if entries else 0))
-        )
-        return SemigroupMatrix(rows, cols, entries, semigroup)
+    def make(entries: Sequence[Sequence[int]],
+             semigroup: Optional[FiniteSemigroup] = None) -> "SemigroupMatrix":
+        return SemigroupMatrix(tuple(tuple(row) for row in entries), semigroup)
 
     def shape(self):
-        return len(self.row_labels), len(self.col_labels)
+        return len(self.entries), len(self.entries[0]) if self.entries else 0
 
 
 def _same_domain(M: SemigroupMatrix, N: SemigroupMatrix) -> None:
@@ -70,18 +58,12 @@ def kronecker_product(M1: SemigroupMatrix, M2: SemigroupMatrix) -> SemigroupMatr
     S = M1.semigroup
     if S is None:
         raise ValueError("Kronecker product needs a semigroup")
-    rows = tuple(product(M1.row_labels, M2.row_labels))
-    cols = tuple(product(M1.col_labels, M2.col_labels))
     entries = tuple(
-        tuple(
-            S.mult(M1.entries[r1][c1], M2.entries[r2][c2])
-            for c1 in range(len(M1.col_labels))
-            for c2 in range(len(M2.col_labels))
-        )
-        for r1 in range(len(M1.row_labels))
-        for r2 in range(len(M2.row_labels))
+        tuple(S.mult(a, b) for a in row1 for b in row2)
+        for row1 in M1.entries
+        for row2 in M2.entries
     )
-    return SemigroupMatrix(rows, cols, entries, S)
+    return SemigroupMatrix(entries, S)
 
 
 def kronecker_power(M: SemigroupMatrix, n: int) -> SemigroupMatrix:
@@ -224,7 +206,7 @@ def multiplication_matrix(S: FiniteSemigroup, B: Sequence[int], C: Sequence[int]
     if not B or not C:
         raise ValueError("B and C must be nonempty")
     entries = tuple(tuple(S.mult(b, c) for c in C) for b in B)
-    return SemigroupMatrix(tuple(B), tuple(C), entries, S)
+    return SemigroupMatrix(entries, S)
 
 
 def two_by_two_claim(S: FiniteSemigroup, b: int, c: int, d: int, budget: int = 5) -> dict:

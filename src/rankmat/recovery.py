@@ -1,29 +1,25 @@
-"""Rank-growth harnesses, and the seed-based algorithms that recover hidden
+"""The rank-growth harness, and the seed-based algorithms that recover hidden
 partitions and linear preorders from approximation oracles."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .rank import Graph, distinct_row_rank, graph_cut_rank
+from .rank import Graph, graph_cut_rank
 from .semigroup import FiniteSemigroup, validate as validate_semigroup
 from .structures import submasks, subsets
 from .trees import LinearPreorder
 
 __all__ = [
     "RecoveryError",
-    "Seed",
     "UnorderedOracle",
     "OrderedOracle",
     "rank_decreasing_report",
     "synth_oracle",
     "validate_oracle",
-    "find_seed",
-    "maximal_seed",
     "recover_partition",
     "recover_preorder",
 ]
@@ -34,13 +30,7 @@ class RecoveryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# rank-growth harnesses
-
-
-def _rank_of(obj, X) -> int:
-    if isinstance(obj, Graph):
-        return graph_cut_rank(obj, X)
-    return distinct_row_rank(obj, X, 1)
+# the rank-growth harness
 
 
 def _sampled_masks(n: int, budget: int):
@@ -65,47 +55,28 @@ def _sampled_masks(n: int, budget: int):
 _RANK_DECREASING_SUBSETS = 4096
 
 
-def rank_decreasing_report(pairs: Sequence[tuple]) -> dict:
-    """For each (input, output) pair over the same universe, tabulates the
-    input rank against the maximal output rank over enumerated (or
-    seeded-random, beyond _RANK_DECREASING_SUBSETS) subsets, and flags rank
-    growth."""
-    tables = []
-    flagged = []
-    for index, (inp, out) in enumerate(pairs):
-        n = inp.universe_size
-        if n != out.universe_size:
-            raise ValueError(f"pair {index}: universes differ")
-        masks = _sampled_masks(n, _RANK_DECREASING_SUBSETS)
-        table: dict = {}
-        witness = None
-        for bits in masks:
-            X = {i for i in range(n) if bits >> i & 1}
-            r_in = _rank_of(inp, X)
-            r_out = _rank_of(out, X)
-            table[r_in] = max(table.get(r_in, 0), r_out)
-            if r_out > r_in and witness is None:
-                witness = frozenset(X)
-        tables.append(table)
-        if witness is not None:
-            flagged.append((index, witness))
-    return {"tables": tables, "flagged": flagged}
+def rank_decreasing_report(inp: Graph, out: Graph) -> tuple:
+    """Tabulates the input graph's cut-rank against the output graph's
+    maximal cut-rank over enumerated (or seeded-random, beyond
+    _RANK_DECREASING_SUBSETS) subsets of their common universe. Returns the
+    table and the first subset whose rank grows, or None."""
+    n = inp.universe_size
+    if n != out.universe_size:
+        raise ValueError("universes differ")
+    table: dict = {}
+    witness = None
+    for bits in _sampled_masks(n, _RANK_DECREASING_SUBSETS):
+        X = {i for i in range(n) if bits >> i & 1}
+        r_in = graph_cut_rank(inp, X)
+        r_out = graph_cut_rank(out, X)
+        table[r_in] = max(table.get(r_in, 0), r_out)
+        if r_out > r_in and witness is None:
+            witness = frozenset(X)
+    return table, witness
 
 
 # ---------------------------------------------------------------------------
 # approximation oracles
-
-
-@dataclass(frozen=True)
-class Seed:
-    subset: frozenset
-    satisfies_phi: bool
-    has_full: bool
-    has_empty: bool
-    cut_classes: tuple  # class indices
-
-    def is_seed(self) -> bool:
-        return self.satisfies_phi and self.has_full and self.has_empty
 
 
 class UnorderedOracle:
@@ -196,9 +167,6 @@ class OrderedOracle(UnorderedOracle):
     blocks)."""
 
     ordered = True
-
-    def preorder(self) -> LinearPreorder:
-        return LinearPreorder(self.classes)
 
 
 def _kind(cls: frozenset, sub: frozenset) -> str:
@@ -408,29 +376,6 @@ def _homogeneity_fault(oracle) -> Optional[str]:
 # seeds: the search reads the oracle only through ``class_masks``,
 # ``sorted_universe``, ``phi_mask`` and ``k``, and every subset is a bitmask
 
-_NO_SEED = "no candidate seed satisfies phi: the oracle is not complete"
-
-
-def _seed_of(oracle, bits: int) -> Seed:
-    parts = [(bits & cmask, cmask) for cmask in oracle.class_masks]
-    return Seed(
-        subset=frozenset(_members(oracle.sorted_universe, bits)),
-        satisfies_phi=oracle.phi_mask(bits),
-        has_full=any(x == cmask for x, cmask in parts),
-        has_empty=any(not x for x, _ in parts),
-        cut_classes=tuple(i for i, (x, cmask) in enumerate(parts) if x and x != cmask),
-    )
-
-
-def find_seed(oracle) -> Seed:
-    """The canonical seed: the first class full, everything else empty."""
-    if len(oracle.class_masks) < 2:
-        raise ValueError("a seed needs at least two classes")
-    seed = _seed_of(oracle, oracle.class_masks[0])
-    if not seed.is_seed():
-        raise RecoveryError("the first class alone fails phi: the oracle is not complete")
-    return seed
-
 
 def _cut_patterns(cmask: int) -> list:
     """The nonempty proper submasks of a class mask, in increasing order
@@ -459,24 +404,10 @@ def _maximal_candidates(oracle) -> list:
     return []
 
 
-def maximal_seed(oracle) -> tuple:
-    """A seed cutting the maximal number of classes, with its special
-    classes: the cut classes plus one designated full and one designated
-    empty class. Ties resolve to the lexicographically least subset."""
-    if len(oracle.class_masks) < 2:
-        raise ValueError("a seed needs at least two classes")
-    view = _view_for(oracle, _maximal_candidates(oracle), None)
-    if view is None:
-        raise RecoveryError(_NO_SEED)
-    Y, special = view
-    return _seed_of(oracle, Y), tuple(oracle.classes[i] for i in special)
-
-
-def _view_for(oracle, candidates, target: Optional[int]):
+def _view_for(oracle, candidates, target: int):
     """The least maximal-seed candidate whose special classes avoid the
-    target class (None avoids nothing), with designations chosen
-    accordingly: the cut classes, the full class and the first other
-    class as the empty one."""
+    target class, with designations chosen accordingly: the cut classes,
+    the full class and the first other class as the empty one."""
     n = len(oracle.class_masks)
     options = []
     for cut_set, full_class, Y in candidates:
@@ -582,7 +513,7 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
         return (oracle.universe(),)
     candidates = _maximal_candidates(oracle)
     if not candidates:
-        raise RecoveryError(_NO_SEED)
+        raise RecoveryError("no candidate seed satisfies phi: the oracle is not complete")
     same: dict = {x: {x} for x in universe}
     views: list = []  # per view, one element of each membership pattern
     covered = 0

@@ -129,9 +129,6 @@ class GreenData:
     suffixes: tuple
     infixes: tuple  # per element b, frozenset {a : a is an infix of b}
 
-    def common_prefix(self, a: int, b: int) -> bool:
-        return bool(self.prefixes[a] & self.prefixes[b])
-
 
 def green(S: FiniteSemigroup) -> GreenData:
     n = S.size
@@ -260,29 +257,26 @@ def prefix_suffix_multiset_determines(S: FiniteSemigroup, k: int, max_len: int =
     n = S.size
     total = sum(n**length for length in range(1, max_len + 1))
     caps.check("word_scan", total, "prefix/suffix/multiset word scan")
+    table = S.table
+    # (word, product) in lexicographic order, each length from the last
+    words = [((x,), x) for x in S.elements()]
     for length in range(1, max_len + 1):
+        if length > 1:
+            words = [(w + (x,), table[v][x]) for w, v in words for x in S.elements()]
+        if length <= 2 * k:
+            continue  # the first and last k letters are the whole word
         groups: dict = {}
-        for word in product(range(n), repeat=length):
+        for word, value in words:
             key = (word[:k], word[-k:] if k else (), tuple(sorted(word)))
-            value = S.product(word)
-            if key in groups:
-                prev_word, prev_value = groups[key]
-                if prev_value != value:
-                    return False, (prev_word, word)
-            else:
-                groups[key] = (word, value)
+            prev_word, prev_value = groups.setdefault(key, (word, value))
+            if prev_value != value:
+                return False, (prev_word, word)
     return True, None
 
 
 @dataclass(frozen=True)
 class IdentityReport:
     results: tuple  # tuple of (identity name, holds, counterexample or None)
-
-    def holds(self, name: str) -> bool:
-        for n, h, _ in self.results:
-            if n == name:
-                return h
-        raise KeyError(name)
 
     def all_hold(self) -> bool:
         return all(h for _, h, _ in self.results)

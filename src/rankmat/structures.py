@@ -16,7 +16,7 @@ when the types are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,12 +54,6 @@ class Vocabulary:
         for name, arity in self.relations:
             if arity < 1:
                 raise ValueError(f"relation {name!r} has arity {arity} < 1")
-
-    def arity(self, name: str) -> int:
-        for rel, arity in self.relations:
-            if rel == name:
-                return arity
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -258,14 +252,6 @@ class LocalTypeIndex:
     k: int
     m: int
     classes: tuple  # tuple of (sorted tuple of member tuples), class id = index
-    _class_ids: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        ids = {t: i for i, members in enumerate(self.classes) for t in members}
-        object.__setattr__(self, "_class_ids", ids)
-
-    def class_of(self, t: tuple) -> int:
-        return self._class_ids[t]
 
 
 def _external_tuples(s: Structure, X: frozenset, m: int) -> list:

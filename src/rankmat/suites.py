@@ -583,8 +583,8 @@ def suite_compositionality():
 def _rank_table(inp, out) -> tuple:
     """The rank table of one (input, output) pair, its keys strings as JSON
     writes them, and whether the pair is flagged."""
-    report = rank_decreasing_report([(inp, out)])
-    return {str(k): v for k, v in report["tables"][0].items()}, bool(report["flagged"])
+    table, witness = rank_decreasing_report(inp, out)
+    return {str(k): v for k, v in table.items()}, witness is not None
 
 
 @_suite("rank-decreasing")

@@ -160,22 +160,6 @@ class LaminarTree:
     def root(self) -> frozenset:
         return frozenset(self.leaves)
 
-    def parent(self, node: frozenset) -> Optional[frozenset]:
-        """The smallest node strictly containing a node of the tree; None
-        for the root."""
-        return self._index.parent[node]
-
-    def least_node_containing(self, xs: Iterable) -> frozenset:
-        """The smallest node containing xs, up the parent links from the
-        owner of one of them; the first smallest node for no xs."""
-        xs = set(xs)
-        index = self._index
-        node = index.owner.get(next(iter(xs))) if xs else next(iter(index.by_size), None)
-        while node is not None and not xs <= node:
-            node = index.parent[node]
-        if node is None:
-            raise ValueError(f"no node contains {xs}")
-        return node
 
 
 def validate_tree(family: Iterable[Iterable],
@@ -307,9 +291,6 @@ class Orientation:
     modulus: int
     leaf_colours: tuple  # tuple of (leaf, colour)
     left_right: tuple  # tuple of (node, left child, right child)
-
-    def colour(self, leaf):
-        return dict(self.leaf_colours)[leaf]
 
     def left(self, node):
         for n, l, _ in self.left_right:
@@ -557,9 +538,6 @@ class LinearPreorder:
     @staticmethod
     def make(classes: Sequence[Iterable]) -> "LinearPreorder":
         return LinearPreorder(tuple(frozenset(c) for c in classes))
-
-    def universe(self) -> frozenset:
-        return frozenset().union(*self.classes)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The seed search, partition recovery and preorder recovery as
+"""Partition recovery and preorder recovery, with the seed search they use, as
 ``rankmat.recovery`` had them before they moved onto class bitmasks: every
 subset is a frozenset and every query goes through ``oracle.phi``. Kept as
 the reference that the bitmask code is compared against; it is slow, and
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from rankmat.recovery import RecoveryError, Seed, UnorderedOracle
+from rankmat.recovery import RecoveryError, UnorderedOracle
 from rankmat.structures import subsets
 from rankmat.trees import LinearPreorder
 
@@ -55,29 +55,6 @@ def _is_homogeneous(oracle) -> bool:
 # seeds
 
 
-def _seed_of(oracle, Y: frozenset) -> Seed:
-    cut = tuple(
-        i for i, cls in enumerate(oracle.classes) if 0 < len(Y & cls) < len(cls)
-    )
-    return Seed(
-        subset=Y,
-        satisfies_phi=oracle.phi(Y),
-        has_full=any(cls <= Y for cls in oracle.classes),
-        has_empty=any(not (cls & Y) for cls in oracle.classes),
-        cut_classes=cut,
-    )
-
-
-def find_seed(oracle) -> Seed:
-    """The canonical seed: the first class full, everything else empty."""
-    if len(oracle.classes) < 2:
-        raise ValueError("a seed needs at least two classes")
-    seed = _seed_of(oracle, oracle.classes[0])
-    if not seed.is_seed():
-        raise RecoveryError("the first class alone fails phi: the oracle is not complete")
-    return seed
-
-
 def _cut_patterns(cls: frozenset) -> list:
     return [sub for sub in subsets(sorted(cls)) if sub and sub != cls]
 
@@ -105,24 +82,6 @@ def _maximal_candidates(oracle) -> list:
                             best, best_cuts = [], c
                         best.append((cut_set, full_class, Y))
     return best
-
-
-def maximal_seed(oracle) -> tuple:
-    """A seed cutting the maximal number of classes, with its special
-    classes: the cut classes plus one designated full and one designated
-    empty class. Ties resolve to the lexicographically least subset."""
-    if len(oracle.classes) < 2:
-        raise ValueError("a seed needs at least two classes")
-    candidates = _maximal_candidates(oracle)
-    cut_set, full_class, Y = min(
-        candidates, key=lambda t: (sorted(t[2]), t[0], t[1])
-    )
-    empty_class = min(
-        i for i in range(len(oracle.classes))
-        if i not in cut_set and i != full_class
-    )
-    special = tuple(sorted(set(cut_set) | {full_class, empty_class}))
-    return _seed_of(oracle, Y), tuple(oracle.classes[i] for i in special)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,26 @@
-"""Every top-level definition in the library serves a suite, a command or
-the benchmark, or is on a short allowlist that says why it stays.
+"""Every top-level definition in the library, and every method of a class
+it reaches, serves a suite, a command or the benchmark, or is on a short
+allowlist that says why it stays.
 
 Reachability is by name.  The roots are every definition in ``suites.py``
 and ``cli.py``, the library's module-level code (constants, tables and
 registries, but not ``__all__``), and every name ``perfbench/run.py`` and
 ``perfbench/workloads.py`` read, attributes and strings included.  A
 reached definition reaches every top-level definition, in any module,
-whose name it mentions.  Matching by name alone over-approximates, so a
-definition left unreached is reached by no root.
+whose name it mentions, and every method, property or staticmethod of a
+reached class whose name it reads as an attribute (``x.name``) or an
+identifier string.  A class's dunders run with the class, and a method's
+reads count only once something else reaches it, so a method that only
+calls itself stays unreached.  Methods of an unreached class are not
+reported: the class is.
+
+Matching by name alone over-approximates, so a definition left unreached
+is reached by no root, but a method can hide behind another class's
+attribute of the same name.  ``LaminarTree.parent`` and
+``LinearPreorder.universe`` were deleted by hand for that reason: the
+tree index's ``index.parent`` dict and ``Structure.universe`` (read as
+``s.universe()``) kept them reached.  Dataclass fields are not checked,
+since removing one changes ``==`` and ``hash``.
 """
 import ast
 import textwrap
@@ -25,23 +38,45 @@ ALLOWED = {
     "formats.write_semigroup": "the parser round-trip tests write with it",
     "formats.write_matrix": "the parser round-trip tests write with it",
     "formats.write_oracle": "the parser round-trip tests write with it",
-    "recovery.Seed": "the seed search's public entry point; recovery through an "
-                     "oracle view (ROADMAP item 5) replaces it",
-    "recovery._seed_of": "builds a Seed for find_seed and maximal_seed",
-    "recovery.find_seed": "the seed search's public entry point; recovery through an "
-                          "oracle view (ROADMAP item 5) replaces it",
-    "recovery.maximal_seed": "the seed search's public entry point; recovery through an "
-                             "oracle view (ROADMAP item 5) replaces it",
     "trees.PartiallyOrderedTree": "the star of the induction-basis suite (ROADMAP item 1)",
     "trees.document_preorder": "the star of the induction-basis suite (ROADMAP item 1)",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def names_in(node) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def reads_in(node) -> tuple:
+    """The names (plain or attribute) and the attributes a piece of code
+    reads; an identifier string, as ``getattr`` takes it, counts as both."""
+    names, attributes = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+            attributes.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            names.add(n.value)
+            attributes.add(n.value)
+    return names, attributes
+
+
+def methods_of(node) -> list:
+    """A class's methods, properties and staticmethods, dunders aside."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [s for s in node.body if isinstance(s, METHODS)
+            and not (s.name.startswith("__") and s.name.endswith("__"))]
+
+
+def code_of(node) -> list:
+    """What runs once a definition is reached: a class's body less the
+    methods, which are reached on their own."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    methods = methods_of(node)
+    return node.decorator_list + node.bases + [s for s in node.body if s not in methods]
 
 
 def is_all(statement) -> bool:
@@ -54,31 +89,36 @@ def library_modules(library=LIBRARY) -> dict:
 
 
 def unreached(library=LIBRARY, benchmark=BENCHMARK) -> set:
-    definitions = {}  # name -> [(module, node)]
-    roots = set()
+    # (key, node, owner): every top-level definition, with owner None, and
+    # every method of a class, with the class's key as its owner
+    definitions = []
+    # the roots, and the code that runs from them
+    reached, code = set(), [ast.parse(path.read_text()) for path in benchmark]
     for module, tree in library_modules(library).items():
         for statement in tree.body:
             if isinstance(statement, DEFINITIONS):
-                definitions.setdefault(statement.name, []).append((module, statement))
+                key = f"{module}.{statement.name}"
+                definitions.append((key, statement, None))
+                definitions += [(f"{key}.{m.name}", m, key) for m in methods_of(statement)]
                 if module in ROOT_MODULES:
-                    roots.add(statement.name)
+                    reached.add(key)
+                    code += code_of(statement)
             elif not isinstance(statement, (ast.Import, ast.ImportFrom)) and not is_all(statement):
-                roots |= names_in(statement)
-    for path in benchmark:
-        tree = ast.parse(path.read_text())
-        roots |= names_in(tree)
-        roots |= {n.value for n in ast.walk(tree)
-                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                  and n.value.isidentifier()}
-    reached, todo = set(), list(roots)
-    while todo:
-        name = todo.pop()
-        for module, node in definitions.get(name, ()):
-            if (module, name) not in reached:
-                reached.add((module, name))
-                todo.extend(names_in(node))
-    return {f"{module}.{name}" for name, found in definitions.items()
-            for module, _ in found if (module, name) not in reached}
+                code.append(statement)
+    names, attributes = set(), set()
+    while code:
+        for node in code:
+            more_names, more_attributes = reads_in(node)
+            names |= more_names
+            attributes |= more_attributes
+        code = []
+        for key, node, owner in definitions:
+            if key not in reached and (node.name in attributes and owner in reached
+                                       if owner else node.name in names):
+                reached.add(key)
+                code += code_of(node)
+    return {key for key, _, owner in definitions
+            if key not in reached and (owner is None or owner in reached)}
 
 
 def test_every_definition_serves_a_suite_command_or_workload():
@@ -188,6 +228,51 @@ def test_scan_roots_names_attributes_and_strings_the_benchmark_reads(tmp_path):
         print("not an identifier: unread()")
         """)
     assert unreached(library, bench) == {"core.unread"}
+
+
+METHODS_LIBRARY = {
+    "suites": "def suite():\n    box = Box()\n    return box.used() + getattr(box, 'named')()\n",
+    "core": """
+        class Box:
+            def __init__(self):
+                self.size = 0
+
+            def used(self):
+                return self.size
+
+            def named(self):
+                return 1
+
+            def test_only(self):
+                return 2
+
+            def recursive(self, n):
+                return self.recursive(n - 1) if n else 0
+
+            @property
+            def timed(self):
+                return 3
+
+        class Unused:
+            def anything(self):
+                return 4
+        """,
+}
+
+
+def test_scan_reports_methods_only_tests_or_their_own_body_read(tmp_path):
+    library, bench = write_package(tmp_path, METHODS_LIBRARY)
+    assert unreached(library, bench) == {
+        "core.Box.test_only", "core.Box.recursive", "core.Box.timed", "core.Unused"}
+
+
+def test_scan_roots_methods_the_benchmark_reads_as_attributes(tmp_path):
+    library, bench = write_package(tmp_path, METHODS_LIBRARY, benchmark="""
+        def run(box):
+            return box.timed
+        """)
+    assert unreached(library, bench) == {
+        "core.Box.test_only", "core.Box.recursive", "core.Unused"}
 
 
 def test_an_export_imported_from_another_module_is_reported():

@@ -15,14 +15,12 @@ from rankmat.enumerate import (
     edgeless_graph,
     path_graph,
 )
-from rankmat.rank import Graph, distinct_row_rank
 from rankmat.recovery import (
     OrderedOracle,
     RecoveryError,
-    Seed,
     UnorderedOracle,
-    find_seed,
-    maximal_seed,
+    _maximal_candidates,
+    _view_for,
     rank_decreasing_report,
     recover_partition,
     recover_preorder,
@@ -42,28 +40,27 @@ import reference_recovery as ref
 
 def test_rank_decreasing_report_identity():
     g = path_graph(4)
-    report = rank_decreasing_report([(g, g)])
-    assert report["flagged"] == []
-    for r_in, r_out in report["tables"][0].items():
+    table, witness = rank_decreasing_report(g, g)
+    assert witness is None
+    for r_in, r_out in table.items():
         assert r_out == r_in
 
 
 def test_rank_decreasing_report_edge_removal_growth():
-    report = rank_decreasing_report([(clique_graph(8), path_graph(8))])
-    table = report["tables"][0]
+    table, witness = rank_decreasing_report(clique_graph(8), path_graph(8))
     assert table[1] >= 2
-    assert report["flagged"] and report["flagged"][0][0] == 0
+    assert witness is not None
 
 
 def test_rank_decreasing_report_edgeless_to_path():
-    report = rank_decreasing_report([(edgeless_graph(4), path_graph(4))])
-    assert report["tables"][0][0] >= 1
-    assert report["flagged"]
+    table, witness = rank_decreasing_report(edgeless_graph(4), path_graph(4))
+    assert table[0] >= 1
+    assert witness is not None
 
 
 def test_rank_decreasing_report_universe_mismatch():
-    with pytest.raises(ValueError):
-        rank_decreasing_report([(path_graph(3), path_graph(4))])
+    with pytest.raises(ValueError, match="universes differ"):
+        rank_decreasing_report(path_graph(3), path_graph(4))
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +88,30 @@ def test_synth_oracle_soundness():
     assert o.phi({0})  # cuts one
 
 
-def test_find_seed():
-    o = synth_oracle("unordered", [{0, 1}, {2, 3}], 2)
-    seed = find_seed(o)
-    assert seed.subset == frozenset({0, 1})
-    assert seed.is_seed() and seed.cut_classes == ()
-    single = synth_oracle("unordered", [{0, 1}], 2)
-    with pytest.raises(ValueError):
-        find_seed(single)
-
-
-def test_maximal_seed_cuts_up_to_k_minus_1():
-    o = synth_oracle("unordered", [{0, 1}, {2, 3}, {4, 5}], 2)
-    seed, special = maximal_seed(o)
-    assert seed.is_seed()
-    assert len(seed.cut_classes) == 1  # k - 1
-    assert len(special) <= o.k + 2
-
-
-def test_maximal_seed_special_count_homogeneous_4():
-    o = synth_oracle("unordered", [{0}, {1, 2}, {3, 4}, {5, 6, 7}], 3)
-    seed, special = maximal_seed(o)
-    assert seed.is_seed()
-    assert len(special) <= o.k + 2
+# a view needs k + 2 classes: k - 1 cut ones, a full one, an empty one and
+# the target
+@pytest.mark.parametrize("hidden,k", [
+    ([{0, 1}, {2, 3}, {4, 5}, {6}], 2),
+    ([{0}, {1, 2}, {3, 4}, {5, 6, 7}, {8}], 3),
+])
+def test_maximal_seeds_cut_k_minus_1_classes_with_at_most_k_plus_2_special(hidden, k):
+    o = synth_oracle("unordered", hidden, k)
+    candidates = _maximal_candidates(o)
+    assert candidates
+    for cut_set, full_class, Y in candidates:
+        assert len(cut_set) == k - 1
+        assert o.phi_mask(Y) and Y & o.class_masks[full_class] == o.class_masks[full_class]
+    views = [_view_for(o, candidates, target) for target in range(len(hidden))]
+    assert any(views)
+    for target, view in enumerate(views):
+        if view is not None:
+            # a seed: phi holds, one special class is full and one empty
+            Y, special = view
+            assert target not in special and len(special) <= k + 2
+            assert o.phi_mask(Y)
+            parts = [(Y & o.class_masks[i], o.class_masks[i]) for i in special]
+            assert any(part == cmask for part, cmask in parts)
+            assert any(part == 0 for part, _ in parts)
 
 
 def test_recover_partition_two_equal_classes():
@@ -201,14 +199,6 @@ def test_ordered_oracle_interval_completeness():
             assert o.phi(Y)
 
 
-def test_seed_flags_match_queries():
-    o = synth_oracle("unordered", [{0, 1}, {2, 3}, {4}], 2)
-    seed, _ = maximal_seed(o)
-    assert seed.satisfies_phi == o.phi(seed.subset)
-    assert seed.has_full == any(c <= seed.subset for c in o.classes)
-    assert seed.has_empty == any(not (c & seed.subset) for c in o.classes)
-
-
 def constant_oracle(accept: bool) -> UnorderedOracle:
     """phi is constantly `accept`: the trivial semigroup maps every subset
     to 0, and 0 is accepted or not."""
@@ -224,9 +214,8 @@ def test_unsound_oracle_raises_recovery_error():
     with pytest.raises(RecoveryError, match="maximality violated"):
         recover_partition(constant_oracle(True))
     # rejecting every set leaves no seed candidate
-    for recover in (find_seed, maximal_seed, recover_partition):
-        with pytest.raises(RecoveryError, match="not complete"):
-            recover(constant_oracle(False))
+    with pytest.raises(RecoveryError, match="not complete"):
+        recover_partition(constant_oracle(False))
 
 
 def test_unsound_oracle_names_the_unsound_set():
@@ -537,9 +526,7 @@ def random_table_oracles(draw):
 @given(st.one_of(perturbed_synth_oracles(), random_table_oracles()), st.integers(0, 1))
 def test_recovery_matches_the_frozenset_reference(o, extra_d):
     d = o.k + extra_d
-    for new, old, args in [(find_seed, ref.find_seed, ()),
-                           (maximal_seed, ref.maximal_seed, ()),
-                           (recover_partition, ref.recover_partition, ()),
+    for new, old, args in [(recover_partition, ref.recover_partition, ()),
                            (recover_preorder, ref.recover_preorder, (d,))]:
         with stopping_at_fix_points():
             expected = outcome(old, o, *args)

@@ -138,7 +138,7 @@ def test_green_common_prefix_chain():
     # prefixes of b are the elements >= b, so any two share the top
     for a in range(3):
         for b in range(3):
-            assert g.common_prefix(a, b)
+            assert g.prefixes[a] & g.prefixes[b]
 
 
 def test_almost_commutative_examples():
@@ -332,6 +332,27 @@ def test_determination_witness_agrees_on_its_key(S, k, max_len):
     assert S.product(u) != S.product(v)
 
 
+def brute_force_determines(S, k, max_len):
+    """The determination scan over every word of every length, each
+    product computed from scratch."""
+    for length in range(1, max_len + 1):
+        groups = {}
+        for word in product(range(S.size), repeat=length):
+            key = (word[:k], word[-k:] if k else (), tuple(sorted(word)))
+            first, value = groups.setdefault(key, (word, S.product(word)))
+            if value != S.product(word):
+                return False, (first, word)
+    return True, None
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_determination_matches_a_brute_force_scan_on_the_corpus(k):
+    # the semigroups suite's corpus, at its word length
+    for S in list(associative_tables(3)) + curated_size4_semigroups():
+        assert prefix_suffix_multiset_determines(S, k, 6) == \
+            brute_force_determines(S, k, 6), S.table
+
+
 def test_identity_suite_all_hold_on_corpus():
     for s in curated_size4_semigroups():
         assert identity_suite(s).all_hold()
@@ -349,11 +370,11 @@ def test_identity_suite_reports_counterexample():
             assert witness is not None
 
 
-def test_identity_suite_lookup():
+def test_identity_suite_results_name_each_identity_once():
     report = identity_suite(cyclic_group(2))
-    assert report.holds("ef_eq_efef")
-    with pytest.raises(KeyError):
-        report.holds("no_such_identity")
+    assert ("ef_eq_efef", True, None) in report.results
+    names = [name for name, _, _ in report.results]
+    assert len(names) == len(set(names)) == 7
 
 
 def test_premise_checks():

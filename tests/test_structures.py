@@ -29,6 +29,12 @@ LE = Vocabulary((("le", 2),))
 EDGE = Vocabulary((("E", 2),))
 
 
+def class_ids(index) -> dict:
+    """Each member tuple of a local type index, with the id (position) of
+    its class."""
+    return {t: i for i, members in enumerate(index.classes) for t in members}
+
+
 def linear_order(n):
     tuples = {(i, j) for i in range(n) for j in range(n) if i <= j}
     return Structure.make(LE, n, {"le": tuples})
@@ -129,41 +135,44 @@ def test_local_type_empty_set_single_class():
     s = path(3)
     index = local_type_index(s, (), 0, 2)
     assert len(index.classes) == 1
-    assert index.class_of(()) == 0
+    assert class_ids(index) == {(): 0}
 
 
 def test_local_type_p4_distinguishes_inner_outer():
     s = path(4)
     # 0 has external neighbours none in {2,3}; 1 is adjacent to 2
     index = local_type_index(s, {0, 1}, 1, 2)
-    assert index.class_of((0,)) != index.class_of((1,))
+    ids = class_ids(index)
+    assert ids[(0,)] != ids[(1,)]
 
 
-def test_class_of_rejects_a_tuple_outside_X():
+def test_a_tuple_outside_X_is_in_no_class():
     index = local_type_index(path(4), {0, 1}, 1, 2)
-    with pytest.raises(KeyError):
-        index.class_of((2,))
+    assert (2,) not in class_ids(index)
+    assert set(class_ids(index)) == {(0,), (1,), (None,)}
 
 
 def test_composition_tables_single_part():
     s = linear_order(2)
     lambdas, gamma, colours = composition_tables(s, [range(2)], 1, 2)
     index = local_type_index(s, range(2), 2, 2)
+    ids = class_ids(index)
     for t in all_partial_tuples(range(2), 2):
-        colour = lambdas[0][index.class_of(t)]
+        colour = lambdas[0][ids[t]]
         assert gamma[(colour,)] == qf_type(s, t)
 
 
 def test_composition_tables_singleton_partition():
     s = linear_order(2)
     lambdas, gamma, colours = composition_tables(s, [{0}, {1}], 2, 2)
-    indices = [local_type_index(s, {0}, 2, 2), local_type_index(s, {1}, 2, 2)]
+    indices = [class_ids(local_type_index(s, {0}, 2, 2)),
+               class_ids(local_type_index(s, {1}, 2, 2))]
     parts = [frozenset({0}), frozenset({1})]
     for t in all_partial_tuples(range(2), 2):
         key = []
         for i in range(2):
             proj = tuple(x if x in parts[i] else None for x in t)
-            key.append(lambdas[i][indices[i].class_of(proj)])
+            key.append(lambdas[i][indices[i][proj]])
         assert gamma[tuple(key)] == qf_type(s, t)
 
 
@@ -210,9 +219,9 @@ def test_compositionality_check_detects_conflict(monkeypatch):
     ok, (t1, t2) = compositionality_check(s, partition, 2)
     assert not ok
     for part in partition:
-        index = one_class(s, part, 2, 2)
-        assert index.class_of(tuple(x if x in part else None for x in t1)) == \
-            index.class_of(tuple(x if x in part else None for x in t2))
+        ids = class_ids(one_class(s, part, 2, 2))
+        assert ids[tuple(x if x in part else None for x in t1)] == \
+            ids[tuple(x if x in part else None for x in t2)]
     assert qf_type(s, t1) != qf_type(s, t2)
     # every tuple has the same colours, so t1 is the tuple just before t2
     order = list(all_partial_tuples(range(3), 2))
@@ -450,12 +459,12 @@ def test_class_ids_of_one_part_reuse_one_index(monkeypatch):
 
     monkeypatch.setattr(structures, "_build_local_type_index", counted)
     s = path(4)
-    ids = [local_type_index(s, [0, 1], 2, 2).class_of((x, y))
+    ids = [class_ids(local_type_index(s, [0, 1], 2, 2))[x, y]
            for x in (0, 1, None) for y in (0, 1, None)]
     assert built == [(frozenset({0, 1}), 2, 2)]
     index = s.local_type_indices[frozenset({0, 1}), 2, 2]
-    assert ids == [index.class_of((x, y)) for x in (0, 1, None) for y in (0, 1, None)]
-    local_type_index(s, {1, 0}, 1, 2).class_of((1,))
+    assert ids == [class_ids(index)[x, y] for x in (0, 1, None) for y in (0, 1, None)]
+    local_type_index(s, {1, 0}, 1, 2)
     assert built == [(frozenset({0, 1}), 2, 2), (frozenset({0, 1}), 1, 2)]
     assert s.local_type_indices[frozenset({0, 1}), 2, 2] is index
 
@@ -474,8 +483,8 @@ def test_composition_gamma_is_qf_type_of_every_tuple_seen(case):
         union = sorted(set().union(*(parts[i] for i in chosen)))
         for t in all_partial_tuples(union, m):
             key = tuple(
-                lambdas[i][local_type_index(s, parts[i], m, m).class_of(
-                    tuple(x if x in parts[i] else None for x in t))]
+                lambdas[i][class_ids(local_type_index(s, parts[i], m, m))[
+                    tuple(x if x in parts[i] else None for x in t)]]
                 for i in chosen)
             assert gamma[key] == qf_type(s, t)
             seen.setdefault(key, t)

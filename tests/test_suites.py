@@ -13,8 +13,8 @@ from rankmat.cli import main
 from rankmat.suites import SUITES, Report, run_suite
 
 
-def _always_flagged(pairs):
-    return {"flagged": True, "tables": [{0: 1}]}
+def _always_flagged(inp, out):
+    return {0: 1}, frozenset()
 
 
 # (suite, kernel, stand-in, summary data, first failure report)
@@ -80,7 +80,7 @@ def test_rank_decreasing_witnesses_survive_a_json_round_trip(monkeypatch):
     # a non-diagonal identity table fails identity-path4; its table keys are
     # strings, as in the K8-to-P8 witness and the summary
     monkeypatch.setattr(suites, "rank_decreasing_report",
-                        lambda pairs: {"flagged": [], "tables": [{0: 0, 1: 2}]})
+                        lambda inp, out: ({0: 0, 1: 2}, None))
     reports = SUITES["rank-decreasing"]()
     assert [r.instance for r in reports] == ["K8-to-P8", "identity-path4", "summary"]
     for report in reports:
