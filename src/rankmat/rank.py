@@ -5,7 +5,11 @@
 ``qf_type`` as a small int, so the subsets X of one structure share their
 cells.  The memo lives on the structure, not in this module, so it is freed
 with the structure; a module-level cache would keep the last structure and
-its memo alive for as long as the module stays loaded.
+its memo alive for as long as the module stays loaded.  An m = 1 row (x,)
+is ``QfTypeIds.pair_ids(s, x)``, the ids of (x, y) for every y, read at the
+columns' elements; m >= 2 cells go through the tuple memo.  Work bound: an
+m = 1 call types at most |X|·n pairs, and each pair at most once per
+structure, since each x's vector is built once.
 
 A depth-0 monadic type of a subset tuple is its set of atomic facts
 (relations, inclusions, equalities and size residues); a depth-d type is the
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
@@ -69,9 +73,20 @@ def _matrix_index(s: Structure, X: Iterable[int], m: int) -> tuple:
 
 
 def _id_rows(s: Structure, rows: tuple, cols: tuple) -> Iterator[tuple]:
-    """The type matrix's rows as tuples of ids in ``s``'s memo.  A
-    generator: the memo is not touched before the first row is read."""
-    type_id = s.qf_type_ids.id_of
+    """The type matrix's rows as tuples of ids in ``s``'s memo.  At m = 1
+    row (x,) is ``pair_ids(s, x)`` read at the columns' elements; at m >= 2
+    each cell is looked up in the tuple memo.  A generator: the memo is not
+    touched before the first row is read."""
+    ids = s.qf_type_ids
+    if cols and len(cols[0]) == 1:
+        outside = [y for (y,) in cols]
+        pick = itemgetter(*outside)
+        single = len(outside) == 1  # then pick gives the id, not a 1-tuple
+        for (x,) in rows:
+            row = pick(ids.pair_ids(s, x))
+            yield (row,) if single else row
+        return
+    type_id = ids.id_of
     for r in rows:
         yield tuple([type_id(s, r + c) for c in cols])
 

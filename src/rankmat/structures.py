@@ -8,7 +8,8 @@ formulas.
 
 Typing work is shared per structure through two memos on the instance,
 freed with it: ``Structure.qf_type_ids`` interns each tuple's type as a
-small int, and ``Structure.local_type_indices`` keeps each
+small int (and keeps, per element x, the ids of every pair (x, y)), and
+``Structure.local_type_indices`` keeps each
 ``local_type_index(s, X, k, m)`` built, so ``composition_tables`` and every
 partition containing a part reuse one index.  ``composition_tables`` types
 each tuple through ``qf_type_ids`` and compares ids, which are equal exactly
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
@@ -160,31 +161,41 @@ class QfTypeIds:
     ``QfType`` gets a small int id in order of first appearance, so two
     tuples get equal ids exactly when ``qf_type`` gives them equal types
     (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
-    ``of_tuple`` memoises the id of every tuple looked up.  The kept types
+    ``of_tuple`` memoises the id of every tuple looked up, and ``pair_ids``
+    the ids of every pair (x, y) for one x at a time.  The kept types
     share one tuple per fact, which takes about a third off the memo's
     size; a structure's memo lives as long as the structure does.  It holds
     no reference to its structure, so ``Structure.qf_type_ids`` makes no
     cycle.
+
+    Work bound: ``pair_ids`` types the n pairs (x, y) of a new x once, and
+    never again for that structure, so a call for the m = 1 rows of X
+    types at most |X|·n pairs, and each pair at most once per structure.
     """
 
-    __slots__ = ("of_tuple", "types", "_ids", "_facts")
+    __slots__ = ("of_tuple", "types", "_ids", "_facts", "_pairs", "_pair_keys")
 
     def __init__(self):
         self.of_tuple: dict = {}  # tuple -> id
         self.types: list = []  # id -> QfType
         self._ids: dict = {}  # QfType -> id
         self._facts: dict = {}  # fact -> its one kept copy
+        self._pairs: dict = {}  # x -> the ids of (x, y) for every y
+        self._pair_keys: dict = {}  # a pair's fact-column values -> its id
 
     def intern(self, s: Structure, t: tuple) -> int:
         """The id of ``qf_type(s, t)``, recorded for ``t``."""
-        ty = qf_type(s, t)
+        found = self.of_tuple[t] = self._type_id(qf_type(s, t))
+        return found
+
+    def _type_id(self, ty: QfType) -> int:
+        """The id of ty, a new one if ty is new."""
         found = self._ids.get(ty)
         if found is None:
             facts = frozenset(self._facts.setdefault(f, f) for f in ty.facts)
             ty = QfType(ty.mask, ty.equality, facts)
             found = self._ids[ty] = len(self.types)
             self.types.append(ty)
-        self.of_tuple[t] = found
         return found
 
     def id_of(self, s: Structure, t: tuple) -> int:
@@ -193,6 +204,34 @@ class QfTypeIds:
             return self.of_tuple[t]
         except KeyError:
             return self.intern(s, t)
+
+    def pair_ids(self, s: Structure, x: int) -> tuple:
+        """The ids of (x, y) for every y in the universe, entry y for y,
+        built once per x.  x == y and each atom of a pair are fact columns
+        over the whole universe.  Both coordinates being defined, the
+        columns' values at y are the type of (x, y): its equality and its
+        true atoms.  So each combination of values is typed once per
+        structure, shared by every x.  An x outside the universe is a
+        ``ValueError``, raised before any vector is read."""
+        found = self._pairs.get(x)
+        if found is None:
+            n = s.universe_size
+            if not 0 <= x < n:
+                raise ValueError(f"coordinate {x} out of range")
+            ys = range(n)
+            at = ((x,) * n, ys).__getitem__  # 0 takes x, 1 takes y
+            atoms = [(name, idx) for name, arity in s.vocabulary.relations
+                     for idx in product((0, 1), repeat=arity)]
+            keys = list(zip(map(x.__eq__, ys), *[
+                map(s.relation(name).__contains__, zip(*map(at, idx))) for name, idx in atoms]))
+            known = self._pair_keys
+            for key in dict.fromkeys(keys):
+                if key not in known:
+                    known[key] = self._type_id(QfType(
+                        (True, True), (0, 0) if key[0] else (0, 1),
+                        frozenset(compress(atoms, key[1:]))))
+            found = self._pairs[x] = tuple(map(known.__getitem__, keys))
+        return found
 
 
 @dataclass(frozen=True)

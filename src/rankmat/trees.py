@@ -6,10 +6,10 @@ singleton is a node, every internal node has at least two children.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -110,16 +110,15 @@ class _TreeIndex:
         )
 
     @cached_property
-    def forests(self) -> tuple:
-        """The subforests (see ``subforests``) as leaf masks, in
-        increasing order."""
+    def forests(self) -> frozenset:
+        """The subforests (see ``subforests``) as leaf masks."""
         mask = self.mask
         out = {mask[self.by_size[-1]]}  # the root
         for node in self.internal:
             kids = [mask[kid] for kid in self.children[node]]
             for k in range(1, len(kids) + 1):
                 out.update(reduce(or_, chosen) for chosen in combinations(kids, k))
-        return tuple(sorted(out))
+        return frozenset(out)
 
     def mask_of(self, xs: Iterable) -> int:
         """The mask of the leaves among xs."""
@@ -203,10 +202,11 @@ def ternary_encode(t: LaminarTree) -> Structure:
         # without {leaf}, no child holds leaf and its pairs would be lost
         if frozenset((leaf,)) not in t.nodes:
             raise ValueError(f"singleton {{{leaf!r}}} missing from the family")
-    rel = {(x, x, x) for x in leaves}
-    for node, a, b in _child_pairs(t._index):
-        rel.update(product(a, b, node))
-    return Structure.make(TERNARY, len(leaves), {"T": rel})
+    rel = frozenset(chain(
+        zip(leaves, leaves, leaves),
+        chain.from_iterable(product(a, b, node) for node, a, b in _child_pairs(t._index)),
+    ))
+    return Structure(TERNARY, len(leaves), (("T", rel),))
 
 
 def ternary_decode(s: Structure) -> LaminarTree:
@@ -265,7 +265,9 @@ def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
     the empty set and the full leaf set; ``Overflow()`` when more than
     ``limit`` subforests would be needed.  The chosen subforests cut the
     leaves into cells, and X is a combination of them exactly when it
-    splits no cell."""
+    splits no cell.  One subforest f cuts the cells f and root less f, so
+    X is a combination of one exactly when X or root less X is a
+    subforest: a set lookup, where m >= 2 searches."""
     caps.check("boolean_combination_limit", limit, "boolean combination limit")
     X = frozenset(X)
     if X == frozenset() or X == t.root():
@@ -273,7 +275,9 @@ def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
     index = t._index
     x = index.mask_of(X)
     full = (1 << len(index.leaves)) - 1
-    for m in range(1, limit + 1):
+    if limit >= 1 and (x in index.forests or full & ~x in index.forests):
+        return 1
+    for m in range(2, limit + 1):
         for chosen in combinations(index.forests, m):
             cells = [full]
             for f in chosen:
@@ -292,17 +296,17 @@ class Orientation:
     leaf_colours: tuple  # tuple of (leaf, colour)
     left_right: tuple  # tuple of (node, left child, right child)
 
+    @cached_property
+    def _children(self) -> dict:
+        # node -> (left, right), kept in the instance __dict__ outside the
+        # fields, as LaminarTree._index is
+        return {node: (l, r) for node, l, r in self.left_right}
+
     def left(self, node):
-        for n, l, _ in self.left_right:
-            if n == node:
-                return l
-        raise KeyError(node)
+        return self._children[node][0]
 
     def right(self, node):
-        for n, _, r in self.left_right:
-            if n == node:
-                return r
-        raise KeyError(node)
+        return self._children[node][1]
 
 
 @dataclass(frozen=True)
@@ -441,20 +445,24 @@ def group_orientation(t: LaminarTree, m: int = 4):
 
 
 def orientation_is_valid(t: LaminarTree, o: Orientation) -> bool:
-    """Post-hoc check: recompute sums and the uniqueness condition."""
+    """Post-hoc check: recompute sums and the uniqueness condition.  Each
+    node is summed once, smallest first: its own leaves' colours plus its
+    children's sums."""
+    index = t._index
     colours = dict(o.leaf_colours)
-
-    def node_sum(node):
-        return sum(colours[leaf] for leaf in node) % o.modulus
-
-    for node in t.internal_nodes():
-        kids = t.children(node)
-        sums = [node_sum(k) for k in kids]
-        unique = [k for k, s in zip(kids, sums) if sums.count(s) == 1]
+    total = dict.fromkeys(index.by_size, 0)
+    for leaf, node in index.owner.items():
+        total[node] += colours[leaf]
+    for node in index.by_size:
+        if index.parent[node] is not None:
+            total[index.parent[node]] += total[node]
+    for node in index.internal:
+        sums = [(total[kid] % o.modulus, kid) for kid in index.children[node]]
+        counts = Counter(s for s, _ in sums)
+        unique = sorted((s, kid) for s, kid in sums if counts[s] == 1)
         if len(unique) < 2:
             return False
-        ordered = sorted(unique, key=node_sum)
-        if o.left(node) != ordered[0] or o.right(node) != ordered[1]:
+        if o.left(node) != unique[0][1] or o.right(node) != unique[1][1]:
             return False
     return True
 

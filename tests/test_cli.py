@@ -247,6 +247,23 @@ def test_cli_pinned_output(workdir, monkeypatch, capsys, action, rest, code, tex
     assert run_cli(capsys, "--json", *argv) == (code, expected)
 
 
+# (action, the rest of the command line, the error message): input errors
+# exit 2 with nothing on stdout and the message on stderr
+REJECTED = [
+    ("tree-rank", "t.tree --subset 0,9", "error: coordinate 9 out of range\n"),
+    ("tree-rank", "t.tree --subset 0,9 --m 2", "error: coordinate 9 out of range\n"),
+]
+
+
+@pytest.mark.parametrize("action,rest,message", REJECTED,
+                         ids=[f"{action} {rest}" for action, rest, _ in REJECTED])
+def test_cli_rejected_input_exits_2(workdir, monkeypatch, capsys, action, rest, message):
+    monkeypatch.chdir(workdir)
+    for mode in ([], ["--json"]):
+        assert main(mode + action.split() + rest.split()) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("action", [case[0] for case in PINNED])
 def test_cli_help_exits_0(capsys, action):
     assert main(action.split() + ["--help"]) == 0

@@ -529,6 +529,62 @@ def test_qf_memo_leaves_eq_hash_repr(spec):
     assert (hash(s), repr(s)) == before == (hash(other), repr(other))
     assert s == other and not (s != other)
     assert "qf_type_ids" in vars(s) and "qf_type_ids" not in vars(other)
+    # every x with a row and a column got its pair-id vector, in the memo
+    ids = vars(s)["qf_type_ids"]
+    assert set(ids._pairs) == (set(range(n)) if n > 1 else set())
+    assert all(v == tuple(ids.id_of(s, (x, y)) for y in range(n)) for x, v in ids._pairs.items())
+
+
+UBT = Vocabulary((("U", 1), ("E", 2), ("R", 3)))
+
+
+@st.composite
+def ubt_structures(draw):
+    """A structure with a unary, a binary and a ternary relation."""
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    return Structure.make(UBT, n, {
+        name: draw(st.frozensets(st.tuples(*[element] * arity), max_size=3 * n))
+        for name, arity in UBT.relations})
+
+
+def fresh_copy(s):
+    return Structure(s.vocabulary, s.universe_size, s.interpretation)
+
+
+@settings(deadline=None)
+@given(ubt_structures(), st.data())
+def test_pair_ids_rank_matches_qf_type_across_arities(s, data):
+    X = data.draw(st.sets(st.integers(0, s.universe_size - 1)))
+    _, _, table, _ = reference_type_matrix(fresh_copy(s), X, 1)
+    # rows of no columns are all (), so the set size follows the 0 / 1 rule too
+    assert distinct_row_rank(s, X, 1) == len(set(table))
+
+
+@settings(deadline=None)
+@given(ubt_structures(), st.data())
+def test_pair_ids_type_matrix_on_a_warm_structure_matches_qf_type(s, data):
+    warm = fresh_copy(s)
+    for X in data.draw(st.lists(st.sets(st.integers(0, s.universe_size - 1)), max_size=4)):
+        distinct_row_rank(warm, X, 1)
+        type_matrix(warm, X, 2 if s.universe_size < 5 else 1)
+    X = data.draw(st.sets(st.integers(0, s.universe_size - 1)))
+    M = type_matrix(warm, X, 1)
+    assert (M.rows, M.cols, M.table, M.values) == reference_type_matrix(fresh_copy(s), X, 1)
+    assert M.X == frozenset(X) and M.m == 1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("warm", [False, True])
+def test_rank_names_a_coordinate_outside_the_universe(m, warm):
+    s = path_structure(3)
+    if warm:  # every fact-column combination is known, so no new pair is typed
+        for X in subsets(3):
+            distinct_row_rank(s, X, m)
+    for bad in (-1, 3):
+        for build in (distinct_row_rank, type_matrix):
+            with pytest.raises(ValueError, match=f"^coordinate {bad} out of range$"):
+                build(s, {0, bad}, m)
 
 
 def test_distinct_row_rank_edge_cases(monkeypatch):

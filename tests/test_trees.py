@@ -164,9 +164,8 @@ def test_subforests_matches_bruteforce():
                     expected.add(frozenset().union(*chosen))
         assert "forests" not in vars(t._index)
         assert subforests(t) == frozenset(expected)
-        # as leaf masks (leaf x is bit x), in the order min_boolean_combination
-        # tries them in
-        assert t._index.forests == tuple(sorted(sum(1 << x for x in f) for f in expected))
+        # as leaf masks (leaf x is bit x), the set min_boolean_combination looks X up in
+        assert t._index.forests == {sum(1 << x for x in f) for f in expected}
 
 
 def test_interesting_analysis_empty_X():
@@ -818,6 +817,77 @@ def test_group_orientation_on_a_wide_star_is_polynomial():
     o = group_orientation(star(24), 3)
     assert isinstance(o, Orientation) and orientation_is_valid(star(24), o)
     assert [c for _, c in o.leaf_colours] == [0] * 22 + [1, 2]
+
+
+def reference_left(o, node):
+    """Orientation.left before its node map: a scan of left_right."""
+    for n, left, _ in o.left_right:
+        if n == node:
+            return left
+    raise KeyError(node)
+
+
+def reference_right(o, node):
+    for n, _, right in o.left_right:
+        if n == node:
+            return right
+    raise KeyError(node)
+
+
+def reference_orientation_is_valid(t, o):
+    """The check before it summed each node once: every child's sum
+    re-adds its leaves, and every lookup scans left_right."""
+    colours = dict(o.leaf_colours)
+
+    def node_sum(node):
+        return sum(colours[leaf] for leaf in node) % o.modulus
+
+    for node in t.internal_nodes():
+        kids = t.children(node)
+        sums = [node_sum(k) for k in kids]
+        unique = [k for k, s in zip(kids, sums) if sums.count(s) == 1]
+        if len(unique) < 2:
+            return False
+        ordered = sorted(unique, key=node_sum)
+        if reference_left(o, node) != ordered[0] or reference_right(o, node) != ordered[1]:
+            return False
+    return True
+
+
+def reference_chosen_leaf(o, node):
+    current = reference_left(o, node)
+    while len(current) > 1:
+        current = reference_right(o, current)
+    (leaf,) = current
+    return leaf
+
+
+def swapped(o, node):
+    """o with node's left and right children exchanged."""
+    return Orientation(o.modulus, o.leaf_colours, tuple(
+        (n, r, l) if n == node else (n, l, r) for n, l, r in o.left_right))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_orientation_lookups_match_the_scanning_reference(m):
+    checked = 0
+    for n in range(1, 9):
+        for t in all_tree_shapes(n):
+            o = group_orientation(t, m)
+            if not isinstance(o, Orientation):
+                continue
+            assert orientation_is_valid(t, o) is reference_orientation_is_valid(t, o) is True
+            for leaf in t.leaves:
+                with pytest.raises(KeyError):
+                    o.left(f(leaf))
+            for node in t.internal_nodes():
+                assert o.left(node) == reference_left(o, node)
+                assert o.right(node) == reference_right(o, node)
+                assert chosen_leaf(t, o, node) == reference_chosen_leaf(o, node)
+                bad = swapped(o, node)
+                assert orientation_is_valid(t, bad) is reference_orientation_is_valid(t, bad) is False
+                checked += 1
+    assert checked > 100
 
 
 def reference_ternary_decode(s):
