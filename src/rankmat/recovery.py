@@ -36,9 +36,17 @@ class RecoveryError(ValueError):
 def _sampled_masks(n: int, budget: int):
     """Subsets of n positions as bitmasks: all 2^n in order when they fit
     the budget, else the sorted distinct values of ``budget`` draws seeded
-    with 0."""
+    with 0, as a new list on every call."""
     if 1 << n <= budget:
         return range(1 << n)
+    return list(_drawn_masks(n, budget))
+
+
+# The draws depend on (n, budget) alone, so each sample set is drawn once
+# while it stays among the 32 most recent: at a budget of 256, universes of
+# 9 to 36 elements need 28.
+@lru_cache(maxsize=32)
+def _drawn_masks(n: int, budget: int) -> tuple:
     # rng.randrange(1 << n) inlined: CPython draws n + 1 random bits and
     # redraws while the value is out of range, so these are the same draws
     getrandbits = random.Random(0).getrandbits
@@ -49,7 +57,7 @@ def _sampled_masks(n: int, budget: int):
         while r >= limit:
             r = getrandbits(n + 1)
         drawn.add(r)
-    return sorted(drawn)
+    return tuple(sorted(drawn))
 
 
 _RANK_DECREASING_SUBSETS = 4096
@@ -112,7 +120,10 @@ class UnorderedOracle:
                                          f"is in classes {j} and {i}")
         elements = semigroup.elements()
         for i, (cls, table) in enumerate(zip(self.classes, self.lam)):
-            if set(table) != set(subsets(sorted(cls))):
+            # 2^|class| distinct keys, each a subset of the class, are all
+            # of its subsets
+            if len(table) != 1 << len(cls) or not all(
+                    isinstance(sub, frozenset) and sub <= cls for sub in table):
                 raise ValueError("lambda must cover every subset of its class")
             for sub, value in table.items():
                 if value not in elements:
@@ -121,6 +132,7 @@ class UnorderedOracle:
         for value in self.accept:
             if value not in elements:
                 raise ValueError(f"accept value {value} is not a semigroup element")
+        self._table = semigroup.table
         self._universe = frozenset().union(*self.classes)
         self.sorted_universe = tuple(sorted(self._universe))
         self._bit = {x: 1 << i for i, x in enumerate(self.sorted_universe)}
@@ -143,7 +155,7 @@ class UnorderedOracle:
     def phi_mask(self, bits: int) -> bool:
         """phi of the subset with the given bitmask; bits outside the
         universe are ignored."""
-        table = self.semigroup.table
+        table = self._table
         cmask, lam = self._lam_first
         value = lam[bits & cmask]
         for cmask, lam in self._lam_rest:
@@ -230,8 +242,9 @@ def _sort_key(e):
 
 
 # The counter semigroups depend only on k (and the group ids), so each
-# Cayley table is built and checked for associativity once per key; the
-# index dicts are shared and only read.
+# Cayley table is built once per key and checked for associativity a row
+# per pair of elements (semigroup.validate); the index dicts are shared and
+# only read. validate_oracle's sample sets are memoised too (_drawn_masks).
 @lru_cache(maxsize=32)
 def _unordered_counter(k: int, gids: tuple) -> tuple:
     """Sets of (group, full/empty) tags with a cut count capped at k."""
@@ -302,10 +315,15 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     phi_mask = oracle.phi_mask
     k = oracle.k
     for bits in masks:
-        cuts, block_count = _cut_and_block_counts(class_masks, bits)
         if ordered:
+            block_count = _cut_and_block_counts(class_masks, bits)[1]
             complete, refuted = block_count <= 1, block_count >= k + 3
         else:
+            cuts = 0
+            for cmask in class_masks:
+                inter = bits & cmask
+                if inter and inter != cmask:
+                    cuts += 1
             complete, refuted = cuts == 0, cuts >= k
         if complete or refuted:
             holds = phi_mask(bits)
@@ -485,6 +503,16 @@ def _restrict_oracle(oracle, class_indices: list) -> UnorderedOracle:
     )
 
 
+def _refine(mask: int, seeds: Iterable[int]) -> list:
+    """The bits of the mask grouped by their membership pattern over the
+    seeds, as masks: each seed splits every group into its part inside the
+    seed and its part outside."""
+    groups = [mask] if mask else []
+    for Y in seeds:
+        groups = [part for g in groups for part in (g & Y, g & ~Y) if part]
+    return groups
+
+
 def _join(same: dict, members: Iterable) -> None:
     """Merges the groups of the given elements into one."""
     group = set().union(*(same[x] for x in members))
@@ -515,24 +543,19 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
     if not candidates:
         raise RecoveryError("no candidate seed satisfies phi: the oracle is not complete")
     same: dict = {x: {x} for x in universe}
-    views: list = []  # per view, one element of each membership pattern
+    views: list = []  # per view, the first element of each group
     covered = 0
     for target in range(n):
         view = _view_for(oracle, candidates, target)
         if view is None:
             continue
         Y0, special = view
-        family = _good_seeds(oracle, Y0, special)
         nonspecial = _union(m for i, m in enumerate(masks) if i not in special)
         covered |= nonspecial
-        by_pattern: dict = {}
-        for i, x in enumerate(universe):
-            if nonspecial >> i & 1:
-                pattern = tuple(Y >> i & 1 for Y in family)
-                by_pattern.setdefault(pattern, []).append(x)
-        for members in by_pattern.values():
-            _join(same, members)
-        views.append([members[0] for members in by_pattern.values()])
+        groups = _refine(nonspecial, _good_seeds(oracle, Y0, special))
+        for g in groups:
+            _join(same, _members(universe, g))
+        views.append([universe[(g & -g).bit_length() - 1] for g in groups])
     for firsts in views:
         if len({frozenset(same[x]) for x in firsts}) < len(firsts):
             raise RecoveryError("oracle answers are inconsistent")

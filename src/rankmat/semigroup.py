@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
@@ -65,14 +66,21 @@ def validate(table: Sequence[Sequence[int]], unit: Optional[int] = None) -> Fini
         for x in row:
             if not (0 <= x < n):
                 raise ValueError(f"entry {x} out of range")
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
+    # (ab)c = a(bc) for every c says that row ab equals row a read at the
+    # entries of row b; c is scanned only where a pair fails, to name the
+    # first failing triple. A 1-element table in range is associative, and
+    # itemgetter with one index would return a scalar, not a tuple.
+    readers = [itemgetter(*row) for row in rows] if n > 1 else []
+    for a, row_a in enumerate(rows):
+        for b, read in enumerate(readers):
+            ab = row_a[b]
+            if rows[ab] == read(row_a):
+                continue
             for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
+                if rows[ab][c] != row_a[rows[b][c]]:
                     raise ValueError(
                         f"not associative at ({a},{b},{c}): "
-                        f"({a}{b}){c} = {rows[ab][c]} but {a}({b}{c}) = {rows[a][rows[b][c]]}"
+                        f"({a}{b}){c} = {rows[ab][c]} but {a}({b}{c}) = {row_a[rows[b][c]]}"
                     )
     if unit is not None:
         if not (0 <= unit < n):

@@ -332,6 +332,43 @@ def _postorder(index: _TreeIndex, root: frozenset) -> list:
     return out
 
 
+def _leaf_list_order(index: _TreeIndex) -> dict:
+    """A key per internal node that orders the internal nodes as their
+    sorted leaf lists do, from a few operations on each node's leaf mask.
+
+    Disjoint nodes, and nested ones with different least leaves, are in
+    the order of their least leaves.  The nodes with one least leaf form a
+    chain, each the parent of the one before; of two of them the smaller
+    comes first exactly when its leaves are a prefix of the larger's, that
+    is, when all its leaves are below every leaf the larger adds.  A node's
+    rank in its chain counts the smaller nodes that are its prefixes, kept
+    on a stack, and the larger nodes it is not a prefix of."""
+    mask = index.mask
+    chains: dict = {}
+    for node in index.internal:  # smaller nodes first
+        m = mask[node]
+        chains.setdefault(m & -m, []).append(node)
+    order = {}
+    for least, chain in chains.items():
+        last = len(chain) - 1
+        # until[j]: the last position in the chain whose node has node j as
+        # a prefix
+        stack, prefixes, until = [], [], [last] * len(chain)
+        below = 0
+        for j, node in enumerate(chain):
+            m = mask[node]
+            new = m & ~below
+            # the earlier nodes left on the stack are prefixes of this one
+            while stack and mask[chain[stack[-1]]] > new & -new:
+                until[stack.pop()] = j - 1
+            prefixes.append(len(stack))
+            stack.append(j)
+            below = m
+        for j, node in enumerate(chain):
+            order[node] = (least, prefixes[j] + last - until[j])
+    return order
+
+
 def _first_choices(options: list, m: int) -> dict:
     """For each total mod m that some tuple of ``product(*options)`` with
     at least two entries unique in it reaches, the first such tuple in
@@ -434,12 +471,13 @@ def group_orientation(t: LaminarTree, m: int = 4):
         left_right[node] = (unique_kids[0][1], unique_kids[1][1])
         stack.extend(zip(kids, choice))
 
+    order = _leaf_list_order(index)
     return Orientation(
         m,
         tuple(sorted(leaf_colours.items())),
         tuple(
             (node, lr[0], lr[1])
-            for node, lr in sorted(left_right.items(), key=lambda kv: sorted(kv[0]))
+            for node, lr in sorted(left_right.items(), key=lambda kv: order[kv[0]])
         ),
     )
 

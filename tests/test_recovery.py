@@ -19,7 +19,12 @@ from rankmat.recovery import (
     OrderedOracle,
     RecoveryError,
     UnorderedOracle,
+    _drawn_masks,
+    _good_seeds,
     _maximal_candidates,
+    _members,
+    _refine,
+    _sampled_masks,
     _view_for,
     rank_decreasing_report,
     recover_partition,
@@ -294,8 +299,6 @@ def test_unordered_oracle_rejects_overlapping_classes(classes, message):
                                        (13, 4096), (12, 4095), (30, 256), (36, 4096),
                                        (20, 256)])
 def test_sampled_masks_pinned_at_the_budget_boundary(n, budget):
-    from rankmat.recovery import _sampled_masks
-
     # the expression validate_oracle and rank_decreasing_report each used
     if 1 << n <= budget:
         expected = range(1 << n)
@@ -305,6 +308,41 @@ def test_sampled_masks_pinned_at_the_budget_boundary(n, budget):
     masks = _sampled_masks(n, budget)
     assert type(masks) is type(expected)
     assert list(masks) == list(expected)
+
+
+def test_sampled_masks_are_drawn_once_and_copied():
+    first = _sampled_masks(20, 256)
+    assert _sampled_masks(20, 256) == first
+    first.append(-1)
+    first[0] = -2
+    again = _sampled_masks(20, 256)
+    assert -1 not in again and -2 not in again and len(again) == len(first) - 1
+    # the memo keeps at most maxsize sample sets
+    maxsize = _drawn_masks.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(9, 9 + maxsize + 8):
+        _sampled_masks(n, 256)
+    assert _drawn_masks.cache_info().currsize == maxsize
+
+
+def _without(table, key):
+    return {sub: v for sub, v in table.items() if sub != key}
+
+
+@pytest.mark.parametrize("change", [
+    # a missing subset
+    lambda table: _without(table, frozenset({1})),
+    # as many keys, one of them with an element outside the class
+    lambda table: {**_without(table, frozenset({1})), frozenset({7}): 0},
+    # as many keys, one of them a tuple
+    lambda table: {**_without(table, frozenset({1})), (1,): 0},
+])
+def test_unordered_oracle_requires_lambda_to_cover_its_class(change):
+    o = synth_oracle("unordered", [{0, 1}, {2}], 1)
+    lam = [change(o.lam[0]), o.lam[1]]
+    with pytest.raises(ValueError, match="^lambda must cover every subset of its class$"):
+        UnorderedOracle(o.classes, o.semigroup, lam, o.accept, o.k)
+    UnorderedOracle(o.classes, o.semigroup, o.lam, o.accept, o.k)
 
 
 def _hidden_classes(sizes):
@@ -531,3 +569,38 @@ def test_recovery_matches_the_frozenset_reference(o, extra_d):
         with stopping_at_fix_points():
             expected = outcome(old, o, *args)
         assert outcome(new, o, *args) == expected, new.__name__
+
+
+def test_refining_by_good_seeds_groups_as_membership_patterns_do():
+    rng = random.Random(21)
+    views = split = 0
+    for _ in range(150):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+        labels = rng.sample(range(40), sum(sizes))
+        hidden = [frozenset(labels[x] for x in cls) for cls in _hidden_classes(sizes)]
+        o = synth_oracle("unordered", hidden, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            # a changed accept set gives good seeds that are not unions of classes
+            flip = set(rng.sample(o.semigroup.elements(), 2))
+            o = UnorderedOracle(o.classes, o.semigroup, o.lam, o.accept ^ flip, o.k)
+        universe, masks = o.sorted_universe, o.class_masks
+        candidates = _maximal_candidates(o)
+        for target in range(len(masks)):
+            view = _view_for(o, candidates, target)
+            if view is None:
+                continue
+            Y0, special = view
+            try:
+                family = _good_seeds(o, Y0, special)
+            except RecoveryError:
+                continue
+            nonspecial = sum(m for i, m in enumerate(masks) if i not in special)
+            by_pattern: dict = {}
+            for i, x in enumerate(universe):
+                if nonspecial >> i & 1:
+                    by_pattern.setdefault(tuple(Y >> i & 1 for Y in family), []).append(x)
+            groups = _refine(nonspecial, family)
+            assert sorted(_members(universe, g) for g in groups) == sorted(by_pattern.values())
+            views += 1
+            split += len(groups) > 1
+    assert views > 100 and split > 50

@@ -42,6 +42,48 @@ def test_validate_rejects_non_associative():
         validate([[0, 1], [0, 0]])
 
 
+def reference_first_failure(rows) -> Optional[tuple]:
+    """The first (a, b, c), in a, b, c order, with (ab)c != a(bc)."""
+    n = len(rows)
+    for a, b, c in product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return a, b, c
+    return None
+
+
+ASSOCIATIVE = [S.table for S in associative_tables(3)] + [
+    S.table for S in curated_size4_semigroups()]
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of size 1 to 4: random ones, or an associative one with one
+    entry changed, which fails at few triples if at all."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+                for _ in range(n)]
+    rows = [list(row) for row in draw(st.sampled_from(ASSOCIATIVE))]
+    n = len(rows)
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_validate_matches_the_triple_loop(rows):
+    failure = reference_first_failure(rows)
+    if failure is None:
+        assert validate(rows).table == tuple(map(tuple, rows))
+        return
+    a, b, c = failure
+    lhs, rhs = rows[rows[a][b]][c], rows[a][rows[b][c]]
+    message = f"not associative at ({a},{b},{c}): ({a}{b}){c} = {lhs} but {a}({b}{c}) = {rhs}"
+    with pytest.raises(ValueError) as err:
+        validate(rows)
+    assert str(err.value) == message
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(ValueError):
         validate([[0, 1]])

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -35,6 +36,7 @@ from rankmat.trees import (
     ternary_encode,
     validate_tree,
     _first_choices,
+    _leaf_list_order,
 )
 
 
@@ -810,6 +812,57 @@ def test_group_orientation_matches_product_reference_on_labeled_trees(t, m):
     # leaves relabeled at random, so the children's index order is not the
     # shapes' left-to-right order
     assert repr(group_orientation(t, m)) == repr(reference_group_orientation(t, m))
+
+
+def seeded_tree(rng, n):
+    """A tree on leaves 0..n-1: each block of a shuffled list splits into
+    2..4 parts, as in ``random_trees``."""
+    family = []
+    stack = [list(range(n))]
+    while stack:
+        block = stack.pop()
+        family.append(f(*block))
+        if len(block) > 1:
+            rng.shuffle(block)
+            cuts = sorted(rng.sample(range(1, len(block)), rng.randint(2, min(4, len(block))) - 1))
+            stack.extend(block[a:b] for a, b in zip([0] + cuts, cuts + [len(block)]))
+    return validate_tree(family)
+
+
+def caterpillar(labels):
+    """(u labels[-1] (u ... (u labels[1] labels[0]))): each node adds one
+    leaf to the one below it."""
+    family = [f(x) for x in labels]
+    family += [f(*labels[:i]) for i in range(2, len(labels) + 1)]
+    return validate_tree(family)
+
+
+def caterpillars_and_seeded_trees():
+    rng = random.Random(7)
+    yield caterpillar(list(range(300)))
+    for _ in range(20):
+        yield caterpillar(rng.sample(range(60), 60))
+    for _ in range(200):
+        yield seeded_tree(rng, rng.randint(1, 30))
+
+
+def test_leaf_list_order_sorts_as_the_sorted_leaf_lists():
+    # a shuffled caterpillar's nodes share their least leaf in long runs,
+    # some of them prefixes of a larger node and some not
+    for t in caterpillars_and_seeded_trees():
+        nodes = t.internal_nodes()
+        order = _leaf_list_order(t._index)
+        assert sorted(nodes, key=order.__getitem__) == sorted(nodes, key=sorted)
+
+
+def test_group_orientation_lists_nodes_by_their_sorted_leaves():
+    oriented = 0
+    for t in caterpillars_and_seeded_trees():
+        o = group_orientation(t, 4)
+        if isinstance(o, Orientation):
+            assert o.left_right == tuple(sorted(o.left_right, key=lambda e: sorted(e[0])))
+            oriented += 1
+    assert oriented > 200
 
 
 def test_group_orientation_on_a_wide_star_is_polynomial():
