@@ -14,10 +14,6 @@ _DEFAULTS = {
     "monadic_universe": 10,
     # Maximum m * n when building monadic type matrices.
     "monadic_matrix_mn": 12,
-    # Maximum universe size for exhaustive rankwidth search.
-    "rankwidth_universe": 7,
-    # Maximum generator count in min_boolean_combination search.
-    "boolean_combination_limit": 4,
     # Maximum number of rows or columns a Kronecker normal form may reach
     # before finite_order gives up with Unknown.
     "kronecker_normal_form": 512,

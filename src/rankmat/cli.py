@@ -18,7 +18,6 @@ from . import formats
 from .caps import CapExceeded
 from .kronecker import (
     Finite,
-    Unknown,
     finite_order,
     kronecker_power,
     kronecker_product,
@@ -35,7 +34,6 @@ from .trees import (
     blocks,
     branching,
     group_orientation,
-    rankwidth,
     subforests,
     ternary_decode,
     ternary_encode,
@@ -176,16 +174,6 @@ def _blocks(classes, subset) -> list:
     found = blocks(preorder, _parse_subset(subset))
     return [Report("blocks", classes, "pass",
                    {"blocks": [[b.kind, b.start, b.end] for b in found]})]
-
-
-@_command("rankwidth", "exact rankwidth of a small graph", _STRUCTURE)
-def _rankwidth(structure) -> list:
-    g = _structure_to_graph(formats.load_structure(structure))
-    width, tree = rankwidth(g, graph_cut_rank)
-    return [Report("rankwidth", structure, "pass",
-                   {"width": width,
-                    "tree": sorted((sorted(n) for n in tree.nodes),
-                                   key=lambda n: (len(n), n))})]
 
 
 @_command("sgp validate", "size and unit of a semigroup", _FILE)

@@ -372,69 +372,10 @@ def monadic_matrix_distinct_rows(M: MonadicTypeMatrix) -> int:
     return _distinct_rows(M.table, len(M.rows), len(M.cols))
 
 
-def _validate_linear_order(s: Structure):
-    if len(s.vocabulary.relations) != 1:
-        raise ValueError("linear order must have exactly one binary relation")
-    name, arity = s.vocabulary.relations[0]
-    if arity != 2:
-        raise ValueError("linear order relation must be binary")
-    rel = s.relation(name)
-    n = s.universe_size
-    order = sorted(range(n), key=lambda x: sum((x, y) in rel for y in range(n)), reverse=True)
-    expected = {(order[i], order[j]) for i in range(n) for j in range(i, n)}
-    if rel != frozenset(expected):
-        raise ValueError("relation is not a total order")
-    return order
-
-
-def _validate_equivalence(s: Structure):
-    if len(s.vocabulary.relations) != 1:
-        raise ValueError("equivalence must have exactly one binary relation")
-    name, arity = s.vocabulary.relations[0]
-    if arity != 2:
-        raise ValueError("equivalence relation must be binary")
-    rel = s.relation(name)
-    n = s.universe_size
-    for x in range(n):
-        if (x, x) not in rel:
-            raise ValueError("not reflexive")
-    for x, y in rel:
-        if (y, x) not in rel:
-            raise ValueError("not symmetric")
-    for x, y in rel:
-        for z in range(n):
-            if (y, z) in rel and (x, z) not in rel:
-                raise ValueError("not transitive")
-    classes = []
-    seen = set()
-    for x in range(n):
-        if x not in seen:
-            cls = frozenset(y for y in range(n) if (x, y) in rel)
-            classes.append(cls)
-            seen |= cls
-    return classes
-
-
 def reference_rank(kind: str, s, X: Iterable[int]) -> int:
-    """Reference cut-rank oracle for special instance classes."""
-    X = frozenset(X)
-    if kind == "linear_order":
-        order = _validate_linear_order(s)
-        intervals = 0
-        previous = False
-        for x in order:
-            inside = x in X
-            if inside and not previous:
-                intervals += 1
-            previous = inside
-        return intervals
-    if kind == "equivalence":
-        classes = _validate_equivalence(s)
-        return sum(1 for c in classes if 0 < len(c & X) < len(c))
-    if kind == "preorder_blocks":
-        from .trees import blocks
-
-        return len(blocks(s, X))
+    """Reference cut-rank bound for a special instance class; the one kind
+    is ``grid``, min(|X|, n - |X|)."""
     if kind == "grid":
+        X = frozenset(X)
         return min(len(X), s.universe_size - len(X))
     raise ValueError(f"unknown reference kind {kind!r}")

@@ -1,4 +1,4 @@
-"""Laminar trees, ternary encoding, subforests, orientations, and widths.
+"""Laminar trees, ternary encoding, subforests, orientations, and blocks.
 
 A laminar tree is a family of leaf subsets containing every singleton and
 the full leaf set, any two members nested or disjoint.  Since every
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, permutations, product
 from operator import or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import caps
 from .structures import Structure, Vocabulary
@@ -34,7 +34,6 @@ __all__ = [
     "document_preorder",
     "branching",
     "blocks",
-    "rankwidth",
     "all_laminar_trees",
     "set_partitions",
     "all_tree_shapes",
@@ -260,33 +259,22 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
     return frozenset(interesting), max(chain.values()), max(kids.values(), default=0)
 
 
-def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 4):
-    """Least number of subforests whose boolean combination is X; 0 for
-    the empty set and the full leaf set; ``Overflow()`` when more than
-    ``limit`` subforests would be needed.  The chosen subforests cut the
-    leaves into cells, and X is a combination of them exactly when it
-    splits no cell.  One subforest f cuts the cells f and root less f, so
-    X is a combination of one exactly when X or root less X is a
-    subforest: a set lookup, where m >= 2 searches."""
-    caps.check("boolean_combination_limit", limit, "boolean combination limit")
+def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 1):
+    """Least number of subforests whose boolean combination is X: 0 for
+    the empty set and the full leaf set, 1 when X or root less X is a
+    subforest (one subforest f cuts the leaves into f and root less f, and
+    X must split neither: a set lookup), else ``Overflow()``.  Only one
+    subforest is searched, so ``limit`` must be 1."""
+    if limit != 1:
+        raise ValueError(f"boolean combination limit must be 1, not {limit}")
     X = frozenset(X)
     if X == frozenset() or X == t.root():
         return 0
     index = t._index
     x = index.mask_of(X)
     full = (1 << len(index.leaves)) - 1
-    if limit >= 1 and (x in index.forests or full & ~x in index.forests):
+    if x in index.forests or full & ~x in index.forests:
         return 1
-    for m in range(2, limit + 1):
-        for chosen in combinations(index.forests, m):
-            cells = [full]
-            for f in chosen:
-                cells = [part for cell in cells for part in (cell & f, cell & ~f) if part]
-            for cell in cells:
-                if x & cell not in (0, cell):
-                    break
-            else:
-                return m
     return caps.Overflow()
 
 
@@ -701,18 +689,3 @@ def all_tree_shapes(n: int) -> Iterable[LaminarTree]:
     for shape in shapes(n):
         nodes, _ = realize(shape, 0)
         yield LaminarTree(frozenset(range(n)), frozenset(nodes))
-
-
-def rankwidth(s, rank_fn: Callable):
-    """Exhaustive minimum over laminar trees of the maximal node rank."""
-    n = s.universe_size
-    cap = caps.get("rankwidth_universe")
-    if n > cap:
-        raise caps.CapExceeded(f"rankwidth universe {n} exceeds cap {cap}")
-    best = None
-    best_tree = None
-    for tree in all_laminar_trees(range(n)):
-        width = max(rank_fn(s, node) for node in tree.nodes)
-        if best is None or width < best:
-            best, best_tree = width, tree
-    return best, best_tree

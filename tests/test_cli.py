@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rankmat.cli
-from rankmat import formats
+from rankmat import caps, formats
 from rankmat.cli import main
 from rankmat.enumerate import cyclic_group, word_monoid_1abab0
 from rankmat.kronecker import SemigroupMatrix
@@ -188,11 +188,6 @@ PINNED = [
      "blocks 0,1;2;3,4: pass blocks=[['full', 0, 0], ['empty', 1, 1], ['cut', 2, 2]]\n",
      [_r("blocks", "0,1;2;3,4", "pass",
          blocks=[["full", 0, 0], ["empty", 1, 1], ["cut", 2, 2]])]),
-    ("rankwidth", "--structure p4.struct", 0,
-     "rankwidth p4.struct: pass width=1 "
-     "tree=[[0], [1], [2], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]\n",
-     [_r("rankwidth", "p4.struct", "pass", width=1,
-         tree=[[0], [1], [2], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]])]),
     ("sgp validate", "z3.sgp", 0,
      "sgp-validate z3.sgp: pass size=3 unit=0\n",
      [_r("sgp-validate", "z3.sgp", "pass", size=3, unit=0)]),
@@ -285,11 +280,35 @@ def test_every_registered_action_is_pinned(capsys):
     "sgp omega z3.sgp --k 2",
     "recover partition o.orc --d 3",
     "kron --budget 4 order m.mat",
+    "rankwidth --structure p4.struct",
 ])
 def test_cli_arguments_the_action_does_not_read_exit_2(workdir, monkeypatch, capsys, argv):
     monkeypatch.chdir(workdir)
     assert main(argv.split()) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", ["rankwidth_universe", "boolean_combination_limit",
+                                  "no_such_cap"])
+def test_unknown_cap_exits_2(workdir, monkeypatch, capsys, name):
+    # the first two are caps of deleted searches
+    with pytest.raises(ValueError, match=f"^unknown cap '{name}'$"):
+        caps._parse(f"{name}=9")
+    monkeypatch.chdir(workdir)
+    monkeypatch.setenv("RANKMAT_CAPS", f"{name}=9")
+    assert main(["rank", "--structure", "p4.struct", "--subset", "0,1"]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown cap '{name}'\n")
+
+
+def test_readme_cli_block_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = []
+    for line in block.splitlines():
+        if line.startswith("rankmat "):
+            words = line.split()[1:]
+            listed.append(" ".join(words[:2]) if words[0] in rankmat.cli._GROUPS else words[0])
+    assert listed == list(rankmat.cli._COMMANDS)
 
 
 def test_cli_rank(workdir, capsys):
@@ -343,13 +362,6 @@ def test_cli_blocks(capsys):
     assert code == 0
     assert json.loads(out.strip())["data"]["blocks"] == [
         ["full", 0, 0], ["empty", 1, 1], ["cut", 2, 2]]
-
-
-def test_cli_rankwidth(workdir, capsys):
-    code, out = run_cli(capsys, "--json", "rankwidth",
-                        "--structure", str(workdir / "p4.struct"))
-    assert code == 0
-    assert json.loads(out.strip())["data"]["width"] == 1
 
 
 def test_cli_sgp(workdir, capsys):

@@ -305,39 +305,6 @@ def test_element_d_type_is_the_lifted_monadic_type(s, data):
     assert got == reference_element_d_type(s, elements, d, subsets)
 
 
-def linear_order_structure(n):
-    LE = Vocabulary((("le", 2),))
-    tuples = {(i, j) for i in range(n) for j in range(n) if i <= j}
-    return Structure.make(LE, n, {"le": tuples})
-
-
-def test_reference_rank_linear_order():
-    s = linear_order_structure(5)
-    assert reference_rank("linear_order", s, {1, 2}) == 1
-    assert reference_rank("linear_order", s, {0, 2, 4}) == 3
-    assert reference_rank("linear_order", s, set()) == 0
-
-
-def test_reference_rank_linear_order_validates():
-    s = path_structure(3)
-    with pytest.raises(ValueError):
-        reference_rank("linear_order", s, {0})
-
-
-def test_reference_rank_equivalence():
-    EQ = Vocabulary((("eq", 2),))
-    # classes {0,1}, {2,3,4}
-    rel = set()
-    for cls in ({0, 1}, {2, 3, 4}):
-        for x in cls:
-            for y in cls:
-                rel.add((x, y))
-    s = Structure.make(EQ, 5, {"eq": rel})
-    assert reference_rank("equivalence", s, {0, 1}) == 0
-    assert reference_rank("equivalence", s, {0, 2}) == 2
-    assert reference_rank("equivalence", s, {2, 3, 4}) == 0
-
-
 def test_reference_rank_grid():
     g = grid_graph(3, 3)
     assert reference_rank("grid", g, {0, 1}) == 2

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankmat.caps import Overflow
-from rankmat.rank import Graph, distinct_row_rank, graph_cut_rank
+from rankmat.rank import distinct_row_rank
 from rankmat.structures import Structure
 from rankmat.trees import (
     Block,
@@ -29,7 +29,6 @@ from rankmat.trees import (
     interesting_analysis,
     min_boolean_combination,
     orientation_is_valid,
-    rankwidth,
     set_partitions,
     subforests,
     ternary_decode,
@@ -220,14 +219,10 @@ def test_min_boolean_combination_overflow_past_limit():
     forests = subforests(t)
     assert X not in forests and t.root() - X not in forests
     assert min_boolean_combination(t, X, limit=1) == Overflow()
-    assert min_boolean_combination(t, X, limit=2) == 2
-
-
-def test_min_boolean_combination_symmetric_difference():
-    t = star(4)
-    a, b = f(0, 1), f(1, 2)
-    X = (a | b) - (a & b)
-    assert min_boolean_combination(t, X) <= 2
+    # only one subforest is searched
+    for limit in (0, 2):
+        with pytest.raises(ValueError, match=f"limit must be 1, not {limit}"):
+            min_boolean_combination(t, X, limit=limit)
 
 
 def test_group_orientation_single_leaf():
@@ -410,18 +405,6 @@ def test_all_laminar_trees_counts():
         trees = list(all_laminar_trees(range(n)))
         assert len(trees) == len(set(trees)) == count
     assert list(all_laminar_trees([1, 0, 1])) == list(all_laminar_trees([0, 1]))
-
-
-def test_rankwidth_edgeless_and_clique_and_path():
-    edgeless = Graph.make(4, [])
-    w, _ = rankwidth(edgeless, graph_cut_rank)
-    assert w == 0
-    k5 = Graph.make(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    w, tree = rankwidth(k5, graph_cut_rank)
-    assert w == 1
-    p4 = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
-    w, _ = rankwidth(p4, graph_cut_rank)
-    assert w == 1
 
 
 # ---------------------------------------------------------------------------
@@ -683,24 +666,23 @@ def reference_min_boolean_combination(t, X, limit):
 
 
 @settings(deadline=None)
-@given(random_trees(max_leaves=8), st.data(), st.integers(1, 3))
-def test_min_boolean_combination_matches_signature_reference(t, data, limit):
+@given(random_trees(max_leaves=8), st.data())
+def test_min_boolean_combination_matches_signature_reference(t, data):
     X = data.draw(st.sets(st.sampled_from(sorted(t.leaves))))
-    assert min_boolean_combination(t, X, limit) == reference_min_boolean_combination(t, X, limit)
+    assert min_boolean_combination(t, X, 1) == reference_min_boolean_combination(t, X, 1)
 
 
 def test_min_boolean_combination_matches_signature_reference_on_6_leaves():
-    # every subset of every 6-leaf shape, where two and three subforests
-    # are needed and limit 1 and 2 overflow
+    # every subset of every 6-leaf shape, where one subforest suffices for
+    # some and overflows for others
     seen = set()
     for t in all_tree_shapes(6):
         for bits in range(1 << 6):
             X = {x for x in range(6) if bits >> x & 1}
-            for limit in (1, 2, 3):
-                got = min_boolean_combination(t, X, limit)
-                assert got == reference_min_boolean_combination(t, X, limit)
-                seen.add(got)
-    assert seen == {0, 1, 2, 3, Overflow()}
+            got = min_boolean_combination(t, X, 1)
+            assert got == reference_min_boolean_combination(t, X, 1)
+            seen.add(got)
+    assert seen == {0, 1, Overflow()}
 
 
 def reference_first_choices(options, m):
