@@ -311,6 +311,14 @@ def test_reference_rank_grid():
     assert reference_rank("grid", g, set(range(9))) == 0
 
 
+@pytest.mark.parametrize("kind", ["linear_order", "equivalence", "preorder_blocks",
+                                  "no_such_kind"])
+def test_reference_rank_unknown_kind(kind):
+    # grid is the only kind; the first three were kinds of earlier versions
+    with pytest.raises(ValueError, match=f"^unknown reference kind '{kind}'$"):
+        reference_rank(kind, grid_graph(2, 2), {0})
+
+
 def test_grid_sandwich_3x3():
     import math
 
