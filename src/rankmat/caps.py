@@ -43,7 +43,8 @@ class Overflow:
 _parsed: tuple = (None, None)
 
 
-def _load() -> dict:
+def load() -> dict:
+    """The caps in force; a ``ValueError`` when RANKMAT_CAPS is malformed."""
     global _parsed
     raw = os.environ.get("RANKMAT_CAPS", "")
     if raw != _parsed[0]:
@@ -58,15 +59,18 @@ def _parse(raw: str) -> dict:
         if not item:
             continue
         name, _, value = item.partition("=")
-        name = name.strip()
+        name, value = name.strip(), value.strip()
         if name not in caps:
             raise ValueError(f"unknown cap {name!r}")
+        if not value.isdecimal():
+            raise ValueError(f"RANKMAT_CAPS: cap {name!r} needs a whole number >= 0, "
+                             f"as {name}=N, not {item!r}")
         caps[name] = int(value)
     return caps
 
 
 def get(name: str) -> int:
-    return _load()[name]
+    return load()[name]
 
 
 def check(name: str, requested: int, what: str) -> None:

@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 
-from . import formats
-from .caps import CapExceeded
+from . import caps, formats
 from .kronecker import (
     Finite,
     finite_order,
@@ -303,8 +302,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        # a malformed RANKMAT_CAPS fails every command, not only those that read a cap
+        caps.load()
         reports = args.handler(**{name: getattr(args, name) for name in args.arguments})
-    except (ValueError, KeyError, OSError, CapExceeded) as exc:
+    except (ValueError, KeyError, OSError, caps.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _emit(reports, args.json)

@@ -2,6 +2,7 @@
 finite-order detection and the 2x2 claim."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -95,7 +96,9 @@ def _dedup(entries: list) -> list:
 
 def normal_form(M: SemigroupMatrix) -> NormalForm:
     entries = _dedup([list(row) for row in M.entries])
-    # canonical order: sort rows by content, then columns, to a fixpoint
+    # sort rows by content, then columns, to a fixpoint.  The order is not
+    # canonical: equal hashes imply equivalence, but two equivalent
+    # matrices can sort to different layouts and so hash differently
     changed = True
     while changed and entries:
         before = [tuple(row) for row in entries]
@@ -107,19 +110,30 @@ def normal_form(M: SemigroupMatrix) -> NormalForm:
         changed = [tuple(row) for row in entries] != before
     entries = tuple(tuple(row) for row in entries)
     serial = ";".join(",".join(str(x) for x in row) for row in entries)
-    import hashlib
-
     digest = hashlib.sha256(serial.encode()).hexdigest()
     matrix = SemigroupMatrix.make(entries, M.semigroup)
     return NormalForm(matrix, digest)
 
 
+def _line_profile(entries: tuple) -> tuple:
+    """Each row and each column as a sorted tuple, both lists sorted: equal
+    for two matrices that a row and a column permutation map onto each
+    other."""
+    return sorted(map(sorted, entries)), sorted(map(sorted, zip(*entries)))
+
+
 def is_submatrix(M: SemigroupMatrix, N: SemigroupMatrix) -> bool:
-    """Injections of M's rows and columns into N preserving entries."""
+    """Injections of M's rows and columns into N preserving entries.
+
+    For equal shapes an injection is a bijection, so matrices whose rows
+    or columns differ as multisets of sorted lines are rejected before the
+    row-then-column search, which is factorial in the worst case."""
     _same_domain(M, N)
     mr, mc = M.shape()
     nr, nc = N.shape()
     if mr > nr or mc > nc:
+        return False
+    if (mr, mc) == (nr, nc) and _line_profile(M.entries) != _line_profile(N.entries):
         return False
 
     def assign_rows(i: int, row_map: list, used: set) -> bool:

@@ -27,6 +27,7 @@ one-step extensions, so no extension is interned on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
@@ -187,8 +188,16 @@ class Graph:
         """The vertex count, under the name structures use for theirs."""
         return self.n
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.edges
+    @cached_property
+    def neighbour_masks(self) -> tuple:
+        """Each vertex's neighbours as a bitmask, bit v for vertex v.  Kept
+        in the instance ``__dict__``, as ``Structure.qf_type_ids`` is, so
+        ``==``, ``hash`` and ``repr`` ignore it."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
@@ -206,16 +215,17 @@ def gf2_rank(rows: Sequence[int]) -> int:
 
 
 def graph_cut_rank(g: Graph, X: Iterable[int]) -> int:
-    X = frozenset(X)
-    outside = sorted(set(range(g.n)) - X)
-    rows = []
-    for u in sorted(X):
-        row = 0
-        for j, v in enumerate(outside):
-            if g.adjacent(u, v):
-                row |= 1 << j
-        rows.append(row)
-    return gf2_rank(rows)
+    """GF(2) rank of the adjacency matrix between X and the other vertices.
+    Row u is u's neighbour mask with X's bits cleared: its columns stay at
+    vertex positions, which leaves the rank as it is.  A member of X
+    outside ``range(g.n)`` is dropped, as a vertex without neighbours
+    adds only a zero row."""
+    X = {u for u in X if 0 <= u < g.n}
+    outside = (1 << g.n) - 1
+    for u in X:
+        outside &= ~(1 << u)
+    nbr = g.neighbour_masks
+    return gf2_rank([nbr[u] & outside for u in X])
 
 
 class _Numbering(dict):

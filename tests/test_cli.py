@@ -300,6 +300,34 @@ def test_unknown_cap_exits_2(workdir, monkeypatch, capsys, name):
     assert capsys.readouterr() == ("", f"error: unknown cap '{name}'\n")
 
 
+@pytest.mark.parametrize("raw,message", [
+    ("bogus=1", "unknown cap 'bogus'"),
+    ("matrix_cells", "RANKMAT_CAPS: cap 'matrix_cells' needs a whole number >= 0, "
+                     "as matrix_cells=N, not 'matrix_cells'"),
+    ("matrix_cells=", "RANKMAT_CAPS: cap 'matrix_cells' needs a whole number >= 0, "
+                      "as matrix_cells=N, not 'matrix_cells='"),
+    ("word_scan=-1", "RANKMAT_CAPS: cap 'word_scan' needs a whole number >= 0, "
+                     "as word_scan=N, not 'word_scan=-1'"),
+    ("monadic_universe=8, word_scan=lots", "RANKMAT_CAPS: cap 'word_scan' needs a "
+                                           "whole number >= 0, as word_scan=N, not 'word_scan=lots'"),
+])
+def test_malformed_caps_fail_every_command_before_it_runs(monkeypatch, capsys, raw, message):
+    # path-bound reads no cap, so only main's check before the handler sees it
+    with pytest.raises(ValueError) as error:
+        caps._parse(raw)
+    assert str(error.value) == message
+    monkeypatch.setenv("RANKMAT_CAPS", raw)
+    for mode in ([], ["--json"]):
+        assert main(mode + ["verify", "path-bound"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_well_formed_caps_parse():
+    assert caps._parse(" matrix_cells = 0 ,word_scan=12,")["matrix_cells"] == 0
+    assert caps._parse("word_scan=12")["word_scan"] == 12
+    assert caps._parse("") == caps._DEFAULTS
+
+
 def test_readme_cli_block_lists_every_command():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

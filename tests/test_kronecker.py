@@ -16,7 +16,9 @@ from rankmat.kronecker import (
     normal_form,
     two_by_two_claim,
 )
-from rankmat.kronecker import _dedup
+from rankmat.kronecker import _dedup, _line_profile
+
+import reference_kronecker
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -137,6 +139,68 @@ def test_equivalent():
     dup = SemigroupMatrix.make([[1, 0], [0, 1], [0, 1]], Z2)
     assert equivalent(m, dup)
     assert not equivalent(m, SemigroupMatrix.make([[0, 0], [0, 0]], Z2))
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """(M, N) over Z3 with at most 3 values and shape up to 5x5: N is a
+    random matrix of M's shape, a row- and column-permuted copy of M, or
+    such a copy with one entry changed."""
+    rows, cols, values = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    cell = st.integers(0, values - 1)
+    shaped = st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)
+    M = draw(shaped)
+    kind = draw(st.sampled_from(["random", "permuted", "changed"]))
+    if kind == "random":
+        N = draw(shaped)
+    else:
+        row_order = draw(st.permutations(range(rows)))
+        col_order = draw(st.permutations(range(cols)))
+        N = [[M[r][c] for c in col_order] for r in row_order]
+        if kind == "changed":
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            N[i][j] = draw(st.integers(0, 2).filter(lambda x: x != N[i][j]))
+    return SemigroupMatrix.make(M, Z3), SemigroupMatrix.make(N, Z3)
+
+
+def test_is_submatrix_and_equivalent_match_the_reference_search():
+    outcomes = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_pairs())
+    def check(pair):
+        M, N = pair
+        # the same shape, and M less its last row and column inside N
+        minor = SemigroupMatrix.make([row[:-1] for row in M.entries[:-1]], Z3)
+        for name, ours, reference, args in [
+            ("submatrix", is_submatrix, reference_kronecker.is_submatrix, (M, N)),
+            ("minor", is_submatrix, reference_kronecker.is_submatrix, (minor, N)),
+            ("equivalent", equivalent, reference_kronecker.equivalent, (M, N)),
+        ]:
+            answer = ours(*args)
+            assert answer == reference(*args)
+            outcomes.add((name, answer))
+
+    check()
+    assert outcomes == {(name, answer) for name in ("submatrix", "minor", "equivalent")
+                        for answer in (True, False)}
+
+
+def test_is_submatrix_searches_when_the_line_multisets_agree():
+    # two 4-cycles against one 8-cycle, as biadjacency matrices: every row
+    # and column holds two 1s, so only the search tells them apart.
+    # normal_form would merge the duplicate rows, so is_submatrix is called
+    # directly
+    two_squares = SemigroupMatrix.make(
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], Z2)
+    octagon = SemigroupMatrix.make(
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], Z2)
+    assert _line_profile(two_squares.entries) == _line_profile(octagon.entries)
+    assert not reference_kronecker.is_submatrix(two_squares, octagon)
+    assert not is_submatrix(two_squares, octagon)
+    assert not is_submatrix(octagon, two_squares)
+    assert is_submatrix(octagon, octagon)
 
 
 def test_finite_order_swap_matrix():

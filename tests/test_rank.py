@@ -150,6 +150,46 @@ def test_graph_cut_rank_complement_symmetry():
         assert graph_cut_rank(g, X) == graph_cut_rank(g, comp)
 
 
+def reference_graph_cut_rank(g, X):
+    """graph_cut_rank as it was before rows came from neighbour masks: one
+    edge-set lookup per (u, v) cell, with the vertices outside X numbered
+    0, 1, ... as columns."""
+    X = frozenset(X)
+    outside = sorted(set(range(g.n)) - X)
+    rows = []
+    for u in sorted(X):
+        row = 0
+        for j, v in enumerate(outside):
+            if frozenset((u, v)) in g.edges:
+                row |= 1 << j
+        rows.append(row)
+    return gf2_rank(rows)
+
+
+@st.composite
+def _graphs_and_subsets(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # a member outside range(n) is a vertex without neighbours
+    X = draw(st.sets(st.integers(-1, n + 1)))
+    return Graph.make(n, edges), X
+
+
+@settings(max_examples=400)
+@given(_graphs_and_subsets())
+def test_graph_cut_rank_matches_the_cell_by_cell_reference(case):
+    g, X = case
+    assert graph_cut_rank(g, X) == reference_graph_cut_rank(g, X)
+
+
+def test_neighbour_masks_stay_out_of_equality_and_hash():
+    g = path_graph(3)
+    assert g.neighbour_masks == (0b010, 0b101, 0b010)
+    assert g == path_graph(3) and hash(g) == hash(path_graph(3))
+    assert "neighbour_masks" not in repr(g)
+
+
 def test_graph_rejects_loops():
     with pytest.raises(ValueError):
         Graph.make(2, [(0, 0)])
