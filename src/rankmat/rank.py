@@ -15,20 +15,23 @@ A depth-0 monadic type of a subset tuple is its set of atomic facts
 (relations, inclusions, equalities and size residues); a depth-d type is the
 depth-(d-1) type with the set of depth-(d-1) types of its one-step
 extensions.  ``monadic_type_matrix`` interns each depth-d type of a
-structure as a small int, memoised per subset tuple and kept for the last
-structure seen, so the matrices of one EF comparison and the subsets X of
-one structure share their work.  The definition as nested values, which the
-ids are tested against, is ``monadic_d_type`` in ``tests/reference_types.py``.
-The atoms a new coordinate z adds are read from fact columns, one per atom
-with its value for every z, cached by the head values the atom depends on.
-A depth-1 type is keyed by its atoms and the set of new-fact rows of its
-one-step extensions, so no extension is interned on the way.
+structure as a small int, and types a head with all of its one-step
+extensions at once: an extension table holds the depth-d ids of ``head +
+(z,)`` for every subset z, and a matrix cell is an entry of its head's
+table.  The tables are kept for the last structure seen, so the matrices of
+one EF comparison and the subsets X of one structure share their work.
+Work bound: one tuple of 2^n ids per (head, d) built, each built once per
+structure.  The atoms a new coordinate z adds are read from fact
+columns, one per atom with its value for every z, cached by the head values
+the atom depends on, so a head's extensions share one ``zip`` over them.
+The definition as nested values, which the ids are tested against, is
+``monadic_d_type`` in ``tests/reference_types.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -214,13 +217,22 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return rank
 
 
+def _in_range(X: Iterable[int], n: int) -> frozenset:
+    """X as a frozenset, after checking that each member is in ``range(n)``."""
+    X = frozenset(X)
+    outside = [x for x in X if not 0 <= x < n]
+    if outside:
+        raise ValueError(f"coordinate {min(outside)} out of range")
+    return X
+
+
 def graph_cut_rank(g: Graph, X: Iterable[int]) -> int:
     """GF(2) rank of the adjacency matrix between X and the other vertices.
     Row u is u's neighbour mask with X's bits cleared: its columns stay at
     vertex positions, which leaves the rank as it is.  A member of X
-    outside ``range(g.n)`` is dropped, as a vertex without neighbours
-    adds only a zero row."""
-    X = {u for u in X if 0 <= u < g.n}
+    outside ``range(g.n)`` raises ``ValueError``, as ``type_matrix`` does
+    for a coordinate outside the universe."""
+    X = _in_range(X, g.n)
     outside = (1 << g.n) - 1
     for u in X:
         outside &= ~(1 << u)
@@ -242,6 +254,13 @@ class _MonadicTyper:
     subset tuple is interned as a small int, and two tuples get the same id
     exactly when their nested types (``tests/reference_types.py``) are equal.
 
+    The unit of work is a head with all of its one-step extensions:
+    ``extension_ids(head, d)`` is the tuple of depth-d ids of ``head + (z,)``
+    for every subset z, entry z for z.  It is built once per ``(head, d)``
+    and kept, so typing costs one tuple of 2^n ids per (head, d) built, each
+    built once per typer.  The id of a nonempty tuple is an entry of its
+    head's table; the empty tuple has no head and keeps its own ids.
+
     The facts of ``head + (z,)`` that involve its last coordinate are read
     from fact columns: one column per atom, holding that atom's value for
     every subset z, so ``zip(*columns)`` gives the new facts of every
@@ -250,45 +269,97 @@ class _MonadicTyper:
     inclusion pair's column on one head value and a residue's on nothing,
     so the columns are cached by those values and shared by every head.
 
-    Depth 0 grows one coordinate at a time: the atoms of ``head + (z,)`` are
-    the atoms of ``head`` plus its new facts, so they intern as ``(atom id
-    of head, new facts)``.  For a fixed tuple that key is injective in the
-    new facts, so depth 1 interns as ``(atom id, frozenset of the new facts
-    of every extension)`` without an id for any extension.  Each distinct
-    row of new facts is stored once, in ``_rows``, and the frozenset holds
-    its number.  Depth d >= 2 interns as ``(depth d-1 id, frozenset of depth
-    d-1 ids one subset further)``.  Ids come from one counter, so an id
-    names one type at one depth.
+    The keys, numbered by one counter, so an id names one type at one depth:
+
+    - Depth 0: ``()`` for the empty tuple, and ``(depth-0 id of head, new
+      facts)`` for ``head + (z,)``, whose atoms are the head's atoms plus
+      its new facts.
+    - Depth 1 of ``t = head + (z,)``: ``(depth-0 id of t, frozenset of
+      (group number, moving facts))`` over the extensions ``t + (w,)``.  The
+      new facts of ``t + (w,)`` split into a fixed group that does not
+      involve z (relation atoms without z's position, the head's inclusion
+      columns, residues) and moving facts that do (relation atoms that put
+      z at some position, z's inclusion column).  The fixed rows are
+      numbered once per head, in ``_groups``, so each z costs one ``zip``
+      and one ``frozenset``.
+    - Depth d >= 2, and depth 1 of the empty tuple: ``(depth d-1 id,
+      frozenset of the depth d-1 ids of the one-step extensions)``.
+
+    Why the depth-1 key is still injective: a depth-0 id fixes the tuple's
+    length, since a key for length k + 1 holds an id for length k, and every
+    nonempty tuple of one length uses one key form with one column order.
+    So, beside one depth-0 id, a (group number, moving facts) pair names
+    exactly one row of new facts.  Group numbers come from their own
+    numbering, equal exactly when the fixed rows are, and never meet a full
+    row or an id: the only other keys that hold a frozenset hold one of
+    ints, and begin with an id of another depth or of the empty tuple.
     """
 
     def __init__(self, ms: MonadicStructure, residues: tuple):
         self.ms = ms
         self._ids = _Numbering()
-        self._memo: dict = {((), 0): self._ids[()]}
+        self._empty = [self._ids[()]]  # the empty tuple's id at depth 0, 1, ...
+        self._tables: dict = {}
+        self._groups = _Numbering()
         self._rel_atoms: dict = {}
         self._rel_columns: dict = {}
         self._inclusion_columns: dict = {}
-        self._rows = _Numbering()
         self._residue_columns = [tuple(z.bit_count() % q for z in ms.subsets())
                                  for q in residues]
 
     def type_id(self, subsets: tuple, d: int) -> int:
-        found = self._memo.get((subsets, d))
-        if found is None:
+        """The depth-d id of a subset tuple: an entry of its head's table,
+        or the empty tuple's own id."""
+        if subsets:
+            return self.extension_ids(subsets[:-1], d)[subsets[-1]]
+        empty = self._empty
+        while len(empty) <= d:
+            below = len(empty) - 1
+            empty.append(self._ids[(empty[below], frozenset(self.extension_ids((), below)))])
+        return empty[d]
+
+    def extension_ids(self, head: tuple, d: int) -> tuple:
+        """The depth-d ids of ``head + (z,)`` for every subset z, entry z
+        for z, built once per ``(head, d)``."""
+        table = self._tables.get((head, d))
+        if table is None:
+            ids = self._ids
             if d == 0:
-                head, z = subsets[:-1], subsets[-1]
-                key = (self.type_id(head, 0),
-                       tuple([column[z] for column in self._columns(head)]))
+                h = self.type_id(head, 0)
+                table = tuple([ids[(h, row)] for row in self._rows(self._columns(head))])
             elif d == 1:
-                columns = self._columns(subsets)
-                rows = zip(*columns) if columns else [()]
-                key = (self.type_id(subsets, 0), frozenset(map(self._rows.__getitem__, rows)))
+                table = self._depth1_ids(head)
             else:
-                key = (self.type_id(subsets, d - 1), frozenset(
-                    self.type_id(subsets + (z,), d - 1) for z in self.ms.subsets()
-                ))
-            found = self._memo[(subsets, d)] = self._ids[key]
-        return found
+                below = self.extension_ids(head, d - 1)
+                table = tuple([
+                    ids[(below[z], frozenset(self.extension_ids(head + (z,), d - 1)))]
+                    for z in self.ms.subsets()
+                ])
+            self._tables[(head, d)] = table
+        return table
+
+    def _depth1_ids(self, head: tuple) -> tuple:
+        """``extension_ids(head, 1)``, from the fixed rows numbered once and
+        the moving columns of each z."""
+        k = len(head)
+        atoms = self._relation_atoms(k + 1)
+        fixed = self._atom_columns(head + (None, None), [a for a in atoms if k not in a[1]])
+        fixed.extend(map(self._inclusion_column, head))
+        fixed.extend(self._residue_columns)
+        groups = list(map(self._groups.__getitem__, self._rows(fixed)))
+        moving_atoms = [a for a in atoms if k in a[1]]
+        below = self.extension_ids(head, 0)
+        ids = self._ids
+        table = []
+        for z in self.ms.subsets():
+            moving = self._atom_columns(head + (z, None), moving_atoms)
+            moving.append(self._inclusion_column(z))
+            table.append(ids[(below[z], frozenset(zip(groups, *moving)))])
+        return tuple(table)
+
+    def _rows(self, columns: list) -> Iterable[tuple]:
+        """Entry z of the columns for every subset z."""
+        return zip(*columns) if columns else repeat((), len(self.ms.subsets()))
 
     def _columns(self, head: tuple) -> list:
         """The fact columns of ``head``, in a fixed order for each length:
@@ -296,12 +367,15 @@ class _MonadicTyper:
         Equality with an earlier coordinate is inclusion both ways, and the
         new coordinate's inclusion in and equality with itself always hold,
         so neither has a column."""
-        row = head + (None,)
-        columns = [self._relation_column(r, tuple([row[i] for i in idx]))
-                   for r, idx in self._relation_atoms(len(head))]
-        columns.extend(self._inclusion_column(x) for x in head)
+        columns = self._atom_columns(head + (None,), self._relation_atoms(len(head)))
+        columns.extend(map(self._inclusion_column, head))
         columns.extend(self._residue_columns)
         return columns
+
+    def _atom_columns(self, row: tuple, atoms: list) -> list:
+        """The columns of relation atoms read at ``row``'s positions, where
+        None stands for the new coordinate."""
+        return [self._relation_column(r, tuple([row[i] for i in idx])) for r, idx in atoms]
 
     def _relation_column(self, r: int, pattern: tuple) -> tuple:
         """Whether relation r holds of ``pattern`` with each None replaced
@@ -364,17 +438,32 @@ class MonadicTypeMatrix:
 
 def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
                         residues: Sequence[int] = ()) -> MonadicTypeMatrix:
-    X = frozenset(X)
-    caps.check("monadic_matrix_mn", m * ms.universe_size, "monadic type matrix")
+    X = _in_range(X, ms.universe_size)
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if d < 0:
         raise ValueError("d must be >= 0")
+    caps.check("monadic_matrix_mn", m * ms.universe_size, "monadic type matrix")
     inside = sum(1 << x for x in X)
-    outside = ((1 << ms.universe_size) - 1) & ~inside
+    outside = tuple(submasks(((1 << ms.universe_size) - 1) & ~inside))
     rows = tuple(product(tuple(submasks(inside)), repeat=m))
-    cols = tuple(product(tuple(submasks(outside)), repeat=m))
-    type_id = _typer_for(ms, residues).type_id
+    cols = tuple(product(outside, repeat=m))
+    typer = _typer_for(ms, residues)
     numbers = _Numbering()
-    table = tuple(tuple(numbers[type_id(tuple(map(or_, r, c)), d)] for c in cols) for r in rows)
+    if not m:  # the one cell is the empty tuple, which has no head
+        table = ((numbers[typer.type_id((), d)],),)
+    else:
+        # cell r | c is entry r[-1] | c[-1] of the table of head r[:-1] |
+        # c[:-1], and the columns run through their last coordinate fastest
+        col_heads = tuple(product(outside, repeat=m - 1))
+        table = []
+        for *head, last in rows:
+            row = []
+            for c in col_heads:
+                ids = typer.extension_ids(tuple(map(or_, head, c)), d)
+                row.extend([numbers[ids[last | y]] for y in outside])
+            table.append(tuple(row))
+        table = tuple(table)
     return MonadicTypeMatrix(X, d, m, rows, cols, table, tuple(numbers))
 
 

@@ -247,6 +247,10 @@ def test_cli_pinned_output(workdir, monkeypatch, capsys, action, rest, code, tex
 REJECTED = [
     ("tree-rank", "t.tree --subset 0,9", "error: coordinate 9 out of range\n"),
     ("tree-rank", "t.tree --subset 0,9 --m 2", "error: coordinate 9 out of range\n"),
+    ("rank", "--structure p4.struct --subset 0,99", "error: coordinate 99 out of range\n"),
+    ("graph-rank", "--structure p4.struct --subset 0,99", "error: coordinate 99 out of range\n"),
+    ("graph-rank", "--structure p4.struct --subset 0,99,-1",
+     "error: coordinate -1 out of range\n"),
 ]
 
 

@@ -171,8 +171,7 @@ def _graphs_and_subsets(draw):
     n = draw(st.integers(0, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # a member outside range(n) is a vertex without neighbours
-    X = draw(st.sets(st.integers(-1, n + 1)))
+    X = draw(st.sets(st.integers(0, n - 1))) if n else set()
     return Graph.make(n, edges), X
 
 
@@ -181,6 +180,12 @@ def _graphs_and_subsets(draw):
 def test_graph_cut_rank_matches_the_cell_by_cell_reference(case):
     g, X = case
     assert graph_cut_rank(g, X) == reference_graph_cut_rank(g, X)
+
+
+@pytest.mark.parametrize("X, bad", [({0, 99}, 99), ({-1, 0, 5}, -1), ({3}, 3)])
+def test_graph_cut_rank_rejects_members_outside_the_graph(X, bad):
+    with pytest.raises(ValueError, match=f"coordinate {bad} out of range"):
+        graph_cut_rank(path_graph(3), X)
 
 
 def test_neighbour_masks_stay_out_of_equality_and_hash():
@@ -260,6 +265,36 @@ def test_monadic_type_matrix_empty_X():
     ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
     M = monadic_type_matrix(ms, set(), 0, 1)
     assert len(M.rows) == 1
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_monadic_type_matrix_of_width_0_is_the_empty_tuple(d):
+    # the one cell is the empty tuple, which has no head to read it from
+    ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
+    M = monadic_type_matrix(ms, {0}, d, 0)
+    assert (M.rows, M.cols, M.table) == (((),), ((),), ((0,),))
+    assert M.values == (rank._typer_for(ms, ()).type_id((), d),)
+    assert monadic_matrix_distinct_rows(M) == 1
+
+
+@pytest.mark.parametrize("X, bad", [({0, 5}, 5), ({-1, 0, 2}, -1), ({2}, 2)])
+def test_monadic_type_matrix_rejects_members_outside_the_universe(monkeypatch, X, bad):
+    ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
+    rank._last_typer = None
+    # the check comes before the cap check and before any typing
+    monkeypatch.setenv("RANKMAT_CAPS", "monadic_matrix_mn=0")
+    with pytest.raises(ValueError, match=f"coordinate {bad} out of range"):
+        monadic_type_matrix(ms, X, 1, 1)
+    assert rank._last_typer is None
+
+
+def test_monadic_type_matrix_rejects_negative_m(monkeypatch):
+    ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
+    rank._last_typer = None
+    monkeypatch.setenv("RANKMAT_CAPS", "monadic_matrix_mn=0")
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        monadic_type_matrix(ms, {0}, 1, -1)
+    assert rank._last_typer is None
 
 
 def test_ef_exponential_bound_small():
@@ -391,8 +426,8 @@ def test_union_rank_is_bounded_by_the_component_ranks_small():
 
 
 @st.composite
-def monadic_structures(draw):
-    n = draw(st.integers(1, 3))
+def monadic_structures(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     mask = st.integers(0, (1 << n) - 1)
     unary = draw(st.frozensets(st.tuples(mask), max_size=4))
     binary = draw(st.frozensets(st.tuples(mask, mask), max_size=6))
@@ -401,6 +436,9 @@ def monadic_structures(draw):
     triple = st.builds(lambda a, b, c, repeat: (a, a if repeat else b, c),
                        mask, mask, mask, st.booleans())
     ternary = draw(st.frozensets(triple, max_size=6))
+    # the binary and ternary atoms of a depth-1 type are the ones that split
+    # between the columns fixed by a head and those moving with its last
+    # coordinate
     return MonadicStructure(n, (("U", 1, unary), ("R", 2, binary), ("T", 3, ternary)))
 
 
@@ -426,15 +464,29 @@ def nested_rows(ms, X, d, m, residues):
 @small_ef
 @given(monadic_structures(), residue_choices, st.integers(0, 2))
 def test_interned_ids_match_nested_types(ms, residues, d):
-    # tuples of lengths 0..2, 0..3 at depth 1 and 0..1 at depth 2, where
-    # nesting is slow
+    # tuples of lengths 0..2, 0..3 at depth 1 and, where nesting is slow,
+    # 0..1 at depth 2 unless n <= 2
     typer = rank._MonadicTyper(ms, residues)
-    lengths = range({0: 3, 1: 4, 2: 2}[d])
+    lengths = range({0: 3, 1: 4, 2: 3 if ms.universe_size <= 2 else 2}[d])
     pairs = {
         (typer.type_id(t, d), monadic_d_type(ms, t, d, residues))
         for k in lengths for t in itertools.product(ms.subsets(), repeat=k)
     }
     assert len({i for i, _ in pairs}) == len(pairs) == len({ty for _, ty in pairs})
+
+
+@small_ef
+@given(monadic_structures(max_n=2), residue_choices, st.data())
+def test_depth_3_ids_match_nested_types(ms, residues, data):
+    typer = rank._MonadicTyper(ms, residues)
+    pairs = {
+        (typer.type_id(t, 3), monadic_d_type(ms, t, 3, residues))
+        for k in range(2) for t in itertools.product(ms.subsets(), repeat=k)
+    }
+    assert len({i for i, _ in pairs}) == len(pairs) == len({ty for _, ty in pairs})
+    X = data.draw(st.frozensets(st.integers(0, ms.universe_size - 1)))
+    M = monadic_type_matrix(ms, X, 3, 1, residues)
+    assert monadic_matrix_distinct_rows(M) == nested_rows(ms, X, 3, 1, residues)
 
 
 @small_ef
@@ -459,7 +511,7 @@ def test_monadic_distinct_rows_match_nested(ms, residues, data):
 
 
 @small_ef
-@given(monadic_structures(), monadic_structures(), residue_choices, st.integers(0, 1))
+@given(monadic_structures(), monadic_structures(), residue_choices, st.integers(0, 2))
 def test_monadic_matrices_independent_of_cache(a, b, residues, d):
     def tables(ms, fresh):
         if fresh:
