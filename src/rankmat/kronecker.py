@@ -1,10 +1,18 @@
 """Matrices over finite semigroups, Kronecker products, normal forms,
-finite-order detection and the 2x2 claim."""
+finite-order detection and the 2x2 claim.
+
+The kernels read the Cayley table directly. A Kronecker product costs one
+table read per entry. ``normal_form`` drops duplicate rows and columns,
+then sorts the rows and the rows of the transpose to a fixpoint; with no
+two rows and no two columns equal, neither sort has ties. The growth
+witness of the 2x2 claim at power n costs O(n 2^n) table reads: each
+entry is a product of a tabulated prefix of up letters, one down letter
+and a tabulated suffix."""
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count
 from typing import Optional, Sequence
 
 from . import caps
@@ -32,12 +40,14 @@ class SemigroupMatrix:
     semigroup: Optional[FiniteSemigroup] = None
 
     def __post_init__(self):
+        width = len(self.entries[0]) if self.entries else 0
+        size = self.semigroup.size if self.semigroup is not None else None
         for row in self.entries:
-            if len(row) != len(self.entries[0]):
+            if len(row) != width:
                 raise ValueError("column count mismatch")
-            if self.semigroup is not None:
+            if size is not None:
                 for x in row:
-                    if not (0 <= x < self.semigroup.size):
+                    if not (0 <= x < size):
                         raise ValueError(f"entry {x} out of range")
 
     @staticmethod
@@ -59,8 +69,9 @@ def kronecker_product(M1: SemigroupMatrix, M2: SemigroupMatrix) -> SemigroupMatr
     S = M1.semigroup
     if S is None:
         raise ValueError("Kronecker product needs a semigroup")
+    table = S.table
     entries = tuple(
-        tuple(S.mult(a, b) for a in row1 for b in row2)
+        tuple([table[a][b] for a in row1 for b in row2])
         for row1 in M1.entries
         for row2 in M2.entries
     )
@@ -82,37 +93,35 @@ class NormalForm:
     content_hash: str
 
 
-def _dedup(entries: list) -> list:
-    """Keep the first occurrence of each row, then of each column.
+def _dedup(entries: Sequence[Sequence[int]]) -> list:
+    """Keep the first occurrence of each row, then of each column, as
+    tuples.
 
     One pass of each is the fixpoint: two rows that differ still differ
-    once a duplicate column is dropped, and the same holds for columns."""
+    once a duplicate column is dropped, and the same holds for columns.
+    Rows with no columns stay as one empty row."""
     rows = list(dict.fromkeys(map(tuple, entries)))
-    first = {}
-    for c, column in enumerate(zip(*rows)):
-        first.setdefault(column, c)
-    return [[row[c] for c in first.values()] for row in rows]
+    columns = list(dict.fromkeys(zip(*rows)))
+    return list(zip(*columns)) if columns else rows
 
 
 def normal_form(M: SemigroupMatrix) -> NormalForm:
-    entries = _dedup([list(row) for row in M.entries])
-    # sort rows by content, then columns, to a fixpoint.  The order is not
+    entries = _dedup(M.entries)
+    # sort rows by content, then columns, to a fixpoint.  After _dedup no
+    # two rows and no two columns are equal, so sorting the rows of the
+    # transpose sorts the columns with no ties.  The order is not
     # canonical: equal hashes imply equivalence, but two equivalent
     # matrices can sort to different layouts and so hash differently
-    changed = True
-    while changed and entries:
-        before = [tuple(row) for row in entries]
-        entries = sorted(entries)
-        cols = sorted(
-            range(len(entries[0])), key=lambda c: tuple(row[c] for row in entries)
-        )
-        entries = [[row[c] for c in cols] for row in entries]
-        changed = [tuple(row) for row in entries] != before
-    entries = tuple(tuple(row) for row in entries)
-    serial = ";".join(",".join(str(x) for x in row) for row in entries)
+    if entries and entries[0]:
+        while True:
+            after = list(zip(*sorted(zip(*sorted(entries)))))
+            if after == entries:
+                break
+            entries = after
+    entries = tuple(entries)
+    serial = ";".join(",".join(map(str, row)) for row in entries)
     digest = hashlib.sha256(serial.encode()).hexdigest()
-    matrix = SemigroupMatrix.make(entries, M.semigroup)
-    return NormalForm(matrix, digest)
+    return NormalForm(SemigroupMatrix(entries, M.semigroup), digest)
 
 
 def _line_profile(entries: tuple) -> tuple:
@@ -219,8 +228,33 @@ def multiplication_matrix(S: FiniteSemigroup, B: Sequence[int], C: Sequence[int]
     B, C = list(B), list(C)
     if not B or not C:
         raise ValueError("B and C must be nonempty")
+    for x in chain(B, C):
+        if not (0 <= x < S.size):
+            raise ValueError(f"element {x} is not in the semigroup")
     entries = tuple(tuple(S.mult(b, c) for c in C) for b in B)
     return SemigroupMatrix(entries, S)
+
+
+def _growth_rows(S: FiniteSemigroup, up: tuple, down: tuple):
+    """For n = 1, 2, ...: the n rows of the growth witness at power n.
+
+    Row i at columns (b_0, ..., b_{n-1}), in ``product((0, 1), repeat=n)``
+    order, is the product up[b_0] ... down[b_i] ... up[b_{n-1}]. With
+    ``pre[k]`` and ``suf[k]`` the products of the 2^k words of k up
+    letters (first letter the high bit, ``pre[0] = suf[0] = [unit]``), it
+    is pre[i][p] * down[b_i] * suf[n-i-1][q] by associativity: O(n 2^n)
+    table reads per power."""
+    table = S.table
+    pre, suf = [[S.unit]], [[S.unit]]
+    for n in count(1):
+        # table[table[p][x]] is the row of p * down[b_i]
+        yield [
+            tuple([row[s] for p in pre[i] for x in down for row in (table[table[p][x]],)
+                   for s in suf[n - i - 1]])
+            for i in range(n)
+        ]
+        pre.append([table[p][u] for p in pre[-1] for u in up])
+        suf.append([table[u][s] for u in up for s in suf[-1]])
 
 
 def two_by_two_claim(S: FiniteSemigroup, b: int, c: int, d: int, budget: int = 5) -> dict:
@@ -244,21 +278,6 @@ def two_by_two_claim(S: FiniteSemigroup, b: int, c: int, d: int, budget: int = 5
     if isinstance(order, Finite):
         report["claim_holds"] = (d == bc and d == cb)
     if d != bc or d != cb:
-        ok = True
-        for n in range(1, budget + 2):
-            rows = []
-            for i in range(n):
-                # row: up everywhere except down at position i
-                row = []
-                for col_bits in product((0, 1), repeat=n):
-                    word = [
-                        M.entries[1 if pos == i else 0][col_bits[pos]]
-                        for pos in range(n)
-                    ]
-                    row.append(S.product(word))
-                rows.append(tuple(row))
-            if len(set(rows)) < n:
-                ok = False
-                break
-        report["growth_verified"] = ok
+        growth = zip(range(1, budget + 2), _growth_rows(S, *M.entries))
+        report["growth_verified"] = all(len(set(rows)) == n for n, rows in growth)
     return report

@@ -443,6 +443,9 @@ def monadic_type_matrix(ms: MonadicStructure, X: Iterable[int], d: int, m: int,
         raise ValueError("m must be >= 0")
     if d < 0:
         raise ValueError("d must be >= 0")
+    residues = tuple(residues)
+    if any(q < 1 for q in residues):
+        raise ValueError("residue moduli must be >= 1")
     caps.check("monadic_matrix_mn", m * ms.universe_size, "monadic type matrix")
     inside = sum(1 << x for x in X)
     outside = tuple(submasks(((1 << ms.universe_size) - 1) & ~inside))

@@ -1,8 +1,12 @@
+from itertools import islice, product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankmat.enumerate import cyclic_group, word_monoid_1abab0
+from rankmat.enumerate import cyclic_group, left_zero, rectangular_band, word_monoid_1abab0
+from rankmat.semigroup import validate
+from rankmat.suites import _semigroup_corpus
 from rankmat.kronecker import (
     Finite,
     SemigroupMatrix,
@@ -16,7 +20,7 @@ from rankmat.kronecker import (
     normal_form,
     two_by_two_claim,
 )
-from rankmat.kronecker import _dedup, _line_profile
+from rankmat.kronecker import _dedup, _growth_rows, _line_profile
 
 import reference_kronecker
 
@@ -34,6 +38,26 @@ def test_matrix_validation():
         SemigroupMatrix.make([[0], [0, 1], [0]])
     with pytest.raises(ValueError, match="out of range"):
         SemigroupMatrix.make([[0, 2]], Z2)
+
+
+@pytest.mark.parametrize("entries, semigroup, message", [
+    # rows are checked in order, each for its width and then its entries
+    ([[0, 9], [0]], Z2, "^entry 9 out of range$"),
+    ([[0], [0, 9]], Z2, "^column count mismatch$"),
+    ([[1, 0], [0, 5, -1]], Z2, "^column count mismatch$"),
+    # the first bad entry of the first bad row is named
+    ([[1, 0], [5, -1]], Z2, "^entry 5 out of range$"),
+    ([[1, 0], [0, -1], [7, 0]], Z2, "^entry -1 out of range$"),
+    ([[], [0]], Z2, "^column count mismatch$"),
+])
+def test_matrix_errors_come_in_row_order(entries, semigroup, message):
+    with pytest.raises(ValueError, match=message):
+        SemigroupMatrix.make(entries, semigroup)
+
+
+def test_matrix_entries_are_free_without_a_semigroup():
+    assert SemigroupMatrix.make([[9, -1], [0, 4]]).shape() == (2, 2)
+    assert SemigroupMatrix.make([[], []], Z2).shape() == (2, 0)
 
 
 def test_kronecker_product_shape_and_entries():
@@ -74,36 +98,6 @@ def test_normal_form_removes_duplicates():
     assert len(set(rows)) == len(rows) and len(set(zip(*rows))) == len(rows[0])
 
 
-def reference_dedup(entries: list) -> list:
-    """The former _dedup: duplicate rows, then duplicate columns, removed
-    in a loop until nothing changes."""
-    changed = True
-    while changed:
-        changed = False
-        seen = set()
-        rows = []
-        for row in entries:
-            key = tuple(row)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            rows.append(list(row))
-        entries = rows
-        if entries:
-            seen = set()
-            keep = []
-            for c in range(len(entries[0])):
-                key = tuple(row[c] for row in entries)
-                if key in seen:
-                    changed = True
-                    continue
-                seen.add(key)
-                keep.append(c)
-            entries = [[row[c] for c in keep] for row in entries]
-    return entries
-
-
 _ENTRY_LISTS = st.integers(0, 6).flatmap(
     lambda c: st.lists(st.lists(st.integers(0, 2), min_size=c, max_size=c), max_size=6))
 
@@ -114,7 +108,83 @@ _ENTRY_LISTS = st.integers(0, 6).flatmap(
 @example([[], [], []])
 @example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
 def test_one_pass_dedup_matches_the_fixpoint_loop(entries):
-    assert _dedup(entries) == reference_dedup(entries)
+    assert list(map(list, _dedup(entries))) == reference_kronecker.dedup(entries)
+
+
+def _entry_lists(side: int, values: int):
+    """Row lists of any shape up to side x side over at most ``values``
+    values, zero rows and zero columns included."""
+    return st.tuples(st.integers(0, side), st.integers(1, values)).flatmap(
+        lambda cv: st.lists(st.lists(st.integers(0, cv[1] - 1),
+                                     min_size=cv[0], max_size=cv[0]), max_size=side))
+
+
+Z4 = cyclic_group(4)
+
+
+@settings(max_examples=500)
+@given(_entry_lists(7, 4))
+@example([])
+@example([[], [], []])
+@example([[3, 0, 2, 0]])
+@example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+@example([[2, 1, 2, 1], [0, 3, 0, 3], [2, 1, 2, 1]])
+def test_normal_form_matches_the_reference_loop(entries):
+    nf = normal_form(SemigroupMatrix.make(entries, Z4))
+    assert (nf.matrix.entries, nf.content_hash) == reference_kronecker.normal_form(
+        SemigroupMatrix.make(entries, Z4))
+    assert nf.matrix.semigroup is Z4
+
+
+# three non-commutative tables, on which a product with its factors'
+# roles swapped fails, and a group
+_PRODUCT_SEMIGROUPS = [left_zero(3), rectangular_band(2, 2), word_monoid_1abab0(), Z3]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_PRODUCT_SEMIGROUPS).flatmap(
+    lambda S: st.tuples(st.just(S), _entry_lists(4, S.size), _entry_lists(4, S.size))))
+def test_kronecker_product_matches_the_reference(case):
+    S, first, second = case
+    M1, M2 = SemigroupMatrix.make(first, S), SemigroupMatrix.make(second, S)
+    P = kronecker_product(M1, M2)
+    assert P.entries == reference_kronecker.kronecker_product(M1, M2)
+    assert P.semigroup is S
+
+
+def _corpus_monoids():
+    """Every monoid of the two-by-two suite's corpus, with its unit."""
+    for _, S in _semigroup_corpus():
+        unit = next((e for e in S.elements()
+                     if all(S.mult(e, a) == a == S.mult(a, e) for a in S.elements())), None)
+        if unit is not None:
+            yield validate([list(r) for r in S.table], unit=unit)
+
+
+CORPUS_MONOIDS = list(_corpus_monoids())
+
+
+def test_growth_rows_match_the_word_by_word_reference():
+    instances = 0
+    for S in CORPUS_MONOIDS:
+        for b, c, d in product(S.elements(), repeat=3):
+            M = SemigroupMatrix.make([[S.unit, b], [c, d]], S)
+            rows = list(islice(_growth_rows(S, *M.entries), 6))
+            assert rows == [reference_kronecker.growth_rows(S, M, n) for n in range(1, 7)]
+            instances += 1
+    assert instances == 1180  # the two-by-two suite's instance count
+
+
+@pytest.mark.parametrize("budget", [1, 5])
+def test_two_by_two_claim_matches_the_reference(budget):
+    growth = set()
+    for S in CORPUS_MONOIDS:
+        for b, c, d in product(S.elements(), repeat=3):
+            report = two_by_two_claim(S, b, c, d, budget=budget)
+            assert report == reference_kronecker.two_by_two_claim(S, b, c, d, budget=budget)
+            growth.add(report["growth_verified"])
+    # on this corpus every mismatch has its witness
+    assert growth == {None, True}
 
 
 def test_normal_form_is_idempotent_and_permutation_invariant():
@@ -232,6 +302,17 @@ def test_multiplication_matrix():
     assert m.entries == ((0, 1, 2), (1, 2, 0))
     with pytest.raises(ValueError):
         multiplication_matrix(Z3, [], [0])
+
+
+@pytest.mark.parametrize("B, C, bad", [
+    ([-1], [0], -1),  # an index that would read the table's last row
+    ([5], [0], 5),
+    ([0], [1, 2], 2),
+    ([0, 3], [-4], 3),  # B's members come first
+])
+def test_multiplication_matrix_rejects_elements_outside_the_semigroup(B, C, bad):
+    with pytest.raises(ValueError, match=f"^element {bad} is not in the semigroup$"):
+        multiplication_matrix(Z2, B, C)
 
 
 def test_two_by_two_claim_finite_case():

@@ -297,6 +297,24 @@ def test_monadic_type_matrix_rejects_negative_m(monkeypatch):
     assert rank._last_typer is None
 
 
+@pytest.mark.parametrize("residues", [(0,), (-2,), (2, 0), iter([3, -1])])
+def test_monadic_type_matrix_rejects_moduli_below_1(monkeypatch, residues):
+    # a modulus of 0 would divide by zero in the typer, and a negative one
+    # would give negative residues
+    ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
+    rank._last_typer = None
+    monkeypatch.setenv("RANKMAT_CAPS", "monadic_matrix_mn=0")
+    with pytest.raises(ValueError, match="^residue moduli must be >= 1$"):
+        monadic_type_matrix(ms, {0}, 1, 1, residues)
+    assert rank._last_typer is None
+
+
+def test_monadic_type_matrix_takes_residues_from_an_iterator():
+    ms = MonadicStructure(2, (("U", 1, frozenset({(0b01,)})),))
+    assert (monadic_type_matrix(ms, {0}, 1, 1, iter([1, 2]))
+            == monadic_type_matrix(ms, {0}, 1, 1, (1, 2)))
+
+
 def test_ef_exponential_bound_small():
     # distinct_rows(M_{d+1,1}) <= 2^(distinct_rows(M_{d,2}))
     for n in (2, 3):
