@@ -36,7 +36,7 @@ from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
-from .structures import MonadicStructure, Structure, submasks
+from .structures import MonadicStructure, Structure, _in_range, submasks
 
 __all__ = [
     "TypeMatrix",
@@ -215,15 +215,6 @@ def gf2_rank(rows: Sequence[int]) -> int:
             basis.sort(reverse=True)
             rank += 1
     return rank
-
-
-def _in_range(X: Iterable[int], n: int) -> frozenset:
-    """X as a frozenset, after checking that each member is in ``range(n)``."""
-    X = frozenset(X)
-    outside = [x for x in X if not 0 <= x < n]
-    if outside:
-        raise ValueError(f"coordinate {min(outside)} out of range")
-    return X
 
 
 def graph_cut_rank(g: Graph, X: Iterable[int]) -> int:

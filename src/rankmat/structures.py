@@ -285,12 +285,22 @@ def subsets(items: Sequence) -> Iterator[frozenset]:
 class LocalTypeIndex:
     """Classes of partial k-tuples over X by behaviour inside the induced
     substructure: internal type plus the extended type-matrix row against
-    every external parameter tuple of length 0..m."""
+    every external parameter tuple of length 0..m (typed against the
+    shorter tails that already fix it; see ``local_type_index``)."""
 
     X: frozenset
     k: int
     m: int
     classes: tuple  # tuple of (sorted tuple of member tuples), class id = index
+
+
+def _in_range(X: Iterable[int], n: int) -> frozenset:
+    """X as a frozenset, after checking that each member is in ``range(n)``."""
+    X = frozenset(X)
+    outside = [x for x in X if not 0 <= x < n]
+    if outside:
+        raise ValueError(f"coordinate {min(outside)} out of range")
+    return X
 
 
 def _external_tuples(s: Structure, X: frozenset, m: int) -> list:
@@ -306,10 +316,32 @@ def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTyp
     the external tuples; the first external tuple is the empty one, so the
     row starts with the internal type.  Classes come in the order of their
     rows' sort keys.  Built once per ``(X, k, m)`` and kept in
-    ``s.local_type_indices``."""
+    ``s.local_type_indices``.
+
+    The row is typed against the external tuples of length at most
+    min(m, r - 1) only, r being the largest arity in the vocabulary (r = 1
+    when it has no relations), and the classes, their order and their
+    members' order are those of the full row of lengths 0..m:
+
+    - X and its complement are disjoint, so no coordinate of a tuple t
+      over X equals a coordinate of an external tuple e.
+    - An atom that touches both t and e names at most r - 1 positions of e.
+    - So qf_type(t + e) is fixed by qf_type(t), by e, and by the types of
+      t + e' for the subtuples e' of e with |e'| <= r - 1, and every such
+      e' is a short tail.
+    - Two tuples therefore have equal full rows exactly when their short
+      rows are equal.
+    - ``_external_tuples`` lists tails by length, so the short row is a
+      prefix of the full row and holds the first entry where two full rows
+      differ: the classes sort in the same order.
+
+    A negative m or k, or a member of X outside the universe, is a
+    ``ValueError``, raised before anything is typed or kept."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    key = (frozenset(X), k, m)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    key = (_in_range(X, s.universe_size), k, m)
     memo = s.local_type_indices
     found = memo.get(key)
     if found is None:
@@ -318,7 +350,8 @@ def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTyp
 
 
 def _build_local_type_index(s: Structure, X: frozenset, k: int, m: int) -> LocalTypeIndex:
-    exts = _external_tuples(s, X, m)
+    widest = max([arity for _, arity in s.vocabulary.relations], default=1)
+    exts = _external_tuples(s, X, min(m, widest - 1))
     groups: dict = {}
     for t in all_partial_tuples(sorted(X), k):
         groups.setdefault(tuple([qf_type(s, t + e) for e in exts]), []).append(t)
@@ -367,11 +400,16 @@ def composition_tables(s: Structure, partition: Sequence[Iterable[int]], ell: in
     Returns (lambdas, gamma, colours) where lambdas[i] maps a local class
     id of part i to a globally unique colour.  Raises CompositionConflict
     with the last earlier tuple of the same colours and the first tuple
-    whose type differs from it.
+    whose type differs from it.  ell must be at least 1 and at most the
+    number of parts, or at most 1 when there are none (an empty universe),
+    else it is a ``ValueError``: a larger ell would choose no parts and
+    check nothing.
     """
     parts = _validate_partition(s, partition)
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    if ell > max(len(parts), 1):
+        raise ValueError(f"ell = {ell} exceeds the {len(parts)} parts")
     indices = [local_type_index(s, p, m, m) for p in parts]
     lambdas = []
     colour_of = []  # per part: projected tuple -> colour

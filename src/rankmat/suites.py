@@ -563,8 +563,13 @@ def suite_recovery():
 def suite_compositionality():
     """Reconstruction of quantifier-free types from per-part local type
     colours, exact on all (structure, partition) pairs for n <= 3 with
-    m = 2, plus a seeded n=4 sample (the exhaustive n=4 sweep exceeds
-    the time budget)."""
+    m = 2, plus a seeded n=4 sample of ``_COMPOSITIONALITY_N4_SAMPLE``
+    structures.  The exhaustive n=4 sweep, one structure per isomorphism
+    class (3044) against all 15 partitions, passes; its checks take about
+    12 s (20-23 s before local types were typed against tails shorter than
+    the widest relation), against about 0.7 s for this whole suite (2-vCPU
+    VM, Python 3.11.7).  So it waits for an orbit-representative corpus
+    and a faster typer."""
     instances = 0
     rng = random.Random(13)
     sizes_and_bits = [(n, bits) for n in (1, 2, 3) for bits in range(1 << n * n)]

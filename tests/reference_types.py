@@ -1,4 +1,10 @@
-"""Depth-d monadic types as nested values: the reference definition that
+"""Reference definitions the library's faster kernels are compared against.
+
+``reference_local_type_index`` is the local type index typed against every
+external tuple of length 0..m, the full row that
+``rankmat.structures.local_type_index`` cuts short at the widest relation.
+
+Depth-d monadic types as nested values are the reference definition that
 ``rankmat.rank``'s interned monadic typer is compared against.
 
 ``monadic_d_type`` builds a type as a hashable nested value (atoms at depth
@@ -11,7 +17,30 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from rankmat.structures import MonadicStructure, Structure
+from rankmat.structures import (
+    LocalTypeIndex,
+    MonadicStructure,
+    Structure,
+    all_partial_tuples,
+    qf_type,
+)
+
+
+def reference_local_type_index(s: Structure, X, k: int, m: int) -> LocalTypeIndex:
+    """The partial k-tuples over X grouped by their row of types against
+    every external tuple of length 0..m, shortest first; classes in the
+    order of their rows' sort keys, members in coordinate order with
+    ``None`` first."""
+    X = frozenset(X)
+    outside = sorted(set(s.universe()) - X)
+    exts = [e for ell in range(m + 1) for e in product(outside, repeat=ell)]
+    groups: dict = {}
+    for t in all_partial_tuples(sorted(X), k):
+        groups.setdefault(tuple([qf_type(s, t + e) for e in exts]), []).append(t)
+    keyed = sorted(groups.items(), key=lambda item: [ty.sort_key() for ty in item[0]])
+    by_position = lambda t: tuple(-1 if x is None else x for x in t)
+    classes = tuple(tuple(sorted(members, key=by_position)) for _, members in keyed)
+    return LocalTypeIndex(X, k, m, classes)
 
 
 def singleton_lifting(s: Structure) -> MonadicStructure:

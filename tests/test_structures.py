@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rankmat import structures
@@ -23,7 +23,12 @@ from rankmat.structures import (
 )
 from rankmat.trees import set_partitions
 
-from reference_types import element_d_type, monadic_d_type, singleton_lifting
+from reference_types import (
+    element_d_type,
+    monadic_d_type,
+    reference_local_type_index,
+    singleton_lifting,
+)
 
 LE = Vocabulary((("le", 2),))
 EDGE = Vocabulary((("E", 2),))
@@ -184,6 +189,24 @@ def test_composition_tables_bad_partition():
         composition_tables(s, [{0, 1}], 1, 2)
 
 
+def test_composition_tables_rejects_ell_above_the_part_count():
+    # an ell above the part count would choose no parts and check nothing
+    s = path(3)
+    for ell in (3, 5):
+        with pytest.raises(ValueError, match=f"^ell = {ell} exceeds the 2 parts$"):
+            composition_tables(s, [[0], [1, 2]], ell, 2)
+    assert composition_tables(s, [[0], [1, 2]], 2, 2)[1]
+
+
+def test_compositionality_on_an_empty_universe():
+    # an empty universe has no parts; ell = 1 is allowed there and chooses none
+    s = Structure.make(EDGE, 0, {})
+    assert compositionality_check(s, [], 2) == (True, None)
+    assert composition_tables(s, [], 1, 2) == ([], {}, range(0))
+    with pytest.raises(ValueError, match="^ell = 2 exceeds the 0 parts$"):
+        composition_tables(s, [], 2, 2)
+
+
 def test_compositionality_exhaustive_small():
     for s in (binary_structure(3, bits) for bits in range(1 << 9)):
         ok, cex = compositionality_check(s, [{0}, {1, 2}], 2)
@@ -331,36 +354,97 @@ def test_subsets_match_replaced_copy(cls):
 
 
 # ---------------------------------------------------------------------------
-# local type classes against the former key, internal type plus row
-
-
-def reference_local_classes(s, X, k, m):
-    """The former ``_local_key`` grouping, sorted by its keys."""
-    X = frozenset(X)
-    outside = sorted(set(s.universe()) - X)
-    exts = [e for ell in range(m + 1) for e in itertools.product(outside, repeat=ell)]
-    groups = {}
-    for t in all_partial_tuples(sorted(X), k):
-        key = (qf_type(s, t).sort_key(), tuple(qf_type(s, t + e).sort_key() for e in exts))
-        groups.setdefault(key, []).append(t)
-    by_position = lambda t: tuple(-1 if x is None else x for x in t)
-    return tuple(tuple(sorted(members, key=by_position))
-                 for _, members in sorted(groups.items(), key=lambda item: item[0]))
-
-
-@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, (1 << n * n) - 1), st.integers(0, (1 << n) - 1),
-    st.integers(0, 2), st.integers(0, 2))))
-def test_local_type_index_matches_former_key(spec):
-    n, bits, x_bits, k, m = spec
-    s = binary_structure(n, bits)
-    X = {i for i in range(n) if x_bits >> i & 1}
-    assert local_type_index(s, X, k, m).classes == reference_local_classes(s, X, k, m)
+# local type index arguments
 
 
 def test_local_type_index_rejects_negative_m():
     with pytest.raises(ValueError, match="m must be >= 0"):
         local_type_index(path(3), {0}, 1, -1)
+
+
+@pytest.mark.parametrize("X, k, message", [
+    ({7}, 0, "coordinate 7 out of range"),
+    ({7}, 1, "coordinate 7 out of range"),
+    ({0, 3, -1}, 2, "coordinate -1 out of range"),
+    ({0}, -1, "k must be >= 0"),
+    ({7}, -2, "k must be >= 0"),
+])
+def test_local_type_index_checks_X_and_k_before_typing(monkeypatch, X, k, message):
+    def untouched(s, t):
+        raise AssertionError("typed before the argument check")
+
+    monkeypatch.setattr(structures, "qf_type", untouched)
+    s = path(3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        local_type_index(s, X, k, 1)
+    assert "local_type_indices" not in vars(s)
+
+
+# ---------------------------------------------------------------------------
+# local type classes typed against tails shorter than the widest relation
+
+
+@st.composite
+def local_type_cases(draw):
+    """A structure with 0-3 relations of arity 1-3 (none: the empty
+    vocabulary) on 0-4 elements, X a subset of its universe, k <= 2 and
+    m <= 3."""
+    arities = draw(st.lists(st.integers(1, 3), max_size=3))
+    vocabulary = Vocabulary(tuple((f"R{i}", a) for i, a in enumerate(arities)))
+    n = draw(st.integers(0, 4))
+    rels = {}
+    X = frozenset()
+    if n:
+        element = st.integers(0, n - 1)
+        rels = {name: draw(st.frozensets(st.tuples(*[element] * arity), max_size=3 * n))
+                for name, arity in vocabulary.relations}
+        X = draw(st.one_of(st.just(frozenset(range(n))), st.frozensets(element)))
+    return Structure.make(vocabulary, n, rels), X, draw(st.integers(0, 2)), draw(st.integers(0, 3))
+
+
+NO_RELATIONS = Structure.make(Vocabulary(()), 3, {})
+ALL_ARITIES = Structure.make(Vocabulary((("U", 1), ("E", 2), ("R", 3))), 4, {
+    "U": {(0,), (2,)}, "E": {(0, 1), (1, 2), (2, 2), (3, 0)},
+    "R": {(0, 1, 2), (1, 3, 3), (2, 0, 3), (3, 3, 1)}})
+# 0 and 1 differ only in R(0, 2, 3), which a tail of length 2 sees
+ONE_TRIPLE = Structure.make(Vocabulary((("R", 3),)), 4, {"R": {(0, 2, 3)}})
+
+
+@given(st.one_of(
+    st.integers(0, 3).flatmap(lambda n: st.tuples(
+        st.integers(0, (1 << n * n) - 1).map(lambda bits: binary_structure(n, bits)),
+        st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+        st.integers(0, 2), st.integers(0, 2))),
+    local_type_cases(),
+))
+@example((NO_RELATIONS, frozenset(), 2, 3))
+@example((NO_RELATIONS, frozenset(range(3)), 2, 3))
+@example((NO_RELATIONS, frozenset({1}), 2, 3))
+@example((ALL_ARITIES, frozenset(), 2, 3))
+@example((ALL_ARITIES, frozenset(range(4)), 2, 3))
+@example((ALL_ARITIES, frozenset({0, 2}), 2, 3))
+@example((ALL_ARITIES, frozenset({3}), 2, 3))
+@example((ONE_TRIPLE, frozenset({0, 1}), 1, 2))
+def test_local_type_index_matches_the_full_row(case):
+    s, X, k, m = case
+    assert local_type_index(s, X, k, m) == reference_local_type_index(s, X, k, m)
+
+
+@pytest.mark.parametrize("X", [set(), {0}, {1, 3}, {0, 1, 2}, {0, 1, 2, 3}])
+def test_binary_local_type_index_types_tails_of_length_at_most_one(monkeypatch, X):
+    # r = 2: the (|X| + 1)^2 partial pairs over X, each against the empty
+    # tail and the |outside| tails of length 1, and no tail of length 2
+    s = binary_structure(4, 0b1011_0010_0110_1001)
+    expected = reference_local_type_index(s, X, 2, 2)
+    calls = []
+
+    def counted(s, t):
+        calls.append(t)
+        return qf_type(s, t)
+
+    monkeypatch.setattr(structures, "qf_type", counted)
+    assert local_type_index(s, X, 2, 2) == expected
+    assert len(calls) == (len(X) + 1) ** 2 * (1 + 4 - len(X))
 
 
 # ---------------------------------------------------------------------------
