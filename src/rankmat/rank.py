@@ -6,10 +6,11 @@
 cells.  The memo lives on the structure, not in this module, so it is freed
 with the structure; a module-level cache would keep the last structure and
 its memo alive for as long as the module stays loaded.  An m = 1 row (x,)
-is ``QfTypeIds.pair_ids(s, x)``, the ids of (x, y) for every y, read at the
-columns' elements; m >= 2 cells go through the tuple memo.  Work bound: an
-m = 1 call types at most |X|·n pairs, and each pair at most once per
-structure, since each x's vector is built once.
+is x's row from ``QfTypeIds.pair_rows``, the ids of (x, y) for every y,
+read at the columns' elements; a call's new rows are typed together, in
+one pass over their pairs.  m >= 2 cells go through the tuple memo.  Work
+bound: an m = 1 call types at most |X|·n pairs, and each pair at most once
+per structure, since each x's row is kept once typed.
 
 A depth-0 monadic type of a subset tuple is its set of atomic facts
 (relations, inclusions, equalities and size residues); a depth-d type is the
@@ -64,46 +65,47 @@ class TypeMatrix:
     values: tuple  # value id -> QfType
 
 
-def _matrix_index(s: Structure, X: Iterable[int], m: int) -> tuple:
-    """X as a frozenset and the row and column tuples of its type matrix,
-    after the ``matrix_cells`` cap check."""
+def _cut(s: Structure, X: Iterable[int], m: int) -> tuple:
+    """X as a frozenset, its sorted members and the sorted rest of the
+    universe, after the ``matrix_cells`` cap check."""
     if m < 1:
         raise ValueError("m must be >= 1")
     X = frozenset(X)
     inside = sorted(X)
-    outside = sorted(set(s.universe()) - X)
+    outside = [y for y in range(s.universe_size) if y not in X]
     caps.check("matrix_cells", len(inside) ** m * len(outside) ** m, "type matrix")
-    return X, tuple(product(inside, repeat=m)), tuple(product(outside, repeat=m))
+    return X, inside, outside
 
 
-def _id_rows(s: Structure, rows: tuple, cols: tuple) -> Iterator[tuple]:
-    """The type matrix's rows as tuples of ids in ``s``'s memo.  At m = 1
-    row (x,) is ``pair_ids(s, x)`` read at the columns' elements; at m >= 2
-    each cell is looked up in the tuple memo.  A generator: the memo is not
-    touched before the first row is read."""
+def _id_rows(s: Structure, inside: list, outside: list, m: int) -> Iterator[tuple]:
+    """The type matrix's rows as tuples of ids in ``s``'s memo, rows and
+    columns in ``product`` order.  At m = 1 row (x,) is x's pair row read
+    at the outside elements, the rows of every x typed together by
+    ``QfTypeIds.pair_rows``; at m >= 2 each cell is looked up in the tuple
+    memo.  A generator: the memo is not touched before the first row is
+    read."""
     ids = s.qf_type_ids
-    if cols and len(cols[0]) == 1:
-        outside = [y for (y,) in cols]
-        pick = itemgetter(*outside)
-        single = len(outside) == 1  # then pick gives the id, not a 1-tuple
-        for (x,) in rows:
-            row = pick(ids.pair_ids(s, x))
-            yield (row,) if single else row
+    if m == 1 and outside:
+        rows = map(itemgetter(*outside), ids.pair_rows(s, inside))
+        # with one column, itemgetter gives the id, not a 1-tuple
+        yield from rows if len(outside) > 1 else zip(rows)
         return
+    cols = list(product(outside, repeat=m))
     type_id = ids.id_of
-    for r in rows:
+    for r in product(inside, repeat=m):
         yield tuple([type_id(s, r + c) for c in cols])
 
 
 def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:
-    X, rows, cols = _matrix_index(s, X, m)
-    cells = list(_id_rows(s, rows, cols))
+    X, inside, outside = _cut(s, X, m)
+    cells = list(_id_rows(s, inside, outside, m))
     # value ids in QfType.sort_key order, as _field_rank reads them
-    types = s.qf_type_ids.types
-    ordered = sorted({i for row in cells for i in row}, key=lambda i: types[i].sort_key())
+    ids = s.qf_type_ids
+    ordered = sorted({i for row in cells for i in row}, key=ids.sort_keys.__getitem__)
     value_of = {i: v for v, i in enumerate(ordered)}
     table = tuple(tuple(value_of[i] for i in row) for row in cells)
-    return TypeMatrix(X, m, rows, cols, table, tuple(types[i] for i in ordered))
+    return TypeMatrix(X, m, tuple(product(inside, repeat=m)), tuple(product(outside, repeat=m)),
+                      table, tuple(ids.types[i] for i in ordered))
 
 
 def smallest_prime_at_least(n: int) -> int:
@@ -164,8 +166,8 @@ def distinct_row_rank(s: Structure, X: Iterable[int], m: int = 1) -> int:
     """Cut-rank of X as the number of distinct rows of its type matrix:
     ``matrix_ranks(type_matrix(s, X, m))[0]`` without building the matrix.
     No type is computed when X or its complement is empty."""
-    _, rows, cols = _matrix_index(s, X, m)
-    return _distinct_rows(_id_rows(s, rows, cols), len(rows), len(cols))
+    _, inside, outside = _cut(s, X, m)
+    return _distinct_rows(_id_rows(s, inside, outside, m), len(inside), len(outside))
 
 
 @dataclass(frozen=True)

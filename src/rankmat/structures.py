@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, product
+from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import caps
@@ -161,27 +162,33 @@ class QfTypeIds:
     ``QfType`` gets a small int id in order of first appearance, so two
     tuples get equal ids exactly when ``qf_type`` gives them equal types
     (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
-    ``of_tuple`` memoises the id of every tuple looked up, and ``pair_ids``
-    the ids of every pair (x, y) for one x at a time.  The kept types
-    share one tuple per fact, which takes about a third off the memo's
-    size; a structure's memo lives as long as the structure does.  It holds
-    no reference to its structure, so ``Structure.qf_type_ids`` makes no
-    cycle.
+    ``of_tuple`` memoises the id of every tuple looked up, ``pair_rows``
+    the ids of every pair (x, y) for each x asked for, and ``sort_keys``
+    each id's ``QfType.sort_key()``.  The kept types share one tuple per
+    fact, which takes about a third off the memo's size; a structure's
+    memo lives as long as the structure does.
+    It holds no reference to its structure, so ``Structure.qf_type_ids``
+    makes no cycle.
 
-    Work bound: ``pair_ids`` types the n pairs (x, y) of a new x once, and
-    never again for that structure, so a call for the m = 1 rows of X
-    types at most |X|·n pairs, and each pair at most once per structure.
+    Work bound: ``pair_rows`` types the rows of a call's new x together,
+    in one pass over their n pairs (x, y) each, and never again for that
+    structure, so a call for the m = 1 rows of X types at most |X|·n
+    pairs, and each pair at most once per structure.
     """
 
-    __slots__ = ("of_tuple", "types", "_ids", "_facts", "_pairs", "_pair_keys")
+    __slots__ = ("of_tuple", "types", "sort_keys", "_ids", "_facts", "_pairs", "_pair_keys",
+                 "_pair_atoms")
 
     def __init__(self):
         self.of_tuple: dict = {}  # tuple -> id
         self.types: list = []  # id -> QfType
+        self.sort_keys: list = []  # id -> its QfType's sort_key()
         self._ids: dict = {}  # QfType -> id
         self._facts: dict = {}  # fact -> its one kept copy
         self._pairs: dict = {}  # x -> the ids of (x, y) for every y
         self._pair_keys: dict = {}  # a pair's fact-column values -> its id
+        # a pair's atoms, read from the structure by the first pair_rows
+        self._pair_atoms: Optional[tuple] = None
 
     def intern(self, s: Structure, t: tuple) -> int:
         """The id of ``qf_type(s, t)``, recorded for ``t``."""
@@ -196,6 +203,7 @@ class QfTypeIds:
             ty = QfType(ty.mask, ty.equality, facts)
             found = self._ids[ty] = len(self.types)
             self.types.append(ty)
+            self.sort_keys.append(ty.sort_key())
         return found
 
     def id_of(self, s: Structure, t: tuple) -> int:
@@ -205,33 +213,47 @@ class QfTypeIds:
         except KeyError:
             return self.intern(s, t)
 
-    def pair_ids(self, s: Structure, x: int) -> tuple:
-        """The ids of (x, y) for every y in the universe, entry y for y,
-        built once per x.  x == y and each atom of a pair are fact columns
-        over the whole universe.  Both coordinates being defined, the
-        columns' values at y are the type of (x, y): its equality and its
-        true atoms.  So each combination of values is typed once per
-        structure, shared by every x.  An x outside the universe is a
-        ``ValueError``, raised before any vector is read."""
-        found = self._pairs.get(x)
-        if found is None:
+    def pair_rows(self, s: Structure, xs: Sequence[int]) -> list:
+        """For each x of xs in order, the ids of (x, y) for every y in the
+        universe, entry y for y.  The rows of the x that have none yet are
+        typed together in one pass: x == y and each atom of a pair are
+        fact columns over all the new pairs (x, y), x slowest.  Both
+        coordinates being defined, the columns' values at a pair are its
+        type: its equality and its true atoms.  So each combination of
+        values is typed once per structure, shared by every x.  A member
+        of xs outside the universe is a ``ValueError`` naming the least
+        such, raised before anything is typed or kept."""
+        pairs = self._pairs
+        new = list(dict.fromkeys(x for x in xs if x not in pairs))
+        if new:
             n = s.universe_size
-            if not 0 <= x < n:
-                raise ValueError(f"coordinate {x} out of range")
-            ys = range(n)
-            at = ((x,) * n, ys).__getitem__  # 0 takes x, 1 takes y
-            atoms = [(name, idx) for name, arity in s.vocabulary.relations
-                     for idx in product((0, 1), repeat=arity)]
-            keys = list(zip(map(x.__eq__, ys), *[
-                map(s.relation(name).__contains__, zip(*map(at, idx))) for name, idx in atoms]))
+            outside = [x for x in new if not 0 <= x < n]
+            if outside:
+                raise ValueError(f"coordinate {min(outside)} out of range")
+            if self._pair_atoms is None:
+                self._pair_atoms = _pair_atoms(s)
+            atoms, holds = self._pair_atoms
+            ys = tuple(range(n)) * len(new)
+            at = ([x for x in new for _ in range(n)], ys).__getitem__  # 0 takes x, 1 takes y
+            keys = list(zip(map(eq, at(0), ys), *[
+                map(contains, zip(*map(at, idx))) for contains, (_, idx) in zip(holds, atoms)]))
             known = self._pair_keys
             for key in dict.fromkeys(keys):
                 if key not in known:
                     known[key] = self._type_id(QfType(
                         (True, True), (0, 0) if key[0] else (0, 1),
                         frozenset(compress(atoms, key[1:]))))
-            found = self._pairs[x] = tuple(map(known.__getitem__, keys))
-        return found
+            # the ids n at a time: one row per new x
+            pairs.update(zip(new, zip(*[map(known.__getitem__, keys)] * n)))
+        return list(map(pairs.__getitem__, xs))
+
+
+def _pair_atoms(s: Structure) -> tuple:
+    """The atoms (relation, coordinate indices) of a pair, 0 standing for
+    x and 1 for y, and for each atom its relation's membership test."""
+    atoms = [(name, idx) for name, arity in s.vocabulary.relations
+             for idx in product((0, 1), repeat=arity)]
+    return atoms, [s.relation(name).__contains__ for name, _ in atoms]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, permutations, product
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from . import caps
@@ -119,12 +120,14 @@ class _TreeIndex:
                 out.update(reduce(or_, chosen) for chosen in combinations(kids, k))
         return frozenset(out)
 
-    def mask_of(self, xs: Iterable) -> int:
-        """The mask of the leaves among xs."""
-        bit, x = self.bit, 0
-        for leaf in xs:
-            x |= bit.get(leaf, 0)
-        return x
+    def mask_of(self, xs: frozenset) -> int:
+        """The mask of the leaves xs.  A member of xs that is not a leaf is
+        a ``ValueError`` naming the least such."""
+        bit = self.bit
+        try:
+            return reduce(or_, map(bit.__getitem__, xs), 0)
+        except KeyError:
+            raise ValueError(f"{min(x for x in xs if x not in bit)!r} is not a leaf") from None
 
     def leaves_of(self, mask: int) -> list:
         """The sorted leaves of a mask, lowest bit first."""
@@ -245,7 +248,7 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
     the most interesting nodes on such a path.
     """
     index = t._index
-    x = index.mask_of(X)
+    x = index.mask_of(frozenset(X))
     interesting = []
     chain = {None: 0}  # interesting nodes from the root down to each node
     kids: dict = {}  # interesting children of each node
@@ -357,10 +360,12 @@ def _leaf_list_order(index: _TreeIndex) -> dict:
     return order
 
 
-def _first_choices(options: list, m: int) -> dict:
+@lru_cache(maxsize=1024)
+def _first_choices(options: tuple, m: int) -> MappingProxyType:
     """For each total mod m that some tuple of ``product(*options)`` with
     at least two entries unique in it reaches, the first such tuple in
-    product order.
+    product order, as a read-only mapping: results are memoised on the
+    tuple of options and m, and shared by every caller.
 
     A depth-first search over prefixes in product order.  A prefix's state
     is its length, each residue's count in it capped at 2 (as the residues
@@ -405,7 +410,7 @@ def _first_choices(options: list, m: int) -> dict:
         seen.add(state)
         prefix.append(s)
         stack.append((iter(options[j]), once, more, total))
-    return found
+    return MappingProxyType(found)
 
 
 def group_orientation(t: LaminarTree, m: int = 4):
@@ -417,7 +422,9 @@ def group_orientation(t: LaminarTree, m: int = 4):
     in ``product`` order over each child's sorted achievable sums, that
     has two unique sums and reaches a given total, for every total some
     choice reaches (see ``_first_choices``); top down, the root takes its
-    least total and each node hands its choice to its children.  Returns
+    least total and each node hands its choice to its children.  The
+    per-node search is memoised on the children's sorted sum sets and m,
+    so nodes whose children reach the same sums share one search.  Returns
     Obstruction at the first node, in post-order with children in index
     order, admitting no valid colouring.
     """
@@ -433,7 +440,8 @@ def group_orientation(t: LaminarTree, m: int = 4):
         if len(node) == 1:
             witness[node] = dict.fromkeys(range(m))
             continue
-        found = _first_choices([sorted(witness[kid]) for kid in index.children[node]], m)
+        options = tuple(tuple(sorted(witness[kid])) for kid in index.children[node])
+        found = _first_choices(options, m)
         if not found:
             return Obstruction(m, node)
         witness[node] = found

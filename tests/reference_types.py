@@ -4,6 +4,10 @@
 external tuple of length 0..m, the full row that
 ``rankmat.structures.local_type_index`` cuts short at the widest relation.
 
+``reference_pair_types`` types the pairs (x, y) of one x from fact columns
+over the universe, the per-x loop that ``QfTypeIds.pair_rows`` runs once
+over all of a call's new x.
+
 Depth-d monadic types as nested values are the reference definition that
 ``rankmat.rank``'s interned monadic typer is compared against.
 
@@ -14,12 +18,13 @@ exponential in d and is only run on small structures.  ``element_d_type``
 types element tuples through ``singleton_lifting``."""
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
 from rankmat.structures import (
     LocalTypeIndex,
     MonadicStructure,
+    QfType,
     Structure,
     all_partial_tuples,
     qf_type,
@@ -41,6 +46,21 @@ def reference_local_type_index(s: Structure, X, k: int, m: int) -> LocalTypeInde
     by_position = lambda t: tuple(-1 if x is None else x for x in t)
     classes = tuple(tuple(sorted(members, key=by_position)) for _, members in keyed)
     return LocalTypeIndex(X, k, m, classes)
+
+
+def reference_pair_types(s: Structure, x: int) -> tuple:
+    """The type of (x, y) for every y, entry y for y: x == y and each atom
+    of a pair as a column over the universe, one x at a time."""
+    n = s.universe_size
+    ys = range(n)
+    at = ((x,) * n, ys).__getitem__  # 0 takes x, 1 takes y
+    atoms = [(name, idx) for name, arity in s.vocabulary.relations
+             for idx in product((0, 1), repeat=arity)]
+    keys = zip(map(x.__eq__, ys), *[
+        map(s.relation(name).__contains__, zip(*map(at, idx))) for name, idx in atoms])
+    return tuple(QfType((True, True), (0, 0) if key[0] else (0, 1),
+                        frozenset(compress(atoms, key[1:])))
+                 for key in keys)
 
 
 def singleton_lifting(s: Structure) -> MonadicStructure:

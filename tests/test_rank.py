@@ -22,7 +22,12 @@ from rankmat.rank import (
 from rankmat.structures import MonadicStructure, Structure, Vocabulary, qf_type
 from rankmat.trees import all_tree_shapes, ternary_encode, validate_tree
 
-from reference_types import element_d_type, monadic_d_type, singleton_lifting
+from reference_types import (
+    element_d_type,
+    monadic_d_type,
+    reference_pair_types,
+    singleton_lifting,
+)
 
 EDGE = Vocabulary((("E", 2),))
 
@@ -657,6 +662,104 @@ def test_pair_ids_type_matrix_on_a_warm_structure_matches_qf_type(s, data):
     M = type_matrix(warm, X, 1)
     assert (M.rows, M.cols, M.table, M.values) == reference_type_matrix(fresh_copy(s), X, 1)
     assert M.X == frozenset(X) and M.m == 1
+
+
+@st.composite
+def row_structures(draw):
+    """A structure on 1 to 6 elements with up to three relations of arity 1
+    to 3, or none."""
+    n = draw(st.integers(1, 6))
+    arities = draw(st.lists(st.integers(1, 3), max_size=3))
+    vocab = Vocabulary(tuple((f"R{i}", arity) for i, arity in enumerate(arities)))
+    element = st.integers(0, n - 1)
+    return Structure.make(vocab, n, {
+        name: draw(st.frozensets(st.tuples(*[element] * arity), max_size=3 * n))
+        for name, arity in vocab.relations})
+
+
+@settings(deadline=None)
+@given(row_structures(), st.data())
+def test_pair_rows_match_the_per_x_loop_and_qf_type(s, data):
+    n = s.universe_size
+    ids = s.qf_type_ids
+    # several calls, so later ones mix kept rows with new ones; any order, repeats
+    for xs in data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n),
+                                 min_size=1, max_size=3)):
+        rows = ids.pair_rows(s, xs)
+        assert [tuple(map(ids.types.__getitem__, row)) for row in rows] == \
+            [reference_pair_types(s, x) for x in xs]
+        assert rows == [tuple(ids.id_of(s, (x, y)) for y in range(n)) for x in xs]
+        assert [tuple(ids.types[i] for i in row) for row in rows] == \
+            [tuple(qf_type(s, (x, y)) for y in range(n)) for x in xs]
+
+
+@settings(deadline=None)
+@given(row_structures(), st.data())
+def test_pair_rows_rank_matches_the_type_matrix(s, data):
+    for X in data.draw(st.lists(st.lists(st.integers(0, s.universe_size - 1)), max_size=4)):
+        assert distinct_row_rank(s, X, 1) == matrix_ranks(type_matrix(fresh_copy(s), X, 1))[0]
+        assert distinct_row_rank(s, X, 1) == matrix_ranks(type_matrix(s, X, 1))[0]
+
+
+@settings(deadline=None)
+@given(row_structures(), st.data())
+def test_pair_rows_name_the_least_coordinate_out_of_range(s, data):
+    n = s.universe_size
+    element = st.integers(0, n - 1)
+    ids = s.qf_type_ids
+    ids.pair_rows(s, data.draw(st.lists(element)))  # some rows already kept
+    bad = data.draw(st.lists(st.integers(-3, n + 3).filter(lambda x: not 0 <= x < n), min_size=1))
+    xs = data.draw(st.permutations(data.draw(st.lists(element)) + bad))
+    kept, types = dict(ids._pairs), list(ids.types)
+    with pytest.raises(ValueError, match=f"^coordinate {min(bad)} out of range$"):
+        ids.pair_rows(s, xs)
+    # rows are read in sorted order, so the kernels name the least member
+    # outside as well, whenever the complement has a column to read
+    if set(range(n)) - set(xs):
+        for build in (distinct_row_rank, type_matrix):
+            with pytest.raises(ValueError, match=f"^coordinate {min(bad)} out of range$"):
+                build(s, xs, 1)
+    assert ids._pairs == kept and ids.types == types  # no partial row
+
+
+class CountingRelation(frozenset):
+    """A relation that counts its membership tests in ``tests``."""
+
+    def __contains__(self, t):
+        self.tests += 1
+        return frozenset.__contains__(self, t)
+
+
+def counting_structure(arity, n, tuples):
+    rel = CountingRelation(tuples)
+    rel.tests = 0
+    return Structure(Vocabulary((("R", arity),)), n, (("R", rel),)), rel
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.data())
+def test_pair_rows_type_at_most_X_n_pairs_per_call_and_each_pair_once(arity, n, data):
+    element = st.integers(0, n - 1)
+    s, rel = counting_structure(arity, n, data.draw(
+        st.sets(st.tuples(*[element] * arity), max_size=3 * n)))
+    atoms = 2 ** arity  # each position of R reads x or y
+    typed = set()
+    for xs in data.draw(st.lists(st.lists(element, max_size=2 * n), max_size=4)):
+        before = rel.tests
+        s.qf_type_ids.pair_rows(s, xs)
+        new = set(xs) - typed
+        # a pair is typed by testing each atom once; a kept row is not retyped
+        assert rel.tests - before <= len(new) * n * atoms <= len(set(xs)) * n * atoms
+        typed |= new
+    assert rel.tests <= len(typed) * n * atoms
+
+
+def test_one_pair_row_on_a_large_universe_is_linear():
+    n = 5000
+    s, rel = counting_structure(2, n, {(y, y + 1) for y in range(n - 1)})
+    (row,) = s.qf_type_ids.pair_rows(s, [7])
+    assert len(row) == n and rel.tests == 4 * n
+    assert list(s.qf_type_ids._pairs) == [7]
 
 
 @pytest.mark.parametrize("m", [1, 2])

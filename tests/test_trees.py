@@ -225,6 +225,18 @@ def test_min_boolean_combination_overflow_past_limit():
             min_boolean_combination(t, X, limit=limit)
 
 
+@pytest.mark.parametrize("X, named", [
+    ({99}, 99), ({0, 99}, 99), ({-1, 0, 99}, -1), ({0, 1, 2, 3}, 3), ([5, 0, 4, 5], 4),
+])
+def test_tree_kernels_reject_members_that_are_not_leaves(X, named):
+    t = cherry_tree()  # leaves 0, 1, 2
+    for kernel in (interesting_analysis, min_boolean_combination):
+        with pytest.raises(ValueError, match=f"^{named} is not a leaf$"):
+            kernel(t, X)
+        with pytest.raises(ValueError, match=f"^{named} is not a leaf$"):
+            kernel(t, iter(X))
+
+
 def test_group_orientation_single_leaf():
     t = validate_tree([f(0)])
     o = group_orientation(t, 4)
@@ -717,7 +729,47 @@ def sum_options(draw):
 @example((4, [[0, 1, 2, 3], [0, 1, 2, 3], [3], [2], [3], [1], [0, 1], [0, 2, 3]]))
 def test_first_choices_match_the_product_loop(case):
     m, options = case
+    options = tuple(map(tuple, options))  # the memo is keyed by hashable options
     assert _first_choices(options, m) == reference_first_choices(options, m)
+
+
+def test_first_choices_results_are_read_only():
+    options = ((0, 1, 2, 3),) * 3
+    found = _first_choices(options, 4)
+    assert found is _first_choices(options, 4)  # the memo's own result
+    before = dict(found)
+    with pytest.raises(TypeError):
+        found[0] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        del found[0]
+    for n in range(1, 8):  # many nodes with three children reach every sum
+        for t in all_tree_shapes(n):
+            group_orientation(t, 4)
+    assert dict(_first_choices(options, 4)) == before == reference_first_choices(options, 4)
+
+
+@settings(deadline=None)
+@given(random_trees(max_leaves=12), st.integers(2, 5))
+def test_group_orientation_same_with_a_cold_and_a_warm_memo(t, m):
+    _first_choices.cache_clear()
+    cold = repr(group_orientation(t, m))
+    assert repr(group_orientation(t, m)) == cold  # every node's search now a hit
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_group_orientation_on_stars_same_with_a_cold_and_a_warm_memo(m):
+    stars = [star(k) for k in range(2, 17)]
+    cold = []
+    for t in stars:
+        _first_choices.cache_clear()
+        cold.append(group_orientation(t, m))
+    for t in stars:  # fills the memo
+        group_orientation(t, m)
+    hits = _first_choices.cache_info().hits
+    assert [repr(group_orientation(t, m)) for t in stars] == list(map(repr, cold))
+    assert _first_choices.cache_info().hits == hits + len(stars)  # one node each
+    for t, o in zip(stars, cold):
+        assert isinstance(o, Obstruction) or orientation_is_valid(t, o)
 
 
 class _Blocked(Exception):
