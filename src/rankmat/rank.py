@@ -2,15 +2,20 @@
 
 ``type_matrix`` and ``distinct_row_rank`` read cell types through
 ``Structure.qf_type_ids``, a per-structure memo that interns each tuple's
-``qf_type`` as a small int, so the subsets X of one structure share their
-cells.  The memo lives on the structure, not in this module, so it is freed
-with the structure; a module-level cache would keep the last structure and
-its memo alive for as long as the module stays loaded.  An m = 1 row (x,)
-is x's row from ``QfTypeIds.pair_rows``, the ids of (x, y) for every y,
-read at the columns' elements; a call's new rows are typed together, in
-one pass over their pairs.  m >= 2 cells go through the tuple memo.  Work
-bound: an m = 1 call types at most |X|·n pairs, and each pair at most once
-per structure, since each x's row is kept once typed.
+quantifier-free type as a small int, so the subsets X of one structure
+share their cells.  The memo lives on the structure, not in this module, so
+it is freed with the structure; a module-level cache would keep the last
+structure and its memo alive for as long as the module stays loaded.  An
+m = 1 row (x,) is x's row from ``QfTypeIds.pair_rows``, the ids of (x, y)
+for every y, read at the columns' elements; a call's new rows are typed
+together, in one pass over their pairs.  An m >= 2 cell is looked up by
+``QfTypeIds.id_of``: a tuple seen before is read from the tuple memo, and a
+new one is typed from its key, its equality pattern and one byte per atom,
+so only a new type builds a ``QfType``.  Both paths share one table of
+ids.  A member of X outside the universe is a ``ValueError`` naming the
+least such, raised before any typing.  Work bound: an m = 1 call types at
+most |X|·n pairs, and each pair at most once per structure, since each x's
+row is kept once typed.
 
 A depth-0 monadic type of a subset tuple is its set of atomic facts
 (relations, inclusions, equalities and size residues); a depth-d type is the
@@ -67,12 +72,17 @@ class TypeMatrix:
 
 def _cut(s: Structure, X: Iterable[int], m: int) -> tuple:
     """X as a frozenset, its sorted members and the sorted rest of the
-    universe, after the ``matrix_cells`` cap check."""
+    universe, after the ``matrix_cells`` cap check.  A member of X outside
+    the universe is a ``ValueError`` naming the least such, also when X
+    covers the universe and no cell would be typed."""
     if m < 1:
         raise ValueError("m must be >= 1")
     X = frozenset(X)
+    n = s.universe_size
+    outside = [y for y in range(n) if y not in X]
+    if len(X) + len(outside) != n:
+        raise ValueError(f"coordinate {min(x for x in X if not 0 <= x < n)} out of range")
     inside = sorted(X)
-    outside = [y for y in range(s.universe_size) if y not in X]
     caps.check("matrix_cells", len(inside) ** m * len(outside) ** m, "type matrix")
     return X, inside, outside
 
@@ -81,9 +91,9 @@ def _id_rows(s: Structure, inside: list, outside: list, m: int) -> Iterator[tupl
     """The type matrix's rows as tuples of ids in ``s``'s memo, rows and
     columns in ``product`` order.  At m = 1 row (x,) is x's pair row read
     at the outside elements, the rows of every x typed together by
-    ``QfTypeIds.pair_rows``; at m >= 2 each cell is looked up in the tuple
-    memo.  A generator: the memo is not touched before the first row is
-    read."""
+    ``QfTypeIds.pair_rows``; at m >= 2 each cell is looked up by
+    ``QfTypeIds.id_of``.  A generator: the memo is not touched before the
+    first row is read."""
     ids = s.qf_type_ids
     if m == 1 and outside:
         rows = map(itemgetter(*outside), ids.pair_rows(s, inside))
@@ -99,7 +109,7 @@ def _id_rows(s: Structure, inside: list, outside: list, m: int) -> Iterator[tupl
 def type_matrix(s: Structure, X: Iterable[int], m: int) -> TypeMatrix:
     X, inside, outside = _cut(s, X, m)
     cells = list(_id_rows(s, inside, outside, m))
-    # value ids in QfType.sort_key order, as _field_rank reads them
+    # value ids in sort key order (see QfType), as _field_rank reads them
     ids = s.qf_type_ids
     ordered = sorted({i for row in cells for i in row}, key=ids.sort_keys.__getitem__)
     value_of = {i: v for v, i in enumerate(ordered)}

@@ -96,7 +96,10 @@ class UnorderedOracle:
 
     ``phi_mask`` takes a subset as a bitmask: bit i stands for the i-th
     element of ``sorted(universe())``, kept as ``sorted_universe``, and
-    ``class_masks`` holds each class as such a mask."""
+    ``class_masks`` holds each class as such a mask.  ``homogeneity_fault``
+    is why the oracle is not homogeneous, or None, computed once at
+    construction, as the masks are, so ``validate_oracle`` and
+    ``recover_partition`` share one check."""
 
     def __init__(self, classes: Sequence[Iterable], semigroup: FiniteSemigroup,
                  lam: Sequence[dict], accept: Iterable[int], k: int):
@@ -146,6 +149,7 @@ class UnorderedOracle:
             (cmask, {sum(map(self._bit.__getitem__, sub)): v for sub, v in table.items()})
             for cmask, table in zip(self.class_masks, self.lam)
         )
+        self.homogeneity_fault = _homogeneity_fault(self)
 
     ordered = False
 
@@ -342,7 +346,7 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     for a, b in combinations(by_kind, 2):
         if by_kind[a] & by_kind[b]:
             raise ValueError(f"lambda does not separate {a} from {b}")
-    if homogeneous and (fault := _homogeneity_fault(oracle)):
+    if homogeneous and (fault := oracle.homogeneity_fault):
         raise ValueError(fault)
 
 
@@ -526,7 +530,7 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
     them); the classes that stay special in every view play the role of the
     transduction's guess and are verified against phi. Non-homogeneous
     oracles are pre-grouped by lambda image and recovered per group."""
-    if fault := _homogeneity_fault(oracle):
+    if fault := oracle.homogeneity_fault:
         groups = _split_by_lambda_image(oracle)
         if len(groups) == 1:
             raise RecoveryError(f"the oracle is not homogeneous ({fault}) "

@@ -6,20 +6,21 @@ are defined, which are equal, and which atomic relation facts hold; two
 tuples get equal types exactly when they satisfy the same quantifier-free
 formulas.
 
-Typing work is shared per structure through two memos on the instance,
-freed with it: ``Structure.qf_type_ids`` interns each tuple's type as a
-small int (and keeps, per element x, the ids of every pair (x, y)), and
-``Structure.local_type_indices`` keeps each
+One kernel, ``QfTypeIds``, gives each type of a structure a small int id:
+a tuple is looked up by a compact key, its equality pattern and one byte
+per atom, and only a new key builds a ``QfType``, from atom tables shared
+per (vocabulary, length).  Typing work is shared per structure through two
+memos on the instance, freed with it: ``Structure.qf_type_ids``, those ids,
+and ``Structure.local_type_indices``, which keeps each
 ``local_type_index(s, X, k, m)`` built, so ``composition_tables`` and every
-partition containing a part reuse one index.  ``composition_tables`` types
-each tuple through ``qf_type_ids`` and compares ids, which are equal exactly
-when the types are.
+partition containing a part reuse one index.  Local type indices group
+tuples by rows of ids, and ``composition_tables`` compares ids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, compress, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, compress, islice, product
 from operator import eq
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -33,7 +34,6 @@ __all__ = [
     "MonadicStructure",
     "LocalTypeIndex",
     "CompositionConflict",
-    "qf_type",
     "local_type_index",
     "composition_tables",
     "compositionality_check",
@@ -101,9 +101,9 @@ class Structure:
 
     @cached_property
     def qf_type_ids(self) -> "QfTypeIds":
-        """This structure's interned ``qf_type`` ids.  The memo lives in the
-        instance ``__dict__``, outside the dataclass fields, so ``==``,
-        ``hash`` and ``repr`` ignore it and it is freed with the structure."""
+        """This structure's ``QfTypeIds``.  The memo lives in the instance
+        ``__dict__``, outside the dataclass fields, so ``==``, ``hash`` and
+        ``repr`` ignore it and it is freed with the structure."""
         return QfTypeIds()
 
     @cached_property
@@ -113,62 +113,66 @@ class Structure:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QfType:
     """Canonical quantifier-free type of a partial tuple.
 
     ``mask`` marks defined coordinates; ``equality`` maps each defined
     coordinate to the least coordinate equal to it; ``facts`` holds the
-    (relation, coordinate-index tuple) atoms that are true.
+    (relation, coordinate-index tuple) atoms that are true.  Types are
+    listed in the order of their sort keys, ``(mask, equality, facts in
+    sorted order)``, which ``QfTypeIds.sort_keys`` keeps per id.
     """
 
     mask: tuple
     equality: tuple
     facts: frozenset
 
-    def sort_key(self):
-        return (self.mask, self.equality, tuple(sorted(self.facts)))
+
+@lru_cache(maxsize=256)
+def _atom_table(relations: tuple, k: int) -> tuple:
+    """The atoms (relation, coordinate indices) of a k-tuple, sorted by
+    relation name and then by indices: the order of a key's atom bytes and
+    of the facts in a type's sort key.  One table per (vocabulary, k), shared
+    by every structure over the vocabulary, so their types' facts are one
+    copy."""
+    return tuple((name, idx) for name, arity in sorted(relations)
+                 for idx in product(range(k), repeat=arity))
 
 
-def qf_type(s: Structure, t: Sequence[Optional[int]]) -> QfType:
-    size = s.universe_size
-    mask = []
-    equality = []
-    first: dict = {}  # element -> its first coordinate
-    defined = []
-    values = []
-    for i, x in enumerate(t):
-        if x is None:
-            mask.append(False)
-            equality.append(None)
-            continue
-        if not 0 <= x < size:
-            raise ValueError(f"coordinate {x} out of range")
-        mask.append(True)
-        equality.append(first.setdefault(x, i))
-        defined.append(i)
-        values.append(x)
-    facts = []
-    for name, arity in s.vocabulary.relations:
-        rel = s.relation(name)
-        facts += [(name, idx) for idx, image in zip(product(defined, repeat=arity),
-                                                    product(values, repeat=arity))
-                  if image in rel]
-    return QfType(tuple(mask), tuple(equality), frozenset(facts))
+@lru_cache(maxsize=1024)
+def _shape(pattern: tuple) -> tuple:
+    """The mask and equality of the types whose keys start with the given
+    equality pattern, one copy shared by all of them."""
+    *firsts, undefined = pattern
+    return (tuple([p != undefined for p in firsts]),
+            tuple([p if p != undefined else None for p in firsts]))
 
 
 class QfTypeIds:
     """Hash-consed quantifier-free types of one structure: each distinct
-    ``QfType`` gets a small int id in order of first appearance, so two
-    tuples get equal ids exactly when ``qf_type`` gives them equal types
-    (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
-    ``of_tuple`` memoises the id of every tuple looked up, ``pair_rows``
-    the ids of every pair (x, y) for each x asked for, and ``sort_keys``
-    each id's ``QfType.sort_key()``.  The kept types share one tuple per
-    fact, which takes about a third off the memo's size; a structure's
-    memo lives as long as the structure does.
-    It holds no reference to its structure, so ``Structure.qf_type_ids``
-    makes no cycle.
+    type gets a small int id in order of first appearance, so two tuples
+    get equal ids exactly when they satisfy the same quantifier-free
+    formulas (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+
+    The key a type is hash-consed by is cheap to compute from a tuple t and
+    is its type.  With ``u = t + (None,)``, it is the equality pattern
+    ``map(u.index, u)`` (each coordinate's first equal coordinate; the
+    last entry is t's first undefined coordinate, or len(t), so the
+    undefined coordinates are those that share it), then for each relation
+    in name order the bytes ``bytes(map(rel.__contains__, product(t,
+    repeat=arity)))``.  An atom that reads an undefined coordinate never
+    holds, so the bytes are the type's atoms.  ``intern`` looks a tuple's
+    key up.  Only a new key builds a ``QfType``, once, in ``_key_id``, the
+    one place an id is created; its facts are read off the shared
+    ``_atom_table`` in sort order, so its sort key needs no sort.
+
+    ``id_of`` memoises each tuple it is asked for in ``of_tuple``,
+    ``pair_rows`` the ids of every pair (x, y) for each x asked for, and
+    ``sort_keys`` each id's sort key (see ``QfType``).  So the memo holds one
+    id per tuple looked up, one row of n ids per x, and one key, type and
+    sort key per type.  It lives as long as its structure does, and holds
+    no reference to it, so ``Structure.qf_type_ids`` makes no cycle.
 
     Work bound: ``pair_rows`` types the rows of a call's new x together,
     in one pass over their n pairs (x, y) each, and never again for that
@@ -176,53 +180,70 @@ class QfTypeIds:
     pairs, and each pair at most once per structure.
     """
 
-    __slots__ = ("of_tuple", "types", "sort_keys", "_ids", "_facts", "_pairs", "_pair_keys",
-                 "_pair_atoms")
+    __slots__ = ("of_tuple", "types", "sort_keys", "_keys", "_pairs", "_pair_keys", "_relations")
 
     def __init__(self):
         self.of_tuple: dict = {}  # tuple -> id
         self.types: list = []  # id -> QfType
-        self.sort_keys: list = []  # id -> its QfType's sort_key()
-        self._ids: dict = {}  # QfType -> id
-        self._facts: dict = {}  # fact -> its one kept copy
+        self.sort_keys: list = []  # id -> (mask, equality, sorted facts)
+        self._keys: dict = {}  # a type's key -> its id
         self._pairs: dict = {}  # x -> the ids of (x, y) for every y
         self._pair_keys: dict = {}  # a pair's fact-column values -> its id
-        # a pair's atoms, read from the structure by the first pair_rows
-        self._pair_atoms: Optional[tuple] = None
+        # read from the structure on first use: the values a coordinate may
+        # take, and each relation's membership test and arity in name order
+        self._relations: Optional[tuple] = None
 
-    def intern(self, s: Structure, t: tuple) -> int:
-        """The id of ``qf_type(s, t)``, recorded for ``t``."""
-        found = self.of_tuple[t] = self._type_id(qf_type(s, t))
-        return found
-
-    def _type_id(self, ty: QfType) -> int:
-        """The id of ty, a new one if ty is new."""
-        found = self._ids.get(ty)
-        if found is None:
-            facts = frozenset(self._facts.setdefault(f, f) for f in ty.facts)
-            ty = QfType(ty.mask, ty.equality, facts)
-            found = self._ids[ty] = len(self.types)
-            self.types.append(ty)
-            self.sort_keys.append(ty.sort_key())
-        return found
+    def _read(self, s: Structure) -> tuple:
+        """``_relations``, read from ``s`` on the first call."""
+        if self._relations is None:
+            self._relations = (frozenset(range(s.universe_size)) | {None}, [
+                (s.relation(name).__contains__, arity)
+                for name, arity in sorted(s.vocabulary.relations)])
+        return self._relations
 
     def id_of(self, s: Structure, t: tuple) -> int:
-        """The id of ``qf_type(s, t)``, interned on first sight of ``t``."""
+        """The id of t's type, recorded for ``t``."""
         try:
             return self.of_tuple[t]
         except KeyError:
-            return self.intern(s, t)
+            found = self.of_tuple[t] = self.intern(s, t)
+            return found
+
+    def intern(self, s: Structure, t: tuple) -> int:
+        """The id of t's type, by its key; ``t`` is not recorded.  A
+        coordinate outside the universe is a ``ValueError`` naming the
+        first such, raised before anything is kept."""
+        valid, relations = self._read(s)
+        if not valid.issuperset(t):
+            raise ValueError(f"coordinate {next(x for x in t if x not in valid)} out of range")
+        u = t + (None,)
+        return self._key_id(s, (*map(u.index, u), *[
+            bytes(map(contains, product(t, repeat=arity))) for contains, arity in relations]))
+
+    def _key_id(self, s: Structure, key: tuple) -> int:
+        """The id of the type with the given key, a new one if the key is
+        new."""
+        found = self._keys.get(key)
+        if found is None:
+            k = len(key) - len(self._relations[1]) - 1
+            mask, equality = _shape(key[:k + 1])
+            atoms = _atom_table(s.vocabulary.relations, k)
+            facts = tuple(compress(atoms, b"".join(key[k + 1:])))
+            found = self._keys[key] = len(self.types)
+            self.types.append(QfType(mask, equality, frozenset(facts)))
+            self.sort_keys.append((mask, equality, facts))
+        return found
 
     def pair_rows(self, s: Structure, xs: Sequence[int]) -> list:
         """For each x of xs in order, the ids of (x, y) for every y in the
         universe, entry y for y.  The rows of the x that have none yet are
-        typed together in one pass: x == y and each atom of a pair are
-        fact columns over all the new pairs (x, y), x slowest.  Both
-        coordinates being defined, the columns' values at a pair are its
-        type: its equality and its true atoms.  So each combination of
-        values is typed once per structure, shared by every x.  A member
-        of xs outside the universe is a ``ValueError`` naming the least
-        such, raised before anything is typed or kept."""
+        typed together in one pass: x == y and each atom of a pair, in key
+        order, are fact columns over all the new pairs (x, y), x slowest.
+        Both coordinates being defined, the columns' values at a pair are
+        its type, so each combination of values is turned into its key and
+        id once per structure, shared by every x.  A member of xs outside the
+        universe is a ``ValueError`` naming the least such, raised before
+        anything is typed or kept."""
         pairs = self._pairs
         new = list(dict.fromkeys(x for x in xs if x not in pairs))
         if new:
@@ -230,30 +251,22 @@ class QfTypeIds:
             outside = [x for x in new if not 0 <= x < n]
             if outside:
                 raise ValueError(f"coordinate {min(outside)} out of range")
-            if self._pair_atoms is None:
-                self._pair_atoms = _pair_atoms(s)
-            atoms, holds = self._pair_atoms
+            _, relations = self._read(s)
             ys = tuple(range(n)) * len(new)
             at = ([x for x in new for _ in range(n)], ys).__getitem__  # 0 takes x, 1 takes y
-            keys = list(zip(map(eq, at(0), ys), *[
-                map(contains, zip(*map(at, idx))) for contains, (_, idx) in zip(holds, atoms)]))
+            rows = list(zip(map(eq, at(0), ys), *[
+                map(contains, zip(*map(at, idx)))
+                for contains, arity in relations for idx in product((0, 1), repeat=arity)]))
             known = self._pair_keys
-            for key in dict.fromkeys(keys):
-                if key not in known:
-                    known[key] = self._type_id(QfType(
-                        (True, True), (0, 0) if key[0] else (0, 1),
-                        frozenset(compress(atoms, key[1:]))))
+            for row in dict.fromkeys(rows):
+                if row not in known:
+                    # (x, y)'s key: its equality pattern, then its atoms' bytes
+                    bits = iter(row[1:])
+                    known[row] = self._key_id(s, (0, 0 if row[0] else 1, 2, *[
+                        bytes(islice(bits, 1 << arity)) for _, arity in relations]))
             # the ids n at a time: one row per new x
-            pairs.update(zip(new, zip(*[map(known.__getitem__, keys)] * n)))
+            pairs.update(zip(new, zip(*[map(known.__getitem__, rows)] * n)))
         return list(map(pairs.__getitem__, xs))
-
-
-def _pair_atoms(s: Structure) -> tuple:
-    """The atoms (relation, coordinate indices) of a pair, 0 standing for
-    x and 1 for y, and for each atom its relation's membership test."""
-    atoms = [(name, idx) for name, arity in s.vocabulary.relations
-             for idx in product((0, 1), repeat=arity)]
-    return atoms, [s.relation(name).__contains__ for name, _ in atoms]
 
 
 @dataclass(frozen=True)
@@ -336,9 +349,10 @@ def _external_tuples(s: Structure, X: frozenset, m: int) -> list:
 def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTypeIndex:
     """Groups the partial k-tuples over X by their row of types against
     the external tuples; the first external tuple is the empty one, so the
-    row starts with the internal type.  Classes come in the order of their
-    rows' sort keys.  Built once per ``(X, k, m)`` and kept in
-    ``s.local_type_indices``.
+    row starts with the internal type.  A row holds type ids from a
+    ``QfTypeIds`` of the build's own, freed with it, and classes come in
+    the order of their rows' sort keys.
+    Built once per ``(X, k, m)`` and kept in ``s.local_type_indices``.
 
     The row is typed against the external tuples of length at most
     min(m, r - 1) only, r being the largest arity in the vocabulary (r = 1
@@ -348,9 +362,9 @@ def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTyp
     - X and its complement are disjoint, so no coordinate of a tuple t
       over X equals a coordinate of an external tuple e.
     - An atom that touches both t and e names at most r - 1 positions of e.
-    - So qf_type(t + e) is fixed by qf_type(t), by e, and by the types of
-      t + e' for the subtuples e' of e with |e'| <= r - 1, and every such
-      e' is a short tail.
+    - So the type of t + e is fixed by the type of t, by e, and by the
+      types of t + e' for the subtuples e' of e with |e'| <= r - 1, and
+      every such e' is a short tail.
     - Two tuples therefore have equal full rows exactly when their short
       rows are equal.
     - ``_external_tuples`` lists tails by length, so the short row is a
@@ -374,20 +388,20 @@ def local_type_index(s: Structure, X: Iterable[int], k: int, m: int) -> LocalTyp
 def _build_local_type_index(s: Structure, X: frozenset, k: int, m: int) -> LocalTypeIndex:
     widest = max([arity for _, arity in s.vocabulary.relations], default=1)
     exts = _external_tuples(s, X, min(m, widest - 1))
+    # the types of tuples with tails would otherwise stay in s.qf_type_ids
+    ids = QfTypeIds()
+    intern = ids.intern
     groups: dict = {}
     for t in all_partial_tuples(sorted(X), k):
-        groups.setdefault(tuple([qf_type(s, t + e) for e in exts]), []).append(t)
-    keyed = sorted(groups.items(), key=lambda item: [ty.sort_key() for ty in item[0]])
+        groups.setdefault(tuple([intern(s, t + e) for e in exts]), []).append(t)
+    sort_key = ids.sort_keys.__getitem__
+    keyed = sorted(groups.items(), key=lambda item: list(map(sort_key, item[0])))
     classes = tuple(tuple(sorted(members, key=_tuple_sort_key)) for _, members in keyed)
     return LocalTypeIndex(X, k, m, classes)
 
 
 def _tuple_sort_key(t: tuple):
     return tuple(-1 if x is None else x for x in t)
-
-
-def _project(t: tuple, part: frozenset) -> tuple:
-    return tuple(x if (x is not None and x in part) else None for x in t)
 
 
 def _validate_partition(s: Structure, partition: Sequence[Iterable[int]]) -> list:
@@ -449,8 +463,11 @@ def composition_tables(s: Structure, partition: Sequence[Iterable[int]], ell: in
     last: dict = {}  # colours -> the latest tuple seen with them
     for chosen in combinations(range(len(parts)), ell):
         union = sorted(set().union(*(parts[i] for i in chosen)))
+        projections = [(colour_of[i], parts[i]) for i in chosen]
         for t in all_partial_tuples(union, m):
-            key = tuple([colour_of[i][_project(t, parts[i])] for i in chosen])
+            # t projected onto each chosen part: its coordinates outside undefined
+            key = tuple([colour_at[tuple([x if x in part else None for x in t])]
+                         for colour_at, part in projections])
             found = type_id(s, t)
             if gamma_ids.setdefault(key, found) != found:
                 raise CompositionConflict(key, last[key], t)

@@ -1,5 +1,11 @@
 """Reference definitions the library's faster kernels are compared against.
 
+``qf_type`` is the quantifier-free type of a partial tuple as a ``QfType``
+value, the definition ``QfTypeIds``' ids are tested against: two tuples
+get equal ids exactly when their ``qf_type`` values are equal.
+``sort_key`` is the order types are listed in, which ``QfTypeIds`` keeps
+per id without sorting.
+
 ``reference_local_type_index`` is the local type index typed against every
 external tuple of length 0..m, the full row that
 ``rankmat.structures.local_type_index`` cuts short at the widest relation.
@@ -19,7 +25,7 @@ types element tuples through ``singleton_lifting``."""
 from __future__ import annotations
 
 from itertools import compress, product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from rankmat.structures import (
     LocalTypeIndex,
@@ -27,8 +33,38 @@ from rankmat.structures import (
     QfType,
     Structure,
     all_partial_tuples,
-    qf_type,
 )
+
+
+def qf_type(s: Structure, t: Sequence[Optional[int]]) -> QfType:
+    """The type of t: its defined coordinates, each one's least equal
+    coordinate, and the true atoms over its defined coordinates.  A
+    coordinate outside the universe is a ``ValueError`` naming the first
+    such."""
+    size = s.universe_size
+    mask = []
+    equality = []
+    first: dict = {}  # element -> its first coordinate
+    defined = []
+    values = []
+    for i, x in enumerate(t):
+        if x is None:
+            mask.append(False)
+            equality.append(None)
+            continue
+        if not 0 <= x < size:
+            raise ValueError(f"coordinate {x} out of range")
+        mask.append(True)
+        equality.append(first.setdefault(x, i))
+        defined.append(i)
+        values.append(x)
+    facts = []
+    for name, arity in s.vocabulary.relations:
+        rel = s.relation(name)
+        facts += [(name, idx) for idx, image in zip(product(defined, repeat=arity),
+                                                    product(values, repeat=arity))
+                  if image in rel]
+    return QfType(tuple(mask), tuple(equality), frozenset(facts))
 
 
 def reference_local_type_index(s: Structure, X, k: int, m: int) -> LocalTypeIndex:
@@ -42,10 +78,16 @@ def reference_local_type_index(s: Structure, X, k: int, m: int) -> LocalTypeInde
     groups: dict = {}
     for t in all_partial_tuples(sorted(X), k):
         groups.setdefault(tuple([qf_type(s, t + e) for e in exts]), []).append(t)
-    keyed = sorted(groups.items(), key=lambda item: [ty.sort_key() for ty in item[0]])
+    keyed = sorted(groups.items(), key=lambda item: list(map(sort_key, item[0])))
     by_position = lambda t: tuple(-1 if x is None else x for x in t)
     classes = tuple(tuple(sorted(members, key=by_position)) for _, members in keyed)
     return LocalTypeIndex(X, k, m, classes)
+
+
+def sort_key(ty: QfType) -> tuple:
+    """A type's place in the order types are listed in: its mask, its
+    equality pattern, then its facts in sorted order."""
+    return (ty.mask, ty.equality, tuple(sorted(ty.facts)))
 
 
 def reference_pair_types(s: Structure, x: int) -> tuple:

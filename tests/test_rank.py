@@ -19,14 +19,16 @@ from rankmat.rank import (
     smallest_prime_at_least,
     type_matrix,
 )
-from rankmat.structures import MonadicStructure, Structure, Vocabulary, qf_type
+from rankmat.structures import MonadicStructure, Structure, Vocabulary
 from rankmat.trees import all_tree_shapes, ternary_encode, validate_tree
 
 from reference_types import (
     element_d_type,
     monadic_d_type,
+    qf_type,
     reference_pair_types,
     singleton_lifting,
+    sort_key,
 )
 
 EDGE = Vocabulary((("E", 2),))
@@ -560,7 +562,7 @@ def reference_type_matrix(s, X, m):
     rows = tuple(itertools.product(inside, repeat=m))
     cols = tuple(itertools.product(outside, repeat=m))
     values = tuple(sorted({qf_type(s, r + c) for r in rows for c in cols},
-                          key=lambda ty: ty.sort_key()))
+                          key=sort_key))
     table = tuple(tuple(values.index(qf_type(s, r + c)) for c in cols) for r in rows)
     return rows, cols, table, values
 
@@ -713,12 +715,11 @@ def test_pair_rows_name_the_least_coordinate_out_of_range(s, data):
     kept, types = dict(ids._pairs), list(ids.types)
     with pytest.raises(ValueError, match=f"^coordinate {min(bad)} out of range$"):
         ids.pair_rows(s, xs)
-    # rows are read in sorted order, so the kernels name the least member
-    # outside as well, whenever the complement has a column to read
-    if set(range(n)) - set(xs):
-        for build in (distinct_row_rank, type_matrix):
-            with pytest.raises(ValueError, match=f"^coordinate {min(bad)} out of range$"):
-                build(s, xs, 1)
+    # the kernels name the least member outside as well, also when X
+    # covers the universe and no column is read
+    for build in (distinct_row_rank, type_matrix):
+        with pytest.raises(ValueError, match=f"^coordinate {min(bad)} out of range$"):
+            build(s, xs, 1)
     assert ids._pairs == kept and ids.types == types  # no partial row
 
 
@@ -769,10 +770,13 @@ def test_rank_names_a_coordinate_outside_the_universe(m, warm):
     if warm:  # every fact-column combination is known, so no new pair is typed
         for X in subsets(3):
             distinct_row_rank(s, X, m)
-    for bad in (-1, 3):
+    # X with the complement empty too, where no cell is typed: the least
+    # member outside is named all the same
+    for X, bad in [({0, -1}, -1), ({0, 3}, 3), ({0, 1, 2, 9}, 9), ({0, 1, 2, 9, 4, 7}, 4),
+                   ({0, 1, 2, -2, 5}, -2)]:
         for build in (distinct_row_rank, type_matrix):
             with pytest.raises(ValueError, match=f"^coordinate {bad} out of range$"):
-                build(s, {0, bad}, m)
+                build(s, X, m)
 
 
 def test_distinct_row_rank_edge_cases(monkeypatch):

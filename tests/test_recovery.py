@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmat import recovery
 from rankmat.enumerate import (
     associative_tables,
     clique_graph,
@@ -161,6 +162,31 @@ def test_recover_partition_pre_grouping():
         validate_oracle(o)
     validate_oracle(o, homogeneous=False)
     assert set(recover_partition(o)) == {frozenset(c) for c in hidden}
+
+
+@pytest.mark.parametrize("groups", [None, [0, 0, 1, 1]])
+def test_homogeneity_is_checked_once_per_oracle(monkeypatch, groups):
+    # validation and recovery read one kept answer; a non-homogeneous
+    # oracle's per-group sub-oracles are checked once each as well
+    checked = []
+    check = recovery._homogeneity_fault
+
+    def counted(oracle):
+        checked.append(oracle)
+        return check(oracle)
+
+    monkeypatch.setattr(recovery, "_homogeneity_fault", counted)
+    hidden = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
+    o = synth_oracle("unordered", hidden, 2, groups=groups)
+    validate_oracle(o, homogeneous=groups is None)
+    validate_oracle(o, homogeneous=groups is None)
+    assert set(recover_partition(o)) == {frozenset(c) for c in hidden}
+    assert recover_partition(o) == recover_partition(o)
+    assert checked[0] is o
+    assert len(checked) == len({id(oracle) for oracle in checked})
+    # each recovery of the grouped oracle restricts it to two new sub-oracles
+    assert len(checked) == (1 if groups is None else 1 + 2 * 3)
+    assert o.homogeneity_fault == check(o)
 
 
 def test_recover_preorder_two_classes():

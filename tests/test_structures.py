@@ -2,7 +2,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmat import structures
@@ -17,7 +17,6 @@ from rankmat.structures import (
     composition_tables,
     compositionality_check,
     local_type_index,
-    qf_type,
     submasks,
     subsets,
 )
@@ -26,8 +25,10 @@ from rankmat.trees import set_partitions
 from reference_types import (
     element_d_type,
     monadic_d_type,
+    qf_type,
     reference_local_type_index,
     singleton_lifting,
+    sort_key,
 )
 
 LE = Vocabulary((("le", 2),))
@@ -370,10 +371,10 @@ def test_local_type_index_rejects_negative_m():
     ({7}, -2, "k must be >= 0"),
 ])
 def test_local_type_index_checks_X_and_k_before_typing(monkeypatch, X, k, message):
-    def untouched(s, t):
+    def untouched(ids, s, t):
         raise AssertionError("typed before the argument check")
 
-    monkeypatch.setattr(structures, "qf_type", untouched)
+    monkeypatch.setattr(structures.QfTypeIds, "intern", untouched)
     s = path(3)
     with pytest.raises(ValueError, match=f"^{message}$"):
         local_type_index(s, X, k, 1)
@@ -433,16 +434,18 @@ def test_local_type_index_matches_the_full_row(case):
 @pytest.mark.parametrize("X", [set(), {0}, {1, 3}, {0, 1, 2}, {0, 1, 2, 3}])
 def test_binary_local_type_index_types_tails_of_length_at_most_one(monkeypatch, X):
     # r = 2: the (|X| + 1)^2 partial pairs over X, each against the empty
-    # tail and the |outside| tails of length 1, and no tail of length 2
+    # tail and the |outside| tails of length 1, and no tail of length 2;
+    # every tuple the kernel types is counted
     s = binary_structure(4, 0b1011_0010_0110_1001)
     expected = reference_local_type_index(s, X, 2, 2)
     calls = []
+    intern = structures.QfTypeIds.intern
 
-    def counted(s, t):
+    def counted(ids, s, t):
         calls.append(t)
-        return qf_type(s, t)
+        return intern(ids, s, t)
 
-    monkeypatch.setattr(structures, "qf_type", counted)
+    monkeypatch.setattr(structures.QfTypeIds, "intern", counted)
     assert local_type_index(s, X, 2, 2) == expected
     assert len(calls) == (len(X) + 1) ** 2 * (1 + 4 - len(X))
 
@@ -509,6 +512,69 @@ def test_qf_type_matches_the_replaced_body(case):
             qf_type(s, t)
         return
     assert qf_type(s, t) == expected
+
+
+# ---------------------------------------------------------------------------
+# the type id kernel against the reference qf_type
+
+
+@st.composite
+def typed_tuple_cases(draw):
+    """A structure with 0-3 relations of arity 1-3 on 1-4 elements, its
+    relations often listed out of name order; partial tuples of length 0-5
+    with repeats and ``None``s; elements whose pair rows are read; and a
+    tuple with a coordinate outside the universe."""
+    names = draw(st.permutations(["R", "E", "U"]))[:draw(st.integers(0, 3))]
+    vocabulary = Vocabulary(tuple((name, draw(st.integers(1, 3))) for name in names))
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    s = Structure.make(vocabulary, n, {
+        name: draw(st.frozensets(st.tuples(*[element] * arity), max_size=3 * n))
+        for name, arity in vocabulary.relations})
+    coordinate = st.one_of(st.none(), element)
+    tuples = draw(st.lists(st.lists(coordinate, max_size=5).map(tuple), max_size=12))
+    xs = draw(st.lists(element, max_size=n))
+    bad = draw(st.lists(st.one_of(coordinate, st.integers(-2, n + 2)), max_size=5).filter(
+        lambda t: any(x is not None and not 0 <= x < n for x in t)))
+    return s, tuples, xs, tuple(bad)
+
+
+OUT_OF_ORDER = Structure.make(Vocabulary((("Z", 2), ("A", 1))), 3, {
+    "Z": {(0, 1), (1, 1), (2, 0)}, "A": {(1,), (2,)}})
+
+
+@settings(deadline=None)
+@given(typed_tuple_cases())
+@example((OUT_OF_ORDER, [(0, 1, None, 1, 2), (1, 0), (None,), (), (2, 2, 2)], [1, 0], (0, 5, 4)))
+@example((Structure.make(Vocabulary(()), 2, {}), [(0, None, 0), (1, None, 1), (None, 0)],
+          [0, 1], (None, -1)))
+def test_type_ids_are_equal_exactly_when_the_qf_types_are(case):
+    s, tuples, xs, bad = case
+    n = s.universe_size
+    ids = s.qf_type_ids
+    # pair rows before and after single tuples, pairs among the tuples
+    half = len(xs) // 2
+    rows = ids.pair_rows(s, xs[:half])
+    tuples = tuples + [(x, y) for x in range(n) for y in range(n)]
+    typed = [ids.id_of(s, t) for t in tuples] + [ids.intern(s, t) for t in tuples]
+    rows += ids.pair_rows(s, xs[half:])
+    tuples = tuples * 2 + [(x, y) for x in xs for y in range(n)]
+    typed += [i for row in rows for i in row]
+    expected = [qf_type(s, t) for t in tuples]
+    assert [ids.types[i] for i in typed] == expected
+    assert all((a == b) == (ta == tb)
+               for a, ta in zip(typed, expected) for b, tb in zip(typed, expected))
+    assert len(set(ids.types)) == len(ids.types)  # one id per type
+    assert ids.sort_keys == list(map(sort_key, ids.types))
+    # an out-of-range tuple names its first coordinate outside, keeps nothing
+    first = next(x for x in bad if x is not None and not 0 <= x < n)
+    kept = (dict(ids.of_tuple), list(ids.types), list(ids.sort_keys))
+    for lookup in (ids.id_of, ids.intern):
+        with pytest.raises(ValueError, match=f"^coordinate {first} out of range$"):
+            lookup(s, bad)
+    with pytest.raises(ValueError, match=f"^coordinate {first} out of range$"):
+        qf_type(s, bad)
+    assert (ids.of_tuple, ids.types, ids.sort_keys) == kept
 
 
 # ---------------------------------------------------------------------------
