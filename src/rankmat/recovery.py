@@ -328,6 +328,8 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
                 inter = bits & cmask
                 if inter and inter != cmask:
                     cuts += 1
+                    if cuts == k:
+                        break  # refuted, whatever the other classes hold
             complete, refuted = cuts == 0, cuts >= k
         if complete or refuted:
             holds = phi_mask(bits)
@@ -410,7 +412,9 @@ def _maximal_candidates(oracle) -> list:
     for homogeneous oracles the uncut classes can be fixed to one canonical
     full class with the rest empty, since the shared idempotent full and
     empty values make phi independent of how full and empty classes are
-    distributed. Returns (cut_classes, full_class, mask) triples."""
+    distributed. Returns (cut_classes, full_class, mask) triples, sorted by
+    the mask's member list; the mask fixes its full class and its cut
+    classes, so no two triples tie."""
     masks = oracle.class_masks
     n = len(masks)
     for c in range(min(oracle.k - 1, n - 2), -1, -1):
@@ -422,31 +426,25 @@ def _maximal_candidates(oracle) -> list:
                     if oracle.phi_mask(Y):
                         found.append((cut_set, full_class, Y))
         if found:
-            return found
+            return sorted(found, key=lambda c: _members(oracle.sorted_universe, c[2]))
     return []
 
 
 def _view_for(oracle, candidates, target: int):
-    """The least maximal-seed candidate whose special classes avoid the
-    target class, with designations chosen accordingly: the cut classes,
-    the full class and the first other class as the empty one."""
+    """The first maximal-seed candidate, in the sorted order
+    ``_maximal_candidates`` returns, whose special classes avoid the target
+    class, with designations chosen accordingly: the cut classes, the full
+    class and the first other class as the empty one. Returns (mask,
+    special classes), or None when no candidate avoids the target."""
     n = len(oracle.class_masks)
-    options = []
     for cut_set, full_class, Y in candidates:
         if target in cut_set or target == full_class:
             continue
-        empties = [
-            i for i in range(n)
-            if i not in cut_set and i != full_class and i != target
-        ]
-        if not empties:
-            continue
-        special = tuple(sorted(set(cut_set) | {full_class, empties[0]}))
-        options.append((_members(oracle.sorted_universe, Y), Y, special))
-    if not options:
-        return None
-    _, Y, special = min(options)
-    return Y, special
+        empty = next((i for i in range(n)
+                      if i not in cut_set and i != full_class and i != target), None)
+        if empty is not None:
+            return Y, tuple(sorted(set(cut_set) | {full_class, empty}))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +526,12 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
     """Recovers the hidden partition. Non-special elements are classified
     purely by phi queries (two are together iff no good seed separates
     them); the classes that stay special in every view play the role of the
-    transduction's guess and are verified against phi. Non-homogeneous
-    oracles are pre-grouped by lambda image and recovered per group."""
+    transduction's guess and are verified against phi. Each target class's
+    view is found first, and each distinct view's good-seed family is built
+    and refined once, in first-seen order: targets often share a view (on a
+    k = 1 oracle every target from the third on does), and a repeated view
+    adds no group. Non-homogeneous oracles are pre-grouped by lambda image
+    and recovered per group."""
     if fault := oracle.homogeneity_fault:
         groups = _split_by_lambda_image(oracle)
         if len(groups) == 1:
@@ -546,22 +548,22 @@ def recover_partition(oracle: UnorderedOracle) -> tuple:
     candidates = _maximal_candidates(oracle)
     if not candidates:
         raise RecoveryError("no candidate seed satisfies phi: the oracle is not complete")
+    views = dict.fromkeys(
+        view for view in (_view_for(oracle, candidates, target) for target in range(n))
+        if view is not None
+    )
     same: dict = {x: {x} for x in universe}
-    views: list = []  # per view, the first element of each group
+    firsts: list = []  # per view, the first element of each group
     covered = 0
-    for target in range(n):
-        view = _view_for(oracle, candidates, target)
-        if view is None:
-            continue
-        Y0, special = view
+    for Y0, special in views:
         nonspecial = _union(m for i, m in enumerate(masks) if i not in special)
         covered |= nonspecial
         groups = _refine(nonspecial, _good_seeds(oracle, Y0, special))
         for g in groups:
             _join(same, _members(universe, g))
-        views.append([universe[(g & -g).bit_length() - 1] for g in groups])
-    for firsts in views:
-        if len({frozenset(same[x]) for x in firsts}) < len(firsts):
+        firsts.append([universe[(g & -g).bit_length() - 1] for g in groups])
+    for view_firsts in firsts:
+        if len({frozenset(same[x]) for x in view_firsts}) < len(view_firsts):
             raise RecoveryError("oracle answers are inconsistent")
     # classes never non-special in any view mirror the transduction's guess
     for cmask in masks:

@@ -310,10 +310,21 @@ def submasks(mask: int) -> Iterator[int]:
 
 def subsets(items: Sequence) -> Iterator[frozenset]:
     """Every subset of items as a frozenset, in bitmask order: bit i of the
-    mask stands for items[i]."""
+    mask stands for items[i]. The subsets of the first half of the items
+    are built once, by doubling, and each subset of the second half, walked
+    lazily in order, is joined to each of them, so a subset costs one
+    frozenset union and memory stays O(2^ceil(n/2)) for n items."""
     items = tuple(items)
-    for bits in range(1 << len(items)):
-        yield frozenset(x for i, x in enumerate(items) if bits >> i & 1)
+    half = (len(items) + 1) // 2
+    low = [frozenset()]
+    for x in items[:half]:
+        low += [s | {x} for s in low]
+    if half == len(items):
+        yield from low
+        return
+    for high in subsets(items[half:]):
+        for s in low:
+            yield s | high
 
 
 @dataclass(frozen=True)

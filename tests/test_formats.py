@@ -309,7 +309,8 @@ def test_matrix_round_trip(tmp_path, S, data):
 
 @given(st.sampled_from(["unordered", "ordered"]),
        st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 2))
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=40)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=40,
+          deadline=None)
 def test_oracle_round_trip(tmp_path, kind, sizes, k):
     classes, start = [], 0
     for size in sizes:

@@ -189,6 +189,23 @@ def test_homogeneity_is_checked_once_per_oracle(monkeypatch, groups):
     assert o.homogeneity_fault == check(o)
 
 
+def test_good_seeds_are_built_once_per_distinct_view(monkeypatch):
+    # on a k = 1 oracle the seeds are single full classes: targets 0 and 1
+    # get their own views, and every target from the third on shares one
+    views = []
+    good_seeds = recovery._good_seeds
+
+    def counted(oracle, Y0, special):
+        views.append((Y0, special))
+        return good_seeds(oracle, Y0, special)
+
+    monkeypatch.setattr(recovery, "_good_seeds", counted)
+    hidden = [{0, 1}, {2}, {3, 4, 5}, {6}, {7, 8}, {9}]
+    o = synth_oracle("unordered", hidden, 1)
+    assert set(recover_partition(o)) == {frozenset(c) for c in hidden}
+    assert len(views) == 3 == len(set(views))
+
+
 def test_recover_preorder_two_classes():
     o = synth_oracle("ordered", [{0, 1}, {2}], 2)
     validate_oracle(o)

@@ -335,6 +335,13 @@ def reference_all_subsets(cls):
     ]
 
 
+def reference_subsets(items):
+    """The former ``structures.subsets``: one comprehension per mask."""
+    items = tuple(items)
+    for bits in range(1 << len(items)):
+        yield frozenset(x for i, x in enumerate(items) if bits >> i & 1)
+
+
 @given(st.frozensets(st.integers(0, 9), max_size=7))
 def test_submasks_match_replaced_copies(positions):
     mask = sum(1 << b for b in positions)
@@ -352,6 +359,17 @@ def test_subsets_match_replaced_copy(cls):
     items = sorted(cls)
     for bits, sub in enumerate(got):
         assert sub == {x for i, x in enumerate(items) if bits >> i & 1}
+
+
+# duplicates and equal items of other types (1, True) included: the first of
+# equal items stays the member, as in the comprehension
+@given(st.lists(st.one_of(st.integers(-2, 2), st.booleans(), st.text(max_size=1), st.none()),
+                max_size=10))
+def test_subsets_by_halves_match_the_comprehension(items):
+    got = list(subsets(items))
+    expected = list(reference_subsets(items))
+    assert got == expected
+    assert [sorted(map(repr, s)) for s in got] == [sorted(map(repr, s)) for s in expected]
 
 
 # ---------------------------------------------------------------------------
