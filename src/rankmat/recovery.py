@@ -3,7 +3,7 @@ partitions and linear preorders from approximation oracles."""
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -96,21 +96,26 @@ class UnorderedOracle:
 
     ``phi_mask`` takes a subset as a bitmask: bit i stands for the i-th
     element of ``sorted(universe())``, kept as ``sorted_universe``, and
-    ``class_masks`` holds each class as such a mask.  ``homogeneity_fault``
-    is why the oracle is not homogeneous, or None, computed once at
-    construction, as the masks are, so ``validate_oracle`` and
-    ``recover_partition`` share one check."""
+    ``class_masks`` holds each class as such a mask.  Each lambda table is
+    kept keyed by such masks, each a submask of its class's mask: that is
+    the form ``phi_mask``, ``validate_oracle`` and ``homogeneity_fault``
+    read.  A table may be given keyed by those masks or by frozensets of
+    elements, or by both; it is converted once, here, and checked the same
+    way.  ``lam`` is the frozenset-keyed view of the tables, built on first
+    read.  ``homogeneity_fault`` is why the oracle is not homogeneous, or
+    None, computed once at construction, as the masks are, so
+    ``validate_oracle`` and ``recover_partition`` share one check."""
 
     def __init__(self, classes: Sequence[Iterable], semigroup: FiniteSemigroup,
                  lam: Sequence[dict], accept: Iterable[int], k: int):
         self.classes = tuple(frozenset(c) for c in classes)
         self.semigroup = semigroup
-        self.lam = tuple(dict(d) for d in lam)
+        lam = tuple(lam)
         self.accept = frozenset(accept)
         self.k = k
         if not self.classes:
             raise ValueError("an oracle needs at least one class")
-        if len(self.lam) != len(self.classes):
+        if len(lam) != len(self.classes):
             raise ValueError("one lambda table per class")
         if not self.ordered:
             # ordered classes are checked by LinearPreorder, with its message
@@ -121,37 +126,44 @@ class UnorderedOracle:
                     if j != i:
                         raise ValueError(f"unordered classes must be disjoint: element {x} "
                                          f"is in classes {j} and {i}")
+        self.sorted_universe, self._bit, self.class_masks = _class_masks(self.classes)
+        self._universe = frozenset(self.sorted_universe)
         elements = semigroup.elements()
-        for i, (cls, table) in enumerate(zip(self.classes, self.lam)):
-            # 2^|class| distinct keys, each a subset of the class, are all
+        tables = []
+        for i, (cls, cmask, table) in enumerate(zip(self.classes, self.class_masks, lam)):
+            table = _mask_keyed(dict(table), cls, cmask, self._bit)
+            # 2^|class| distinct keys, each a submask of the class, are all
             # of its subsets
-            if len(table) != 1 << len(cls) or not all(
-                    isinstance(sub, frozenset) and sub <= cls for sub in table):
+            if table is None or len(table) != 1 << len(cls):
                 raise ValueError("lambda must cover every subset of its class")
             for sub, value in table.items():
                 if value not in elements:
-                    raise ValueError(f"lambda value {value} of class {i} on {sorted(sub)} "
-                                     f"is not a semigroup element")
+                    raise ValueError(f"lambda value {value} of class {i} on "
+                                     f"{_members(self.sorted_universe, sub)} "
+                                     "is not a semigroup element")
+            tables.append(table)
         for value in self.accept:
             if value not in elements:
                 raise ValueError(f"accept value {value} is not a semigroup element")
         self._table = semigroup.table
-        self._universe = frozenset().union(*self.classes)
-        self.sorted_universe = tuple(sorted(self._universe))
-        self._bit = {x: 1 << i for i, x in enumerate(self.sorted_universe)}
-        self.class_masks = tuple(
-            sum(map(self._bit.__getitem__, cls)) for cls in self.classes
-        )
-        # (class mask, lambda keyed by subset mask) per class, in class
-        # order; the first value starts the product, as the semigroup need
-        # not have a unit
-        self._lam_first, *self._lam_rest = (
-            (cmask, {sum(map(self._bit.__getitem__, sub)): v for sub, v in table.items()})
-            for cmask, table in zip(self.class_masks, self.lam)
-        )
+        self._lam = tuple(tables)
+        # (class mask, lambda table) per class, in class order; the first
+        # value starts the product, as the semigroup need not have a unit
+        self._lam_first, *self._lam_rest = zip(self.class_masks, self._lam)
         self.homogeneity_fault = _homogeneity_fault(self)
 
     ordered = False
+
+    @cached_property
+    def lam(self) -> tuple:
+        """Each class's lambda table keyed by frozensets of elements, in
+        the order of the mask-keyed table it is built from."""
+        views = []
+        for cls, cmask, table in zip(self.classes, self.class_masks, self._lam):
+            # both walk the class's subsets in bitmask order
+            key = dict(zip(submasks(cmask), subsets(sorted(cls))))
+            views.append({key[sub]: value for sub, value in table.items()})
+        return tuple(views)
 
     def universe(self) -> frozenset:
         return self._universe
@@ -185,12 +197,28 @@ class OrderedOracle(UnorderedOracle):
     ordered = True
 
 
-def _kind(cls: frozenset, sub: frozenset) -> str:
-    if not sub:
-        return "empty"
-    if sub == cls:
-        return "full"
-    return "cut"
+def _class_masks(classes: Sequence[frozenset]) -> tuple:
+    """The sorted universe of the classes, each element's bit (bit i for
+    the i-th element of that universe) and each class as a mask."""
+    universe = tuple(sorted(frozenset().union(*classes)))
+    bit = {x: 1 << i for i, x in enumerate(universe)}
+    return universe, bit, tuple(sum(map(bit.__getitem__, cls)) for cls in classes)
+
+
+def _mask_keyed(table: dict, cls: frozenset, cmask: int, bit: dict) -> Optional[dict]:
+    """A lambda table keyed by subset masks: a frozenset key within the
+    class becomes its mask, an int key that is a submask of the class mask
+    stays as it is. None if some key is neither."""
+    masks = {}
+    for sub, value in table.items():
+        if isinstance(sub, frozenset):
+            if not sub <= cls:
+                return None
+            sub = sum(map(bit.__getitem__, sub))
+        elif type(sub) is not int or sub | cmask != cmask:
+            return None
+        masks[sub] = value
+    return masks
 
 
 def _semigroup_from(elements: list, mul) -> tuple:
@@ -204,41 +232,45 @@ def synth_oracle(kind: str, classes: Sequence[Iterable], k: int,
     """Canonical counter-semigroup oracles: the unordered one counts cut
     classes up to k, the ordered one counts blocks up to k + 3. An optional
     per-class group labelling makes the unordered oracle non-homogeneous by
-    tagging full and empty values with the group."""
+    tagging full and empty values with the group. Each lambda table is
+    keyed by subset masks over the sorted universe, as the oracle keeps it:
+    the cut value on every submask of the class, then the empty value on 0
+    and the full value on the class mask."""
     classes = [frozenset(c) for c in classes]
     if not classes or any(not c for c in classes):
         raise ValueError("classes must be nonempty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if kind == "unordered":
-        if groups is None:
-            groups = [0] * len(classes)
-        S, index = _unordered_counter(k, tuple(sorted(set(groups))))
-        lam = []
-        for cls, g in zip(classes, groups):
-            table = {}
-            for sub in subsets(sorted(cls)):
-                w = _kind(cls, sub)
-                if w == "cut":
-                    table[sub] = index[(frozenset(), 1)]
-                else:
-                    table[sub] = index[(frozenset([(g, w)]), 0)]
-            lam.append(table)
-        accept = [i for e, i in index.items() if e[1] <= k - 1]
-        return UnorderedOracle(classes, S, lam, accept, k)
+    if kind not in ("unordered", "ordered"):
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    class_masks = _class_masks(classes)[2]
     if kind == "ordered":
+        if groups is not None:
+            raise ValueError("groups apply to unordered oracles only")
         S, index = _ordered_counter(k)
-        letter = {"empty": "E", "full": "F", "cut": "C"}
+        empty, full, cut = (index[(w, w, 1)] for w in ("E", "F", "C"))
         lam = []
-        for cls in classes:
-            table = {}
-            for sub in subsets(sorted(cls)):
-                w = letter[_kind(cls, sub)]
-                table[sub] = index[(w, w, 1)]
+        for cmask in class_masks:
+            table = dict.fromkeys(submasks(cmask), cut)
+            table[0], table[cmask] = empty, full
             lam.append(table)
         accept = [i for e, i in index.items() if e[2] <= k + 2]
         return OrderedOracle(classes, S, lam, accept, k)
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    if groups is None:
+        groups = [0] * len(classes)
+    elif len(groups) != len(classes):
+        raise ValueError(f"groups must give one entry per class: {len(groups)} "
+                         f"entries for {len(classes)} classes")
+    S, index = _unordered_counter(k, tuple(sorted(set(groups))))
+    cut = index[(frozenset(), 1)]
+    lam = []
+    for cmask, g in zip(class_masks, groups):
+        table = dict.fromkeys(submasks(cmask), cut)
+        table[0] = index[(frozenset([(g, "empty")]), 0)]
+        table[cmask] = index[(frozenset([(g, "full")]), 0)]
+        lam.append(table)
+    accept = [i for e, i in index.items() if e[1] <= k - 1]
+    return UnorderedOracle(classes, S, lam, accept, k)
 
 
 def _sort_key(e):
@@ -304,11 +336,35 @@ def _cut_and_block_counts(class_masks: Sequence[int], bits: int) -> tuple:
     return cuts, count
 
 
+def _blocks_up_to(class_masks: Sequence[int], bits: int, cap: int) -> int:
+    """The number of blocks of the set with the given bitmask, counted as
+    ``_cut_and_block_counts`` counts them, but no further than cap."""
+    count = 0
+    previous = _CUT
+    for cmask in class_masks:
+        inter = bits & cmask
+        if not inter:
+            kind = _EMPTY
+        elif inter == cmask:
+            kind = _FULL
+        else:
+            kind = _CUT
+        if kind != previous or kind == _CUT:
+            count += 1
+            if count == cap:
+                break
+            previous = kind
+    return count
+
+
 def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> None:
     """Checks completeness, soundness, full/empty determination, and (on
     request) homogeneity; raises ValueError on any violation. phi is
     queried only on the samples that the completeness or soundness test
-    reads."""
+    reads. At least one sample is drawn: with none, every check would
+    pass vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     universe = oracle.sorted_universe
     masks = _sampled_masks(len(universe), samples)
     ordered = oracle.ordered
@@ -320,7 +376,7 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     k = oracle.k
     for bits in masks:
         if ordered:
-            block_count = _cut_and_block_counts(class_masks, bits)[1]
+            block_count = _blocks_up_to(class_masks, bits, k + 3)
             complete, refuted = block_count <= 1, block_count >= k + 3
         else:
             cuts = 0
@@ -340,11 +396,15 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     # ordered completeness over every interval, even beyond the sample
     if ordered and (failing := _failing_interval(class_masks, phi_mask)):
         raise ValueError("interval {}..{} fails phi".format(*failing))
-    # the lambda value determines full/empty/cut
+    # the lambda value determines full/empty/cut: key 0 is the empty
+    # subset, the class mask (of a nonempty class) the full one, any other
+    # key a cut
     by_kind: dict = {"full": set(), "empty": set(), "cut": set()}
-    for cls, table in zip(oracle.classes, oracle.lam):
-        for sub, value in table.items():
-            by_kind[_kind(cls, sub)].add(value)
+    for cmask, table in zip(class_masks, oracle._lam):
+        by_kind["empty"].add(table[0])
+        if cmask:
+            by_kind["full"].add(table[cmask])
+            by_kind["cut"].update(_cut_values(table, cmask))
     for a, b in combinations(by_kind, 2):
         if by_kind[a] & by_kind[b]:
             raise ValueError(f"lambda does not separate {a} from {b}")
@@ -373,6 +433,15 @@ def _failing_interval(masks: Sequence[int], phi_mask) -> Optional[tuple]:
     return None
 
 
+def _cut_values(table: dict, cmask: int):
+    """The values of a mask-keyed lambda table on the cut subsets of its
+    class: on every key but 0 and the class mask."""
+    cut = dict(table)
+    cut.pop(0, None)
+    cut.pop(cmask, None)
+    return cut.values()
+
+
 def _homogeneity_fault(oracle) -> Optional[str]:
     """Why the oracle is not homogeneous, or None. Homogeneous means shared
     idempotent full and empty values, and a shared cut image over the
@@ -380,16 +449,17 @@ def _homogeneity_fault(oracle) -> Optional[str]:
     unsatisfiable once size-1 classes are mixed with larger ones, and the
     recovery argument only needs this weaker form.)"""
     S = oracle.semigroup
-    fulls = {table[cls] for cls, table in zip(oracle.classes, oracle.lam)}
-    empties = {table[frozenset()] for table in oracle.lam}
+    tables = list(zip(oracle.class_masks, oracle._lam))
+    fulls = {table[cmask] for cmask, table in tables}
+    empties = {table[0] for table in oracle._lam}
     if len(fulls) != 1 or len(empties) != 1:
         return "full and empty values must be shared"
     if any(S.mult(v, v) != v for v in fulls | empties):
         return "full and empty values must be idempotent"
     cut_images = {
-        frozenset(v for sub, v in table.items() if _kind(cls, sub) == "cut")
-        for cls, table in zip(oracle.classes, oracle.lam)
-        if len(cls) >= 2
+        frozenset(_cut_values(table, cmask))
+        for cmask, table in tables
+        if cmask & (cmask - 1)  # two or more elements
     }
     if len(cut_images) > 1:
         return "cut images must agree across classes"
@@ -476,7 +546,7 @@ def _good_seeds(oracle, Y0: int, special: tuple) -> list:
 
 def _split_by_lambda_image(oracle) -> list:
     groups: dict = {}
-    for i, table in enumerate(oracle.lam):
+    for i, table in enumerate(oracle._lam):
         groups.setdefault(frozenset(table.values()), []).append(i)
     return [groups[key] for key in sorted(groups, key=sorted)]
 
@@ -487,7 +557,7 @@ def _restrict_oracle(oracle, class_indices: list) -> UnorderedOracle:
     adjusted accordingly."""
     S = oracle.semigroup
     outside = [
-        oracle.lam[i][frozenset()]
+        oracle._lam[i][0]
         for i in range(len(oracle.classes))
         if i not in class_indices
     ]

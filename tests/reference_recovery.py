@@ -1,6 +1,7 @@
 """Partition recovery and preorder recovery, with the seed search they use, as
 ``rankmat.recovery`` had them before they moved onto class bitmasks: every
-subset is a frozenset and every query goes through ``oracle.phi``. Kept as
+subset is a frozenset and every query goes through ``oracle.phi``; and
+``synth_oracle`` as it was before lambda tables were keyed by masks. Kept as
 the reference that the bitmask code is compared against; it is slow, and
 ``recover_partition`` recurses without end on a non-homogeneous oracle whose
 classes share one lambda image."""
@@ -8,7 +9,13 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from rankmat.recovery import RecoveryError, UnorderedOracle
+from rankmat.recovery import (
+    OrderedOracle,
+    RecoveryError,
+    UnorderedOracle,
+    _ordered_counter,
+    _unordered_counter,
+)
 from rankmat.structures import subsets
 from rankmat.trees import LinearPreorder
 
@@ -19,6 +26,47 @@ def _kind(cls: frozenset, sub: frozenset) -> str:
     if sub == cls:
         return "full"
     return "cut"
+
+
+def synth_oracle(kind: str, classes, k: int, groups=None):
+    """``rankmat.recovery.synth_oracle`` as it was before the oracle kept
+    its lambda tables keyed by masks: each table is keyed by the frozenset
+    subsets of its class, each classified by ``_kind``, and the oracle
+    converts them. It takes the same counter semigroups."""
+    classes = [frozenset(c) for c in classes]
+    if not classes or any(not c for c in classes):
+        raise ValueError("classes must be nonempty")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if kind == "unordered":
+        if groups is None:
+            groups = [0] * len(classes)
+        S, index = _unordered_counter(k, tuple(sorted(set(groups))))
+        lam = []
+        for cls, g in zip(classes, groups):
+            table = {}
+            for sub in subsets(sorted(cls)):
+                w = _kind(cls, sub)
+                if w == "cut":
+                    table[sub] = index[(frozenset(), 1)]
+                else:
+                    table[sub] = index[(frozenset([(g, w)]), 0)]
+            lam.append(table)
+        accept = [i for e, i in index.items() if e[1] <= k - 1]
+        return UnorderedOracle(classes, S, lam, accept, k)
+    if kind == "ordered":
+        S, index = _ordered_counter(k)
+        letter = {"empty": "E", "full": "F", "cut": "C"}
+        lam = []
+        for cls in classes:
+            table = {}
+            for sub in subsets(sorted(cls)):
+                w = letter[_kind(cls, sub)]
+                table[sub] = index[(w, w, 1)]
+            lam.append(table)
+        accept = [i for e, i in index.items() if e[2] <= k + 2]
+        return OrderedOracle(classes, S, lam, accept, k)
+    raise ValueError(f"unknown oracle kind {kind!r}")
 
 
 def _check_homogeneous(oracle) -> None:

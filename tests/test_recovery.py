@@ -20,6 +20,8 @@ from rankmat.recovery import (
     OrderedOracle,
     RecoveryError,
     UnorderedOracle,
+    _blocks_up_to,
+    _cut_and_block_counts,
     _drawn_masks,
     _good_seeds,
     _maximal_candidates,
@@ -282,8 +284,6 @@ def test_unsound_oracle_names_the_unsound_set():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_bitmask_counts_match_blocks(data):
-    from rankmat.recovery import _cut_and_block_counts
-
     kind = data.draw(st.sampled_from(["unordered", "ordered"]))
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
     labels = data.draw(st.permutations(range(sum(sizes))))
@@ -298,6 +298,44 @@ def test_bitmask_counts_match_blocks(data):
     cuts, count = _cut_and_block_counts(o.class_masks, bits)
     assert count == len(blocks(LinearPreorder(o.classes), Y))
     assert cuts == sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_block_count_up_to_the_cap_classifies_as_the_full_count(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
+    class_masks, start = [], 0
+    for size in sizes:
+        class_masks.append(((1 << size) - 1) << start)
+        start += size
+    k = data.draw(st.integers(1, 10))
+    for bits in data.draw(st.lists(st.integers(0, (1 << start) - 1), min_size=1, max_size=64)):
+        count = _cut_and_block_counts(class_masks, bits)[1]
+        capped = _blocks_up_to(class_masks, bits, k + 3)
+        assert capped == min(count, k + 3)
+        assert (capped <= 1, capped >= k + 3) == (count <= 1, count >= k + 3)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_validate_oracle_needs_a_sample(samples):
+    o = synth_oracle("unordered", [{0, 1}, {2}], 1)
+    accept_none = UnorderedOracle(o.classes, o.semigroup, o.lam, (), o.k)
+    with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+        validate_oracle(accept_none, samples=samples)
+    with pytest.raises(ValueError, match=r"^completeness fails on \[\]$"):
+        validate_oracle(accept_none, samples=8)
+
+
+@pytest.mark.parametrize("groups", [[], [0, 1, 0], [0, 1, 0, 1, 1]])
+def test_synth_oracle_needs_one_group_per_class(groups):
+    with pytest.raises(ValueError, match=f"^groups must give one entry per class: "
+                                         f"{len(groups)} entries for 4 classes$"):
+        synth_oracle("unordered", [{0}, {1, 2}, {3}, {4, 5}], 1, groups)
+
+
+def test_synth_oracle_takes_no_groups_for_an_ordered_oracle():
+    with pytest.raises(ValueError, match="^groups apply to unordered oracles only$"):
+        synth_oracle("ordered", [{0}, {1, 2}], 1, [0, 1])
 
 
 @pytest.mark.parametrize("samples", [4096, 40])
@@ -386,6 +424,94 @@ def test_unordered_oracle_requires_lambda_to_cover_its_class(change):
     with pytest.raises(ValueError, match="^lambda must cover every subset of its class$"):
         UnorderedOracle(o.classes, o.semigroup, lam, o.accept, o.k)
     UnorderedOracle(o.classes, o.semigroup, o.lam, o.accept, o.k)
+
+
+def _same_oracle(a, b) -> None:
+    assert (a.classes, a.sorted_universe, a.class_masks) == \
+        (b.classes, b.sorted_universe, b.class_masks)
+    assert (a.semigroup.table, a.lam, a.accept, a.k) == (b.semigroup.table, b.lam, b.accept, b.k)
+    assert a.homogeneity_fault == b.homogeneity_fault
+    masks = range(1 << len(a.sorted_universe))
+    assert list(map(a.phi_mask, masks)) == list(map(b.phi_mask, masks))
+
+
+def _oracle_or_message(classes, semigroup, lam, accept, k):
+    try:
+        return UnorderedOracle(classes, semigroup, lam, accept, k)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("as built", None),
+    ("keys of both kinds", None),
+    ("a missing subset", "lambda must cover every subset of its class"),
+    ("bits of another class", "lambda must cover every subset of its class"),
+    ("bits beyond the universe", "lambda must cover every subset of its class"),
+    ("a negative mask", "lambda must cover every subset of its class"),
+    ("a value past the semigroup", "lambda value 8 of class 0 on [5] is not a semigroup element"),
+    ("a negative value", "lambda value -1 of class 0 on [1, 5] is not a semigroup element"),
+])
+def test_oracle_takes_lambda_keyed_by_masks_or_by_frozensets(case, message):
+    # the sorted universe is (1, 3, 5): class {1, 5} is the mask 0b101
+    o = synth_oracle("unordered", [{1, 5}, {3}], 1)
+    assert len(o.semigroup.elements()) == 8
+    by_set = dict(o.lam[0])
+    by_mask = {sum(1 << o.sorted_universe.index(x) for x in sub): v for sub, v in by_set.items()}
+    assert set(by_mask) == {0, 0b001, 0b100, 0b101}
+    five = frozenset({5})
+    if case == "keys of both kinds":
+        by_mask = {**{m: v for m, v in by_mask.items() if m != 0b100}, five: by_set[five]}
+    elif case == "a missing subset":
+        del by_set[five], by_mask[0b100]
+    elif case == "bits of another class":
+        by_set[frozenset({3})], by_mask[0b010] = by_set.pop(five), by_mask.pop(0b100)
+    elif case in ("bits beyond the universe", "a negative mask"):
+        by_set[frozenset({7})] = by_set.pop(five)
+        by_mask[0b1000 if case == "bits beyond the universe" else -1] = by_mask.pop(0b100)
+    elif case == "a value past the semigroup":
+        by_set[five] = by_mask[0b100] = 8
+    elif case == "a negative value":
+        by_set[frozenset({1, 5})] = by_mask[0b101] = -1
+    from_sets, from_masks = (
+        _oracle_or_message(o.classes, o.semigroup, [table, o.lam[1]], o.accept, o.k)
+        for table in (by_set, by_mask)
+    )
+    if message is None:
+        _same_oracle(from_sets, o)
+        _same_oracle(from_masks, o)
+    else:
+        assert from_sets == from_masks == message
+
+
+def test_oracle_rejects_two_keys_for_one_subset():
+    o = synth_oracle("unordered", [{1, 5}, {3}], 1)
+    # frozenset() and 0 both stand for the empty subset, so {5} is missing
+    table = {frozenset(): o.lam[0][frozenset()], 0: o.lam[0][frozenset()],
+             0b001: o.lam[0][frozenset({1})], 0b101: o.lam[0][frozenset({1, 5})]}
+    with pytest.raises(ValueError, match="^lambda must cover every subset of its class$"):
+        UnorderedOracle(o.classes, o.semigroup, [table, o.lam[1]], o.accept, o.k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_keyed_synth_oracle_matches_the_frozenset_reference(data):
+    kind = data.draw(st.sampled_from(["unordered", "grouped", "ordered"]))
+    n = data.draw(st.integers(1, 10))
+    labels = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    hidden = [frozenset(labels[i:j]) for i, j in zip([0] + cuts, cuts + [n])]
+    k = data.draw(st.integers(1, 3))
+    groups = None
+    if kind == "grouped":
+        groups = data.draw(st.lists(st.integers(0, 2), min_size=len(hidden),
+                                    max_size=len(hidden)))
+    kind = "ordered" if kind == "ordered" else "unordered"
+    new, old = synth_oracle(kind, hidden, k, groups), ref.synth_oracle(kind, hidden, k, groups)
+    assert type(new) is type(old)
+    _same_oracle(new, old)
+    # the view lists each table's subsets in the reference's order
+    assert [list(t.items()) for t in new.lam] == [list(t.items()) for t in old.lam]
 
 
 def _hidden_classes(sizes):
