@@ -117,7 +117,7 @@ def _graph_rank(structure, subset) -> list:
 def _tree_validate(file) -> list:
     t = formats.load_tree(file)
     return [Report("tree-validate", file, "pass",
-                   {"leaves": len(t.leaves), "nodes": len(t.nodes)})]
+                   {"leaves": len(t.leaves), "nodes": len(t.masks)})]
 
 
 @_command("tree encode", "ternary encoding of a tree", _FILE)

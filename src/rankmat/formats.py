@@ -24,7 +24,7 @@ from .recovery import OrderedOracle, UnorderedOracle
 from .semigroup import FiniteSemigroup
 from .semigroup import validate as validate_semigroup
 from .structures import Structure, Vocabulary
-from .trees import LaminarTree, validate_tree
+from .trees import LaminarTree, tree_from_postorder
 
 __all__ = [
     "parse_structure",
@@ -138,36 +138,37 @@ def write_structure(s: Structure) -> str:
 # .tree
 
 
-def _parse_sexpr(tokens: list, leaves: list, family: list) -> int:
+def _parse_sexpr(tokens: list, leaves: list, arities: list) -> int:
     """Parse the node at ``tokens[0]``, appending its leaf names to
-    ``leaves`` and the leaf names below each of its nodes to ``family``;
-    returns the position after it.  Open nodes wait on an explicit stack,
+    ``leaves`` and, as each of its nodes closes, the node's number of
+    children to ``arities`` (0 for a leaf): the tree's post-order walk.
+    Returns the position after it.  Open nodes wait on an explicit stack,
     so nesting depth is not bounded by the recursion limit."""
     if tokens[0] == ")":
         raise ValueError("unbalanced ')' in tree expression")
-    open_nodes: list = []  # [first leaf, children so far] of each unclosed node
+    open_nodes: list = []  # children so far of each unclosed node
     pos = 0
     while True:
         if open_nodes:
-            open_nodes[-1][1] += 1
+            open_nodes[-1] += 1
         if tokens[pos] == "(":
             if tokens[pos + 1:pos + 2] != ["u"]:
                 raise ValueError("node must start with 'u'")
-            open_nodes.append([len(leaves), 0])
+            open_nodes.append(0)
             pos += 2
         else:
             leaves.append(tokens[pos])
-            family.append(range(len(leaves) - 1, len(leaves)))
+            arities.append(0)
             pos += 1
         while open_nodes:
             if pos >= len(tokens):
                 raise ValueError("unbalanced '(' in tree expression")
             if tokens[pos] != ")":
                 break
-            start, children = open_nodes.pop()
+            children = open_nodes.pop()
             if children < 2:
                 raise ValueError("internal nodes need at least two children")
-            family.append(range(start, len(leaves)))
+            arities.append(children)
             pos += 1
         if not open_nodes:
             return pos
@@ -179,34 +180,39 @@ def parse_tree(text: str) -> LaminarTree:
     if not tokens:
         raise ValueError("empty tree expression")
     leaves: list = []
-    family: list = []
-    if _parse_sexpr(tokens, leaves, family) != len(tokens):
+    arities: list = []
+    if _parse_sexpr(tokens, leaves, arities) != len(tokens):
         raise ValueError("trailing tokens after the tree expression")
     # str.isdigit alone accepts digits such as '²' that int() rejects
     if all(name.isascii() and name.isdigit() for name in leaves):
         leaves = list(map(int, leaves))
     if len(set(leaves)) != len(leaves):
         raise ValueError("duplicate leaf names")
-    return validate_tree(frozenset(leaves[i] for i in node) for node in family)
+    return tree_from_postorder(leaves, arities)
 
 
 def write_tree(t: LaminarTree) -> str:
-    out = []
-    stack: list = [t.root()]  # nodes still to write, and the text between them
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif len(item) == 1:
-            (leaf,) = item
-            out.append(str(leaf))
+    """The tree's text, back to front: in reverse post-order a node comes
+    before its subtree, children last first, so it adds its ')' or leaf
+    name there and its '(u ' once the walk leaves its subtree."""
+    names = sorted(t.leaves)
+    out: list = []  # the text's pieces, last first
+    open_nodes: list = []  # the nodes still to get their '(u ', innermost last
+    for i in reversed(range(len(t.masks))):
+        parent = t.parents[i]
+        while open_nodes and open_nodes[-1] != parent:
+            open_nodes.pop()
+            out.append("(u ")
+        if parent is not None and i != parent - 1:  # not the last child
+            out.append(" ")
+        mask = t.masks[i]
+        if mask & (mask - 1):
+            out.append(")")
+            open_nodes.append(i)
         else:
-            parts = ["(u "]
-            for child in t.children(item):
-                parts += [child, " "]
-            parts[-1] = ")"
-            stack.extend(reversed(parts))
-    return "".join(out) + "\n"
+            out.append(str(names[mask.bit_length() - 1]))
+    out += ["(u "] * len(open_nodes)
+    return "".join(reversed(out)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 A laminar tree is a family of leaf subsets containing every singleton and
 the full leaf set, any two members nested or disjoint.  Since every
 singleton is a node, every internal node has at least two children.
+
+A ``LaminarTree`` is one leaf mask and one parent link per node; the kernels
+work on node ids and masks, and build a node's leaf set only to hand it out.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, compress, groupby, permutations, product
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -25,6 +28,7 @@ __all__ = [
     "Orientation",
     "Obstruction",
     "validate_tree",
+    "tree_from_postorder",
     "ternary_encode",
     "ternary_decode",
     "subforests",
@@ -43,128 +47,160 @@ __all__ = [
 ]
 
 TERNARY = Vocabulary((("T", 3),))
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_SWAPPED = str.maketrans("01", "10")
 
 
-class _TreeIndex:
-    """Lookups built once per tree: nodes by size, each node's parent (its
-    smallest strict superset) and children, each leaf's owner (its smallest
-    node), and the internal nodes.  One pass takes the nodes largest first;
-    a node's parent is the one owner so far of its leaves.  If they have
-    two owners, one not containing the node crosses it, since no earlier
-    node is a subset of it.
+@dataclass(frozen=True)
+class LaminarTree:
+    """A laminar tree as one leaf mask per node, built by ``validate_tree``
+    from a family of leaf sets or by ``tree_from_postorder`` from a walk.
 
-    The kernels work on int leaf masks, built on first use: bit i is the
-    i-th leaf of the sorted leaves, and each node and subforest is the mask
-    of its leaves."""
+    ``masks[i]`` is node i's mask: bit j stands for the j-th sorted leaf.
+    The nodes come in post-order, each node's children in the order of
+    their least leaves, so every node comes after its children and the
+    root is last.  ``parents[i]`` is node i's parent, None at the root.
+    The family fixes the order, so two trees are equal, and hash alike,
+    exactly when their leaf sets and node families are; ``parents``
+    follows from the masks and is not compared.  The lookups below are
+    built on first use and kept in the instance ``__dict__``, outside the
+    fields, so ``==``, ``hash`` and ``repr`` ignore them."""
 
-    def __init__(self, leaves: frozenset, nodes: frozenset):
-        self.leaves = sorted(leaves)
-        # stable, so nodes of one size keep the family's iteration order
-        self.by_size = sorted(nodes, key=len)
-        self.parent: dict = {}
-        self.children: dict = {node: [] for node in nodes}
-        self.owner: dict = {}
-        for node in reversed(self.by_size):
-            owners = set(map(self.owner.get, node))
-            if len(owners) > 1:
-                other = next(o for o in owners if o is not None and not node <= o)
-                raise ValueError(f"crossing nodes {set(node)} and {set(other)}")
-            up = owners.pop() if owners else None
-            self.parent[node] = up
-            if up is not None:
-                self.children[up].append(node)
-            self.owner.update(dict.fromkeys(node, node))
-        # siblings, and nodes of one size, are disjoint: the least leaf
-        # orders them as their sorted leaf lists would
-        for kids in self.children.values():
-            kids.sort(key=min)
-        self.internal = sorted(
-            (x for x in nodes if len(x) > 1), key=lambda x: (len(x), min(x))
-        )
+    leaves: frozenset
+    masks: tuple
+    parents: tuple = field(compare=False)
 
     @cached_property
-    def bit(self) -> dict:
-        return {leaf: 1 << i for i, leaf in enumerate(self.leaves)}
+    def _order(self) -> list:
+        """The sorted leaves: bit i of a mask is ``_order[i]``."""
+        return sorted(self.leaves)
 
     @cached_property
-    def mask(self) -> dict:
-        """Each node's leaf mask: its owned leaves, then its children's
-        masks, smallest nodes first."""
-        mask = dict.fromkeys(self.by_size, 0)
-        for leaf, node in self.owner.items():
-            mask[node] |= self.bit[leaf]
-        for node in self.by_size:
-            if self.parent[node] is not None:
-                mask[self.parent[node]] |= mask[node]
-        return mask
+    def _bit(self) -> dict:
+        return {leaf: 1 << i for i, leaf in enumerate(self._order)}
 
     @cached_property
-    def splits(self) -> tuple:
-        """(node, mask, parent, the node's mask less each child's) for the
-        internal nodes, largest first, so a parent precedes its children."""
-        mask = self.mask
-        return tuple(
-            (node, mask[node], self.parent[node],
-             tuple(mask[node] & ~mask[kid] for kid in self.children[node]))
-            for node in reversed(self.internal)
-        )
+    def _ids(self) -> dict:
+        return {mask: i for i, mask in enumerate(self.masks)}
 
     @cached_property
-    def forests(self) -> frozenset:
-        """The subforests (see ``subforests``) as leaf masks."""
-        mask = self.mask
-        out = {mask[self.by_size[-1]]}  # the root
-        for node in self.internal:
-            kids = [mask[kid] for kid in self.children[node]]
-            for k in range(1, len(kids) + 1):
-                out.update(reduce(or_, chosen) for chosen in combinations(kids, k))
-        return frozenset(out)
+    def _kids(self) -> list:
+        """Each node's children, least leaf first."""
+        kids: list = [[] for _ in self.masks]
+        for i, p in enumerate(self.parents):
+            if p is not None:
+                kids[p].append(i)
+        return kids
 
-    def mask_of(self, xs: frozenset) -> int:
+    @cached_property
+    def _splits(self) -> tuple:
+        """(id, mask, parent, the mask less each child's) for each internal
+        node, parents first."""
+        masks = self.masks
+        return tuple((i, masks[i], self.parents[i], tuple(masks[i] ^ masks[k] for k in kids))
+                     for i, kids in reversed(list(enumerate(self._kids))) if kids)
+
+    def _leaves_of(self, mask: int) -> Iterable:
+        """The sorted leaves of a mask, selected by its digits, lowest first."""
+        return compress(self._order, bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+    @cached_property
+    def _handed_out(self) -> list:
+        return [None] * len(self.masks)
+
+    def _node(self, i: int) -> frozenset:
+        """Node i as the frozenset of its leaves, built on first use and
+        kept, so each node the API hands out is built once."""
+        node = self._handed_out[i]
+        if node is None:
+            node = self._handed_out[i] = frozenset(self._leaves_of(self.masks[i]))
+        return node
+
+    def _mask_of(self, xs: frozenset) -> int:
         """The mask of the leaves xs.  A member of xs that is not a leaf is
         a ``ValueError`` naming the least such."""
-        bit = self.bit
+        bit = self._bit
         try:
             return reduce(or_, map(bit.__getitem__, xs), 0)
         except KeyError:
             raise ValueError(f"{min(x for x in xs if x not in bit)!r} is not a leaf") from None
 
-    def leaves_of(self, mask: int) -> list:
-        """The sorted leaves of a mask, lowest bit first."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.leaves[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-
-@dataclass(frozen=True)
-class LaminarTree:
-    leaves: frozenset
-    nodes: frozenset  # frozenset of frozensets
+    def _id(self, node: Iterable) -> int:
+        """The id of a node given as its leaves; any other set is a
+        ``ValueError`` naming it."""
+        try:
+            return self._ids[self._mask_of(node)]
+        except (KeyError, ValueError):
+            raise ValueError(f"{set(node)} is not a node of the tree") from None
 
     @cached_property
-    def _index(self) -> _TreeIndex:
-        # kept in the instance __dict__, outside the fields: ==, hash and
-        # repr ignore it, and it is freed with the tree
-        return _TreeIndex(self.leaves, self.nodes)
+    def _internal(self) -> list:
+        """The internal node ids, smallest node first; nodes of one size
+        are disjoint, so their least leaves order them."""
+        masks = self.masks
+        return sorted((i for i, m in enumerate(masks) if m & (m - 1)),
+                      key=lambda i: (masks[i].bit_count(), masks[i] & -masks[i]))
+
+    @property
+    def nodes(self) -> frozenset:
+        """Every node as the frozenset of its leaves."""
+        return frozenset(map(self._node, range(len(self.masks))))
 
     def children(self, node: frozenset) -> list:
         """Maximal proper subnodes of a node of the tree, sorted by their
         sorted leaf lists."""
-        return list(self._index.children[node])
+        return [self._node(k) for k in self._kids[self._id(node)]]
 
     def internal_nodes(self) -> list:
-        return list(self._index.internal)
+        return [self._node(i) for i in self._internal]
 
     def root(self) -> frozenset:
         return frozenset(self.leaves)
 
 
+def _canonical_tree(leaves: Iterable, masks: list, kids: list, root: int) -> LaminarTree:
+    """The tree of nodes given in any order by their masks and children
+    (positions in the same lists), renumbered in post-order: a pre-order
+    that takes each node's children by least leaf, last first, reversed."""
+    least = [m & -m for m in masks]
+    post, up, stack = [], [None] * len(masks), [root]
+    while stack:
+        i = stack.pop()
+        post.append(i)
+        for k in sorted(kids[i], key=least.__getitem__):
+            up[k] = i
+            stack.append(k)
+    post.reverse()
+    new = {i: j for j, i in enumerate(post)}
+    return LaminarTree(frozenset(leaves), tuple(masks[i] for i in post),
+                       tuple(new.get(up[i]) for i in post))
+
+
+def tree_from_postorder(names: Sequence, arities: Iterable[int]) -> LaminarTree:
+    """The tree that a post-order walk describes: ``names`` are its leaves
+    in the order the walk meets them, ``arities`` each node's number of
+    children as the walk finishes the node, 0 for a leaf.  A node's mask
+    is the sum of its children's masks."""
+    bit = {name: 1 << i for i, name in enumerate(sorted(names))}
+    names = iter(names)
+    masks: list = []
+    kids: list = []
+    pending: list = []  # the nodes finished but not yet given a parent
+    for k in arities:
+        kids.append(pending[len(pending) - k:])
+        del pending[len(pending) - k:]
+        pending.append(len(masks))
+        masks.append(sum(masks[c] for c in kids[-1]) if k else bit[next(names)])
+    return _canonical_tree(bit, masks, kids, len(masks) - 1)
+
 
 def validate_tree(family: Iterable[Iterable],
                   leaves: Optional[Iterable] = None) -> LaminarTree:
+    """The tree of a family of leaf sets, checked.  One pass takes the
+    nodes largest first; a node's parent is the one owner so far (the
+    smallest node taken) of its leaves.  If they have two owners, one not
+    containing the node crosses it, since no earlier node is a subset of
+    it."""
     nodes = frozenset(frozenset(x) for x in family)
     if leaves is None:
         leaves = frozenset().union(*nodes) if nodes else frozenset()
@@ -181,32 +217,49 @@ def validate_tree(family: Iterable[Iterable],
             raise ValueError("empty set is not a node")
         if not node <= leaves:
             raise ValueError(f"node {set(node)} contains non-leaves")
-    tree = LaminarTree(leaves, nodes)
-    tree._index  # building the index raises on crossing nodes
-    return tree
+    # stable, so nodes of one size keep the family's iteration order
+    by_size = sorted(nodes, key=len)
+    kids: dict = defaultdict(list)  # children by position; the root is None's child
+    owner: dict = {}
+    for i in reversed(range(len(by_size))):
+        node = by_size[i]
+        owners = set(map(owner.get, node))
+        if len(owners) > 1:
+            other = next(by_size[o] for o in owners if o is not None and not node <= by_size[o])
+            raise ValueError(f"crossing nodes {set(node)} and {set(other)}")
+        kids[owners.pop()].append(i)
+        owner.update(dict.fromkeys(node, i))
+    bit = {leaf: 1 << i for i, leaf in enumerate(sorted(leaves))}
+    masks = [sum(map(bit.__getitem__, node)) for node in by_size]
+    return _canonical_tree(leaves, masks, kids, len(by_size) - 1)
 
 
-def _child_pairs(index: _TreeIndex) -> Iterable[tuple]:
-    """(node, a, b) for each internal node and each ordered pair of its
-    distinct children: the encoding holds ``product(a, b, node)``."""
-    for node in index.internal:
-        for a, b in permutations(index.children[node], 2):
-            yield node, a, b
+def _child_pairs(t: LaminarTree) -> Iterable[tuple]:
+    """(a, b, node) as tuples of leaves, for each internal node and each
+    ordered pair of its distinct children: the encoding holds
+    ``product(a, b, node)``."""
+    sets: list = []  # each node's leaves: a leaf's own, or its children's joined
+    for m, kids in zip(t.masks, t._kids):
+        sets.append(tuple(chain.from_iterable(sets[k] for k in kids)) if kids
+                    else (t._order[m.bit_length() - 1],))
+    for i, kids in enumerate(t._kids):
+        for a, b in permutations(kids, 2):
+            yield sets[a], sets[b], sets[i]
 
 
 def ternary_encode(t: LaminarTree) -> Structure:
     """Structure with T(x,y,z) iff z lies in the least node containing x,y:
     x itself if x = y, else the node where x, y lie in distinct children."""
-    leaves = sorted(t.leaves)
+    leaves = t._order
     if leaves != list(range(len(leaves))):
         raise ValueError("ternary encoding needs leaves 0..n-1")
     for leaf in leaves:
         # without {leaf}, no child holds leaf and its pairs would be lost
-        if frozenset((leaf,)) not in t.nodes:
+        if 1 << leaf not in t._ids:
             raise ValueError(f"singleton {{{leaf!r}}} missing from the family")
     rel = frozenset(chain(
         zip(leaves, leaves, leaves),
-        chain.from_iterable(product(a, b, node) for node, a, b in _child_pairs(t._index)),
+        chain.from_iterable(product(*pair) for pair in _child_pairs(t)),
     ))
     return Structure(TERNARY, len(leaves), (("T", rel),))
 
@@ -224,18 +277,22 @@ def ternary_decode(s: Structure) -> LaminarTree:
     for x, y, z in rel:
         nodes[x, y].add(z)
     tree = validate_tree(nodes.values(), leaves=range(n))
-    pairs = list(_child_pairs(tree._index))
-    if (len(rel) != n + sum(len(a) * len(b) * len(node) for node, a, b in pairs)
+    pairs = list(_child_pairs(tree))
+    if (len(rel) != n + sum(len(a) * len(b) * len(node) for a, b, node in pairs)
             or not all((x, x, x) in rel for x in range(n))
-            or not all(rel.issuperset(product(a, b, node)) for node, a, b in pairs)):
+            or not all(rel.issuperset(product(*pair)) for pair in pairs)):
         raise ValueError("relation is not a ternary tree encoding")
     return tree
 
 
 def subforests(t: LaminarTree) -> frozenset:
     """All nonempty unions of sibling subtrees, plus the full leaf set."""
-    index = t._index
-    return frozenset(frozenset(index.leaves_of(f)) for f in index.forests)
+    masks = t.masks
+    found = {masks[-1]}  # the root
+    for kids in t._kids:
+        for k in range(1, len(kids) + 1):
+            found.update(map(sum, combinations([masks[c] for c in kids], k)))
+    return frozenset(frozenset(t._leaves_of(f)) for f in found)
 
 
 def interesting_analysis(t: LaminarTree, X: Iterable):
@@ -245,39 +302,46 @@ def interesting_analysis(t: LaminarTree, X: Iterable):
     A node Y is dull when it is a leaf, when X does not cut Y, or when
     some child Y' leaves X trivial on Y minus Y'; interesting otherwise.
     Nested nodes lie on one path from the root, so the longest chain is
-    the most interesting nodes on such a path.
+    the most interesting nodes on such a path: one pass, parents first.
     """
-    index = t._index
-    x = index.mask_of(frozenset(X))
+    x = t._mask_of(frozenset(X))
     interesting = []
     chain = {None: 0}  # interesting nodes from the root down to each node
     kids: dict = {}  # interesting children of each node
-    for node, mask, parent, rests in index.splits:
-        hit = 0 != x & mask != mask and all(0 != x & rest != rest for rest in rests)
-        chain[node] = chain[parent] + hit
+    for i, m, p, rests in t._splits:
+        hit = 0 != x & m != m and all(0 != x & rest != rest for rest in rests)
+        chain[i] = chain[p] + hit
         if hit:
-            interesting.append(node)
-            if parent is not None:
-                kids[parent] = kids.get(parent, 0) + 1
-    return frozenset(interesting), max(chain.values()), max(kids.values(), default=0)
+            interesting.append(i)
+            if p is not None:
+                kids[p] = kids.get(p, 0) + 1
+    return frozenset(map(t._node, interesting)), max(chain.values()), max(kids.values(), default=0)
 
 
 def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 1):
     """Least number of subforests whose boolean combination is X: 0 for
     the empty set and the full leaf set, 1 when X or root less X is a
     subforest (one subforest f cuts the leaves into f and root less f, and
-    X must split neither: a set lookup), else ``Overflow()``.  Only one
-    subforest is searched, so ``limit`` must be 1."""
+    X must split neither), else ``Overflow()``.  Only one subforest is
+    searched, so ``limit`` must be 1.
+
+    A subforest is a node, or a union of two or more children of one
+    node.  Either way no child of the least node containing it meets it
+    without lying inside it, and that is enough; the least node is found
+    walking up from the set's least leaf."""
     if limit != 1:
         raise ValueError(f"boolean combination limit must be 1, not {limit}")
     X = frozenset(X)
     if X == frozenset() or X == t.root():
         return 0
-    index = t._index
-    x = index.mask_of(X)
-    full = (1 << len(index.leaves)) - 1
-    if x in index.forests or full & ~x in index.forests:
-        return 1
+    x = t._mask_of(X)
+    masks, parents = t.masks, t.parents
+    for y in (x, masks[-1] ^ x):
+        i = t._ids[y & -y]
+        while y & ~masks[i]:
+            i = parents[i]
+        if not any(masks[k] & y and masks[k] & ~y for k in t._kids[i]):
+            return 1
     return caps.Overflow()
 
 
@@ -290,7 +354,7 @@ class Orientation:
     @cached_property
     def _children(self) -> dict:
         # node -> (left, right), kept in the instance __dict__ outside the
-        # fields, as LaminarTree._index is
+        # fields, as LaminarTree's lookups are
         return {node: (l, r) for node, l, r in self.left_right}
 
     def left(self, node):
@@ -306,58 +370,12 @@ class Obstruction:
     node: frozenset
 
 
-def _postorder(index: _TreeIndex, root: frozenset) -> list:
-    """The nodes under root, each after its children, children in index
-    order: the order a recursion over the children finishes them in, on an
-    explicit stack, since a tree's depth is not bounded by the recursion
-    limit."""
-    out = []
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-        else:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(index.children[node]))
-    return out
-
-
-def _leaf_list_order(index: _TreeIndex) -> dict:
-    """A key per internal node that orders the internal nodes as their
-    sorted leaf lists do, from a few operations on each node's leaf mask.
-
-    Disjoint nodes, and nested ones with different least leaves, are in
-    the order of their least leaves.  The nodes with one least leaf form a
-    chain, each the parent of the one before; of two of them the smaller
-    comes first exactly when its leaves are a prefix of the larger's, that
-    is, when all its leaves are below every leaf the larger adds.  A node's
-    rank in its chain counts the smaller nodes that are its prefixes, kept
-    on a stack, and the larger nodes it is not a prefix of."""
-    mask = index.mask
-    chains: dict = {}
-    for node in index.internal:  # smaller nodes first
-        m = mask[node]
-        chains.setdefault(m & -m, []).append(node)
-    order = {}
-    for least, chain in chains.items():
-        last = len(chain) - 1
-        # until[j]: the last position in the chain whose node has node j as
-        # a prefix
-        stack, prefixes, until = [], [], [last] * len(chain)
-        below = 0
-        for j, node in enumerate(chain):
-            m = mask[node]
-            new = m & ~below
-            # the earlier nodes left on the stack are prefixes of this one
-            while stack and mask[chain[stack[-1]]] > new & -new:
-                until[stack.pop()] = j - 1
-            prefixes.append(len(stack))
-            stack.append(j)
-            below = m
-        for j, node in enumerate(chain):
-            order[node] = (least, prefixes[j] + last - until[j])
-    return order
+def _leaf_list_key(mask: int) -> str:
+    """A key ordering masks as their sorted leaf lists: the binary digits,
+    lowest first, 0 and 1 swapped.  Where two masks first differ, the one
+    holding that leaf comes first, unless the other, holding no later
+    leaf, is a prefix of it; then so is its key."""
+    return bin(mask)[:1:-1].translate(_SWAPPED)
 
 
 @lru_cache(maxsize=1024)
@@ -425,78 +443,60 @@ def group_orientation(t: LaminarTree, m: int = 4):
     least total and each node hands its choice to its children.  The
     per-node search is memoised on the children's sorted sum sets and m,
     so nodes whose children reach the same sums share one search.  Returns
-    Obstruction at the first node, in post-order with children in index
-    order, admitting no valid colouring.
+    Obstruction at the first node, in the tree's post-order, admitting no
+    valid colouring.
     """
     if m < 2:
         raise ValueError("group order must be >= 2")
-    for node in t.internal_nodes():
-        if len(t.children(node)) < 2:
-            raise ValueError(f"unary node {set(node)}")
-
-    index = t._index
-    witness: dict = {}  # node -> {total: its children's sums}
-    for node in _postorder(index, t.root()):
-        if len(node) == 1:
-            witness[node] = dict.fromkeys(range(m))
+    kids = t._kids
+    witness: list = []  # per node: {total: its children's sums}
+    for i, ks in enumerate(kids):
+        if not ks:
+            witness.append(dict.fromkeys(range(m)))
             continue
-        options = tuple(tuple(sorted(witness[kid])) for kid in index.children[node])
-        found = _first_choices(options, m)
+        found = _first_choices(tuple(tuple(sorted(witness[k])) for k in ks), m)
         if not found:
-            return Obstruction(m, node)
-        witness[node] = found
+            return Obstruction(m, t._node(i))
+        witness.append(found)
 
-    leaf_colours: dict = {}
     left_right: dict = {}
-    stack = [(t.root(), min(witness[t.root()]))]
-    while stack:
-        node, target = stack.pop()
-        if len(node) == 1:
-            (leaf,) = node
-            leaf_colours[leaf] = target
-            continue
-        kids = index.children[node]
-        choice = witness[node][target]
-        counts: dict = {}
-        for s in choice:
-            counts[s] = counts.get(s, 0) + 1
-        unique_kids = [
-            (s, kid) for s, kid in zip(choice, kids) if counts[s] == 1
-        ]
-        unique_kids.sort(key=lambda pair: pair[0])
-        left_right[node] = (unique_kids[0][1], unique_kids[1][1])
-        stack.extend(zip(kids, choice))
+    target = [0] * len(kids)  # each node's total, handed down from its parent
+    target[-1] = min(witness[-1])
+    for i in reversed(t._internal):  # larger nodes, so parents, first
+        choice = witness[i][target[i]]
+        counts = Counter(choice)
+        unique = sorted((s, k) for s, k in zip(choice, kids[i]) if counts[s] == 1)
+        left_right[i] = (unique[0][1], unique[1][1])
+        for k, s in zip(kids[i], choice):
+            target[k] = s
 
-    order = _leaf_list_order(index)
+    node = t._node
     return Orientation(
         m,
-        tuple(sorted(leaf_colours.items())),
-        tuple(
-            (node, lr[0], lr[1])
-            for node, lr in sorted(left_right.items(), key=lambda kv: order[kv[0]])
-        ),
+        tuple((leaf, target[t._ids[1 << b]]) for b, leaf in enumerate(t._order)),
+        tuple((node(i), node(l), node(r)) for i, (l, r)
+              in sorted(left_right.items(), key=lambda kv: _leaf_list_key(t.masks[kv[0]]))),
     )
 
 
 def orientation_is_valid(t: LaminarTree, o: Orientation) -> bool:
     """Post-hoc check: recompute sums and the uniqueness condition.  Each
-    node is summed once, smallest first: its own leaves' colours plus its
+    node is summed once, children first: a leaf's colour, or its
     children's sums."""
-    index = t._index
     colours = dict(o.leaf_colours)
-    total = dict.fromkeys(index.by_size, 0)
-    for leaf, node in index.owner.items():
-        total[node] += colours[leaf]
-    for node in index.by_size:
-        if index.parent[node] is not None:
-            total[index.parent[node]] += total[node]
-    for node in index.internal:
-        sums = [(total[kid] % o.modulus, kid) for kid in index.children[node]]
+    total: list = []
+    for i, (m, kids) in enumerate(zip(t.masks, t._kids)):
+        if not kids:
+            total.append(colours[t._order[m.bit_length() - 1]])
+            continue
+        total.append(sum(total[k] for k in kids))
+        sums = [(total[k] % o.modulus, k) for k in kids]
         counts = Counter(s for s, _ in sums)
-        unique = sorted((s, kid) for s, kid in sums if counts[s] == 1)
+        unique = sorted((s, k) for s, k in sums if counts[s] == 1)
         if len(unique) < 2:
             return False
-        if o.left(node) != unique[0][1] or o.right(node) != unique[1][1]:
+        node = t._node(i)
+        if o.left(node) != t._node(unique[0][1]) or o.right(node) != t._node(unique[1][1]):
             return False
     return True
 
@@ -505,7 +505,11 @@ def chosen_leaf(t: LaminarTree, o: Orientation, node: frozenset):
     """Left child, then right children down to a leaf."""
     if len(node) == 1:
         raise ValueError("chosen_leaf needs a non-leaf node")
-    current = o.left(node)
+    try:
+        current = o.left(node)
+    except KeyError:
+        t._id(node)  # a set that is no node of t is a ValueError naming it
+        raise
     while len(current) > 1:
         current = o.right(current)
     (leaf,) = current
@@ -519,49 +523,64 @@ class PartiallyOrderedTree:
     orders: tuple  # tuple of (node, tuple of children in order), ordered nodes
 
     def __post_init__(self):
-        kinds = dict(self.kinds)
-        orders = dict(self.orders)
-        for node in self.tree.internal_nodes():
-            if node not in kinds:
+        self._by_id  # checks the kinds and orders
+
+    @cached_property
+    def _by_id(self) -> tuple:
+        """Each node's kind and child order, in two lists by node id, None
+        where it has none; each fault in the given kinds and orders is a
+        ``ValueError`` naming its node."""
+        t = self.tree
+        kinds, orders = [None] * len(t.masks), [None] * len(t.masks)
+        for node, kind in self.kinds:
+            i = t._id(node)
+            if not t._kids[i]:
+                raise ValueError(f"kind for leaf {set(node)}")
+            if kind not in ("ordered", "unordered"):
+                raise ValueError(f"unknown kind {kind!r} for node {set(node)}")
+            kinds[i] = kind
+        for node, order in self.orders:
+            i = t._id(node)
+            if kinds[i] != "ordered":
+                raise ValueError(f"order for node {set(node)}, which is not ordered")
+            orders[i] = order
+        for i in t._internal:
+            node = t._node(i)
+            if kinds[i] is None:
                 raise ValueError(f"missing kind for node {set(node)}")
-            if kinds[node] == "ordered":
-                order = orders.get(node)
-                if order is None or sorted(order, key=lambda x: sorted(x)) != self.tree.children(node):
-                    raise ValueError(f"bad child order at {set(node)}")
+            if kinds[i] == "ordered" and sorted(orders[i] or (), key=sorted) != t.children(node):
+                raise ValueError(f"bad child order at {set(node)}")
+        return kinds, orders
 
     def kind(self, node):
-        return dict(self.kinds)[node]
+        """The kind of an internal node; None for a leaf."""
+        return self._by_id[0][self.tree._id(node)]
 
     def order(self, node):
-        return dict(self.orders)[node]
+        """The child order of an ordered node; None for any other node."""
+        return self._by_id[1][self.tree._id(node)]
 
 
 def document_preorder(pt: PartiallyOrderedTree) -> frozenset:
     """Pairs (x, y) with x <= y: reflexive pairs plus pairs whose least
     common ancestor is ordered with x's child before y's child."""
-    t = pt.tree
-    kinds, orders = dict(pt.kinds), dict(pt.orders)
-    pairs = {(x, x) for x in t.leaves}
-    for node in t._index.internal:
-        if kinds[node] == "ordered":
-            for a, b in combinations(orders[node], 2):
-                pairs.update(product(a, b))
+    pairs = {(x, x) for x in pt.tree.leaves}
+    for order in pt._by_id[1]:
+        for a, b in combinations(order or (), 2):
+            pairs.update(product(a, b))
     return frozenset(pairs)
 
 
 def branching(t: LaminarTree) -> int:
     """Largest k such that the complete binary tree of height k embeds as
-    a leaf-restriction minor; Strahler-style dynamic programming."""
-    index = t._index
-    value: dict = {}
-    for node in _postorder(index, t.root()):
-        if len(node) == 1:
-            value[node] = 0
-            continue
-        kids = [value[kid] for kid in index.children[node]]
-        best = max(kids)
-        value[node] = best + 1 if kids.count(best) >= 2 else best
-    return value[t.root()]
+    a leaf-restriction minor; Strahler-style dynamic programming, children
+    first."""
+    value: list = []
+    for kids in t._kids:
+        below = [value[k] for k in kids]
+        best = max(below, default=0)
+        value.append(best + 1 if below.count(best) >= 2 else best)
+    return value[-1]
 
 
 @dataclass(frozen=True)
@@ -592,28 +611,15 @@ class Block:
 def blocks(p: LinearPreorder, Y: Iterable) -> list:
     """Maximal full intervals, maximal empty intervals, and cut classes."""
     Y = frozenset(Y)
-    statuses = []
-    for cls in p.classes:
-        inter = cls & Y
-        if not inter:
-            statuses.append("empty")
-        elif inter == cls:
-            statuses.append("full")
-        else:
-            statuses.append("cut")
-    out = []
-    i = 0
-    while i < len(statuses):
-        kind = statuses[i]
+    statuses = ("empty" if not cls & Y else "full" if cls <= Y else "cut" for cls in p.classes)
+    out, start = [], 0
+    for kind, run in groupby(statuses):
+        end = start + len(list(run))
         if kind == "cut":
-            out.append(Block("cut", i, i))
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(statuses) and statuses[j + 1] == kind:
-            j += 1
-        out.append(Block(kind, i, j))
-        i = j + 1
+            out.extend(Block("cut", i, i) for i in range(start, end))
+        else:
+            out.append(Block(kind, start, end - 1))
+        start = end
     return out
 
 
@@ -636,64 +642,51 @@ def all_laminar_trees(leaves: Sequence) -> Iterable[LaminarTree]:
     the root's children are the blocks of a set partition, recursively.
     Distinct partitions give distinct root children, so no tree repeats;
     a repeated leaf counts once."""
-    leaves = sorted(set(leaves))
 
-    def trees(items: list) -> Iterable[frozenset]:
+    def walks(items: list) -> Iterable[tuple]:
+        # (leaves, arities) of each tree's post-order walk
         if len(items) == 1:
-            yield frozenset({frozenset(items)})
+            yield items, [0]
             return
         for part in set_partitions(items):
             if len(part) < 2:
                 continue
-            subtree_choices = [list(trees(block)) for block in part]
-            for chosen in product(*subtree_choices):
-                nodes = frozenset({frozenset(items)}).union(*chosen)
-                yield nodes
+            for chosen in product(*[list(walks(block)) for block in part]):
+                yield ([x for names, _ in chosen for x in names],
+                       [k for _, arities in chosen for k in arities] + [len(part)])
 
-    for nodes in trees(list(leaves)):
-        yield LaminarTree(frozenset(leaves), nodes)
+    for names, arities in walks(sorted(set(leaves))):
+        yield tree_from_postorder(names, arities)
 
 
 def all_tree_shapes(n: int) -> Iterable[LaminarTree]:
     """One laminar tree per unlabeled shape with exactly n leaves (no
-    unary nodes); leaves are 0..n-1 assigned left to right."""
+    unary nodes); leaves are 0..n-1 assigned left to right.  A shape is
+    the tuple of its children's (leaf count, shape) pairs in order, the
+    empty tuple for a leaf."""
 
     def shapes(k: int):
-        # multisets of child shapes, each child with >= 1 leaf, >= 2 children
         if k == 1:
-            yield ("leaf",)
+            yield ()
             return
-        def multisets(total, min_key):
-            # partitions of `total` leaves into >= 2 child shapes, each
-            # child shape canonically keyed to avoid duplicates
+        def multisets(total, least):
+            # children with `total` leaves in all, each (size, shape) pair
+            # at least the one before, so each multiset comes once; each
+            # child has at most k - 1 leaves, so there are two or more
             if total == 0:
                 yield ()
                 return
-            # each child has at most k-1 leaves (at least two children)
             for size in range(1, min(total, k - 1) + 1):
                 for child in shapes(size):
-                    key = (size, child)
-                    if key < min_key:
-                        continue
-                    for rest in multisets(total - size, key):
-                        yield ((size, child),) + rest
+                    if (size, child) >= least:
+                        for rest in multisets(total - size, (size, child)):
+                            yield ((size, child),) + rest
 
-        for ms in multisets(k, (0, ())):
-            if len(ms) >= 2:
-                yield ("node", ms)
+        yield from multisets(k, (0, ()))
 
-    def realize(shape, start: int) -> tuple:
-        if shape[0] == "leaf":
-            leaf = frozenset((start,))
-            return {leaf}, start + 1
-        nodes: set = set()
-        pos = start
-        for size, child in shape[1]:
-            sub, pos = realize(child, pos)
-            nodes |= sub
-        nodes.add(frozenset(range(start, pos)))
-        return nodes, pos
+    def arities(shape) -> list:
+        # the post-order walk's child counts; its leaves come left to right
+        return [k for _, child in shape for k in arities(child)] + [len(shape)]
 
     for shape in shapes(n):
-        nodes, _ = realize(shape, 0)
-        yield LaminarTree(frozenset(range(n)), frozenset(nodes))
+        yield tree_from_postorder(range(n), arities(shape))

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,7 @@ from rankmat.kronecker import SemigroupMatrix
 from rankmat.recovery import synth_oracle
 from rankmat.semigroup import validate
 from rankmat.structures import Structure, Vocabulary
-from rankmat.trees import validate_tree
+from rankmat.trees import LaminarTree, validate_tree
 
 ONE_SGP = "semigroup 1\n0\n"
 Z3_SGP = "semigroup 3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -263,6 +264,36 @@ def test_tree_deeper_than_the_recursion_limit(tmp_path, capsys, depth):
     assert branched["data"] == {"branching": 1}
     assert oriented["status"] == "pass"
     assert len(oriented["data"]["leaf_colours"]) == depth + 1
+
+
+def test_a_parsed_caterpillar_holds_one_mask_per_node():
+    # as frozensets its nodes held 4.5 M leaf entries, about 255 MB
+    text = caterpillar(2999)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = formats.parse_tree(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(t.leaves), len(t.masks)) == (3000, 5999)
+    assert retained < 16 * 2**20
+
+
+def test_tree_validate_and_branching_build_no_node_sets(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "caterpillar.tree"
+    path.write_text(caterpillar(2999) + "\n")
+
+    def no_leaf_sets(self, mask):
+        raise AssertionError("a node's leaf set was built")
+
+    monkeypatch.setattr(LaminarTree, "_leaves_of", no_leaf_sets)
+    codes = [main(["--json", *command, str(path)])
+             for command in (["tree", "validate"], ["tree", "branching"])]
+    assert codes == [0, 0]
+    validated, branched = map(json.loads, capsys.readouterr().out.splitlines())
+    assert validated["data"] == {"leaves": 3000, "nodes": 5999}
+    assert branched["data"] == {"branching": 1}
 
 
 def test_tree_leaf_names_with_non_ascii_digits_stay_strings():

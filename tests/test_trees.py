@@ -35,7 +35,7 @@ from rankmat.trees import (
     ternary_encode,
     validate_tree,
     _first_choices,
-    _leaf_list_order,
+    _leaf_list_key,
 )
 
 
@@ -119,9 +119,10 @@ def test_ternary_encode_star():
 
 
 def test_ternary_encode_rejects_a_missing_singleton():
-    # built directly, so nothing validated it: no child of the root holds 1,
-    # and the pairs through 1 would be missing from the encoding
-    t = LaminarTree(f(0, 1, 2), frozenset({f(0), f(2), f(0, 1, 2)}))
+    # built directly from its fields, so nothing validated it: no child of
+    # the root holds 1, and the pairs through 1 would be missing from the
+    # encoding
+    t = LaminarTree(f(0, 1, 2), (0b001, 0b100, 0b111), (2, 2, None))
     with pytest.raises(ValueError, match=r"^singleton \{1\} missing from the family$"):
         ternary_encode(t)
 
@@ -163,10 +164,9 @@ def test_subforests_matches_bruteforce():
             for k in range(1, len(kids) + 1):
                 for chosen in itertools.combinations(kids, k):
                     expected.add(frozenset().union(*chosen))
-        assert "forests" not in vars(t._index)
         assert subforests(t) == frozenset(expected)
-        # as leaf masks (leaf x is bit x), the set min_boolean_combination looks X up in
-        assert t._index.forests == {sum(1 << x for x in f) for f in expected}
+        # min_boolean_combination tests each of them without listing them
+        assert {min_boolean_combination(t, f) for f in expected} <= {0, 1}
 
 
 def test_interesting_analysis_empty_X():
@@ -235,6 +235,24 @@ def test_tree_kernels_reject_members_that_are_not_leaves(X, named):
             kernel(t, X)
         with pytest.raises(ValueError, match=f"^{named} is not a leaf$"):
             kernel(t, iter(X))
+
+
+def test_min_boolean_combination_on_a_64_leaf_star():
+    # every nonempty subset of a star's leaves is one of its 2^64 - 1
+    # subforests, which no enumeration could list
+    t = star(64)
+    rng = random.Random(3)
+    for _ in range(200):
+        assert min_boolean_combination(t, rng.sample(range(64), rng.randint(1, 63))) == 1
+    assert min_boolean_combination(t, range(64)) == 0
+    # two 32-leaf stars under a root: {0, 32} meets both stars and holds
+    # neither, and so does its complement; a star plus two leaves of the
+    # other is the complement of the other's remaining 30 leaves
+    t = validate_tree([f(x) for x in range(64)]
+                      + [f(*range(32)), f(*range(32, 64)), f(*range(64))])
+    assert min_boolean_combination(t, {0, 32}) == Overflow()
+    assert min_boolean_combination(t, set(range(34))) == 1
+    assert min_boolean_combination(t, range(32, 64)) == 1
 
 
 def test_group_orientation_single_leaf():
@@ -334,6 +352,42 @@ def test_document_preorder_mixed():
         assert (x, x) in rel and (y, y) in rel
 
 
+@pytest.mark.parametrize("kinds, orders, message", [
+    ([(f(0, 1, 2), "banana")], [], "unknown kind 'banana' for node {0, 1, 2}"),
+    ([(f(0, 1, 2), "unordered"), (f(4, 5), "ordered")], [], "{4, 5} is not a node of the tree"),
+    ([(f(0, 1, 2), "unordered"), (f(1), "ordered")], [], "kind for leaf {1}"),
+    ([(f(0, 1, 2), "unordered")], [(f(0, 1, 2), (f(0), f(1), f(2)))],
+     "order for node {0, 1, 2}, which is not ordered"),
+    ([], [], "missing kind for node {0, 1, 2}"),
+    ([(f(0, 1, 2), "ordered")], [(f(0, 1, 2), (f(0), f(1)))], "bad child order at {0, 1, 2}"),
+])
+def test_partially_ordered_tree_names_the_node_of_a_bad_kind_or_order(kinds, orders, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PartiallyOrderedTree(star(3), tuple(kinds), tuple(orders))
+
+
+def test_partially_ordered_tree_lookups():
+    t = cherry_tree()
+    pt = PartiallyOrderedTree(t, ((t.root(), "ordered"), (f(0, 1), "unordered")),
+                              ((t.root(), (f(2), f(0, 1))),))
+    assert pt.kind(t.root()) == "ordered" and pt.kind(f(0, 1)) == "unordered"
+    assert pt.order(t.root()) == (f(2), f(0, 1)) and pt.order(f(0, 1)) is None
+    assert pt.kind(f(2)) is None
+    with pytest.raises(ValueError, match=r"^\{1, 2\} is not a node of the tree$"):
+        pt.kind(f(1, 2))
+
+
+@pytest.mark.parametrize("node", [f(1, 2), f(0, 7)])
+def test_children_and_chosen_leaf_name_a_set_that_is_no_node(node):
+    t = cherry_tree()
+    o = group_orientation(t, 4)
+    message = f"^{re.escape(str(set(node)))} is not a node of the tree$"
+    with pytest.raises(ValueError, match=message):
+        t.children(node)
+    with pytest.raises(ValueError, match=message):
+        chosen_leaf(t, o, node)
+
+
 def restrict_tree(t, kept):
     """Leaf-restriction minor: intersect nodes with the kept leaves and
     drop empties and duplicates."""
@@ -341,7 +395,7 @@ def restrict_tree(t, kept):
     if not kept:
         return None
     family = {node & kept for node in t.nodes} - {frozenset()}
-    return LaminarTree(kept, frozenset(family))
+    return validate_tree(family, kept)
 
 
 def has_complete_binary_minor(t, k):
@@ -420,7 +474,8 @@ def test_all_laminar_trees_counts():
 
 
 # ---------------------------------------------------------------------------
-# the tree index and the chain DP against their brute-force definitions
+# the tree's masks, parent links and lookups, and the chain DP, against
+# their brute-force definitions
 
 
 @st.composite
@@ -459,13 +514,26 @@ def brute_least_node_containing(t, xs):
     return min([node for node in t.nodes if set(xs) <= node], key=len)
 
 
+def node_of(t, mask):
+    return frozenset(x for i, x in enumerate(sorted(t.leaves)) if mask >> i & 1)
+
+
 def assert_index_matches_bruteforce(t):
     internal = sorted((x for x in t.nodes if len(x) > 1), key=lambda x: (len(x), sorted(x)))
     assert t.internal_nodes() == internal
     for node in t.nodes:
         assert t.children(node) == brute_children(t, node)
-        assert t._index.parent[node] == brute_parent(t, node)
-    # callers get copies, so changing one leaves the index as it was
+    # one mask and one parent link per node, in post-order: each node after
+    # its children, siblings by their least leaves
+    nodes = [node_of(t, m) for m in t.masks]
+    assert len(set(nodes)) == len(nodes) and set(nodes) == t.nodes
+    assert len(t.parents) == len(nodes)
+    for i, (node, p) in enumerate(zip(nodes, t.parents)):
+        assert (None if p is None else nodes[p]) == brute_parent(t, node)
+        assert p is None or i < p
+    leaf_order = [min(node) for node in nodes if len(node) == 1]
+    assert leaf_order == [x for x in dfs_leaves(t, t.root())]
+    # callers get copies, so changing one leaves the tree as it was
     t.children(t.root()).clear()
     t.internal_nodes().clear()
     assert t.children(t.root()) == brute_children(t, t.root())
@@ -484,13 +552,23 @@ def test_tree_index_matches_bruteforce_random_trees(t):
     assert_index_matches_bruteforce(t)
 
 
-def test_tree_index_leaves_eq_hash_repr():
-    t = two_star_tree()  # validate_tree has built its index
-    other = LaminarTree(t.leaves, t.nodes)
+def dfs_leaves(t, node):
+    """The leaves in the order a recursion over the brute-force children
+    meets them."""
+    if len(node) == 1:
+        return sorted(node)
+    return [x for kid in brute_children(t, node) for x in dfs_leaves(t, kid)]
+
+
+def test_tree_lookups_leave_eq_hash_repr():
+    t = two_star_tree()
+    other = LaminarTree(t.leaves, t.masks, t.parents)  # from the fields alone
     before = (hash(t), repr(t))
-    assert t.children(t.root()) == [f(0, 1, 2), f(3, 4, 5)]
+    assert t.children(t.root()) == [f(0, 1, 2), f(3, 4, 5)]  # builds the lookups
     assert (hash(t), repr(t)) == before == (hash(other), repr(other))
-    assert t == other and "_index" in vars(t) and "_index" not in vars(other)
+    assert t == other and "_kids" in vars(t) and "_kids" not in vars(other)
+    # parents follow from the masks, so they take no part in ==
+    assert t == LaminarTree(t.leaves, t.masks, (None,) * len(t.masks))
 
 
 def reference_ell(interesting):
@@ -612,9 +690,10 @@ def test_validate_accepts_exactly_the_laminar_families(t, data):
         validate_tree(family)
     a, b = named_crossing(str(raised.value))
     assert (a, b) in reference_crossings([a, b]) and {a, b} <= nodes
-    # built directly, the same family raises on its first index use
+    # a LaminarTree's fields cannot hold a crossing family: only a family
+    # given to validate_tree is checked, in any order
     with pytest.raises(ValueError, match="^crossing nodes "):
-        LaminarTree(t.leaves, nodes).children(t.root())
+        validate_tree(reversed(family))
 
 
 def test_validate_names_a_crossing_pair_among_nested_nodes():
@@ -695,6 +774,23 @@ def test_min_boolean_combination_matches_signature_reference_on_6_leaves():
             assert got == reference_min_boolean_combination(t, X, 1)
             seen.add(got)
     assert seen == {0, 1, Overflow()}
+
+
+@settings(deadline=None)
+@given(random_trees(), st.data())
+def test_min_boolean_combination_matches_subforests(t, data):
+    forests = subforests(t)
+    if data.draw(st.booleans()):
+        X = data.draw(st.sampled_from(sorted(forests, key=sorted)))
+    else:
+        X = frozenset(data.draw(st.sets(st.sampled_from(sorted(t.leaves)))))
+    if X in (frozenset(), t.root()):
+        expected = 0
+    elif X in forests or t.root() - X in forests:
+        expected = 1
+    else:
+        expected = Overflow()
+    assert min_boolean_combination(t, X) == expected
 
 
 def reference_first_choices(options, m):
@@ -880,13 +976,20 @@ def caterpillars_and_seeded_trees():
         yield seeded_tree(rng, rng.randint(1, 30))
 
 
-def test_leaf_list_order_sorts_as_the_sorted_leaf_lists():
+def test_leaf_list_key_sorts_as_the_sorted_leaf_lists():
     # a shuffled caterpillar's nodes share their least leaf in long runs,
     # some of them prefixes of a larger node and some not
     for t in caterpillars_and_seeded_trees():
-        nodes = t.internal_nodes()
-        order = _leaf_list_order(t._index)
-        assert sorted(nodes, key=order.__getitem__) == sorted(nodes, key=sorted)
+        by_key = [node_of(t, m) for m in sorted(t.masks, key=_leaf_list_key)]
+        assert by_key == sorted(t.nodes, key=sorted)
+
+
+@given(st.lists(st.integers(1, 2**12 - 1), min_size=2))
+def test_leaf_list_key_sorts_any_masks_as_their_bit_lists(masks):
+    def bits(m):
+        return [i for i in range(m.bit_length()) if m >> i & 1]
+
+    assert sorted(masks, key=_leaf_list_key) == sorted(masks, key=bits)
 
 
 def test_group_orientation_lists_nodes_by_their_sorted_leaves():
