@@ -313,32 +313,10 @@ def _ordered_counter(k: int) -> tuple:
 _EMPTY, _FULL, _CUT = range(3)
 
 
-def _cut_and_block_counts(class_masks: Sequence[int], bits: int) -> tuple:
-    """The number of cut classes of the set with the given bitmask, and its
-    number of blocks as trees.blocks counts them: a block is a cut class or
-    the start of a run of full or of empty classes."""
-    cuts = count = 0
-    previous = _CUT
-    for cmask in class_masks:
-        inter = bits & cmask
-        if not inter:
-            kind = _EMPTY
-        elif inter == cmask:
-            kind = _FULL
-        else:
-            cuts += 1
-            count += 1
-            previous = _CUT
-            continue
-        if kind != previous:
-            count += 1
-            previous = kind
-    return cuts, count
-
-
 def _blocks_up_to(class_masks: Sequence[int], bits: int, cap: int) -> int:
-    """The number of blocks of the set with the given bitmask, counted as
-    ``_cut_and_block_counts`` counts them, but no further than cap."""
+    """The number of blocks of the set with the given bitmask, as
+    trees.blocks counts them, but no further than cap: a block is a cut
+    class or the start of a run of full or of empty classes."""
     count = 0
     previous = _CUT
     for cmask in class_masks:
@@ -533,7 +511,7 @@ def _good_seeds(oracle, Y0: int, special: tuple) -> list:
             Y = base | pattern
             if oracle.phi_mask(Y):
                 message = f"maximality violated: a good seed cuts class {i}"
-                if _cut_and_block_counts(masks, Y)[0] >= oracle.k:
+                if sum(0 != Y & m != m for m in masks) >= oracle.k:
                     message += f"; soundness fails on {_members(oracle.sorted_universe, Y)}"
                 raise RecoveryError(message)
     family = []

@@ -48,7 +48,6 @@ __all__ = [
 
 TERNARY = Vocabulary((("T", 3),))
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
-_SWAPPED = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -349,33 +348,15 @@ def min_boolean_combination(t: LaminarTree, X: Iterable, limit: int = 1):
 class Orientation:
     modulus: int
     leaf_colours: tuple  # tuple of (leaf, colour)
-    left_right: tuple  # tuple of (node, left child, right child)
-
-    @cached_property
-    def _children(self) -> dict:
-        # node -> (left, right), kept in the instance __dict__ outside the
-        # fields, as LaminarTree's lookups are
-        return {node: (l, r) for node, l, r in self.left_right}
-
-    def left(self, node):
-        return self._children[node][0]
-
-    def right(self, node):
-        return self._children[node][1]
+    # per node id of the tree, in its post-order: (left child id, right
+    # child id) at an internal node, None at a leaf
+    left_right: tuple
 
 
 @dataclass(frozen=True)
 class Obstruction:
     modulus: int
     node: frozenset
-
-
-def _leaf_list_key(mask: int) -> str:
-    """A key ordering masks as their sorted leaf lists: the binary digits,
-    lowest first, 0 and 1 swapped.  Where two masks first differ, the one
-    holding that leaf comes first, unless the other, holding no later
-    leaf, is a prefix of it; then so is its key."""
-    return bin(mask)[:1:-1].translate(_SWAPPED)
 
 
 @lru_cache(maxsize=1024)
@@ -459,7 +440,7 @@ def group_orientation(t: LaminarTree, m: int = 4):
             return Obstruction(m, t._node(i))
         witness.append(found)
 
-    left_right: dict = {}
+    left_right: list = [None] * len(kids)
     target = [0] * len(kids)  # each node's total, handed down from its parent
     target[-1] = min(witness[-1])
     for i in reversed(t._internal):  # larger nodes, so parents, first
@@ -470,12 +451,10 @@ def group_orientation(t: LaminarTree, m: int = 4):
         for k, s in zip(kids[i], choice):
             target[k] = s
 
-    node = t._node
     return Orientation(
         m,
         tuple((leaf, target[t._ids[1 << b]]) for b, leaf in enumerate(t._order)),
-        tuple((node(i), node(l), node(r)) for i, (l, r)
-              in sorted(left_right.items(), key=lambda kv: _leaf_list_key(t.masks[kv[0]]))),
+        tuple(left_right),
     )
 
 
@@ -493,27 +472,21 @@ def orientation_is_valid(t: LaminarTree, o: Orientation) -> bool:
         sums = [(total[k] % o.modulus, k) for k in kids]
         counts = Counter(s for s, _ in sums)
         unique = sorted((s, k) for s, k in sums if counts[s] == 1)
-        if len(unique) < 2:
-            return False
-        node = t._node(i)
-        if o.left(node) != t._node(unique[0][1]) or o.right(node) != t._node(unique[1][1]):
+        if len(unique) < 2 or o.left_right[i] != (unique[0][1], unique[1][1]):
             return False
     return True
 
 
 def chosen_leaf(t: LaminarTree, o: Orientation, node: frozenset):
     """Left child, then right children down to a leaf."""
-    if len(node) == 1:
+    left_right = o.left_right
+    i = t._id(node)  # a set that is no node of t is a ValueError naming it
+    if left_right[i] is None:
         raise ValueError("chosen_leaf needs a non-leaf node")
-    try:
-        current = o.left(node)
-    except KeyError:
-        t._id(node)  # a set that is no node of t is a ValueError naming it
-        raise
-    while len(current) > 1:
-        current = o.right(current)
-    (leaf,) = current
-    return leaf
+    current = left_right[i][0]
+    while left_right[current] is not None:
+        current = left_right[current][1]
+    return t._order[t.masks[current].bit_length() - 1]
 
 
 @dataclass(frozen=True)

@@ -289,11 +289,12 @@ def test_tree_validate_and_branching_build_no_node_sets(tmp_path, capsys, monkey
 
     monkeypatch.setattr(LaminarTree, "_leaves_of", no_leaf_sets)
     codes = [main(["--json", *command, str(path)])
-             for command in (["tree", "validate"], ["tree", "branching"])]
-    assert codes == [0, 0]
-    validated, branched = map(json.loads, capsys.readouterr().out.splitlines())
+             for command in (["tree", "validate"], ["tree", "branching"], ["orient"])]
+    assert codes == [0, 0, 0]
+    validated, branched, oriented = map(json.loads, capsys.readouterr().out.splitlines())
     assert validated["data"] == {"leaves": 3000, "nodes": 5999}
     assert branched["data"] == {"branching": 1}
+    assert len(oriented["data"]["leaf_colours"]) == 3000
 
 
 def test_tree_leaf_names_with_non_ascii_digits_stay_strings():

@@ -21,7 +21,6 @@ from rankmat.recovery import (
     RecoveryError,
     UnorderedOracle,
     _blocks_up_to,
-    _cut_and_block_counts,
     _drawn_masks,
     _good_seeds,
     _maximal_candidates,
@@ -295,22 +294,25 @@ def test_bitmask_counts_match_blocks(data):
     universe = sorted(o.universe())
     bits = data.draw(st.integers(0, (1 << len(universe)) - 1))
     Y = frozenset(x for i, x in enumerate(universe) if bits >> i & 1)
-    cuts, count = _cut_and_block_counts(o.class_masks, bits)
-    assert count == len(blocks(LinearPreorder(o.classes), Y))
-    assert cuts == sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls))
+    count = len(blocks(LinearPreorder(o.classes), Y))
+    assert _blocks_up_to(o.class_masks, bits, len(o.classes) + 1) == count
+    assert (sum(0 != bits & m != m for m in o.class_masks)
+            == sum(1 for cls in o.classes if 0 < len(Y & cls) < len(cls)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_block_count_up_to_the_cap_classifies_as_the_full_count(data):
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
-    class_masks, start = [], 0
+    class_masks, classes, start = [], [], 0
     for size in sizes:
         class_masks.append(((1 << size) - 1) << start)
+        classes.append(range(start, start + size))
         start += size
+    preorder = LinearPreorder.make(classes)
     k = data.draw(st.integers(1, 10))
     for bits in data.draw(st.lists(st.integers(0, (1 << start) - 1), min_size=1, max_size=64)):
-        count = _cut_and_block_counts(class_masks, bits)[1]
+        count = len(blocks(preorder, {i for i in range(start) if bits >> i & 1}))
         capped = _blocks_up_to(class_masks, bits, k + 3)
         assert capped == min(count, k + 3)
         assert (capped <= 1, capped >= k + 3) == (count <= 1, count >= k + 3)

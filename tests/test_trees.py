@@ -35,7 +35,6 @@ from rankmat.trees import (
     ternary_encode,
     validate_tree,
     _first_choices,
-    _leaf_list_key,
 )
 
 
@@ -259,7 +258,7 @@ def test_group_orientation_single_leaf():
     t = validate_tree([f(0)])
     o = group_orientation(t, 4)
     assert isinstance(o, Orientation)
-    assert o.left_right == ()
+    assert o.left_right == (None,)
 
 
 def test_group_orientation_two_leaves_mod3():
@@ -304,7 +303,7 @@ def test_chosen_leaf_simple():
     t = star(2)
     o = group_orientation(t, 4)
     leaf = chosen_leaf(t, o, t.root())
-    assert o.left(t.root()) == f(leaf)
+    assert t._node(o.left_right[-1][0]) == f(leaf)
 
 
 def test_chosen_leaf_injective():
@@ -377,7 +376,7 @@ def test_partially_ordered_tree_lookups():
         pt.kind(f(1, 2))
 
 
-@pytest.mark.parametrize("node", [f(1, 2), f(0, 7)])
+@pytest.mark.parametrize("node", [f(1, 2), f(0, 7), f(7)])
 def test_children_and_chosen_leaf_name_a_set_that_is_no_node(node):
     t = cherry_tree()
     o = group_orientation(t, 4)
@@ -924,13 +923,24 @@ def reference_group_orientation(t, m):
     )
 
 
+def as_leaf_sets(t, o):
+    """An orientation as the reference builds it: one (node, left child,
+    right child) of leaf sets per internal node, by sorted leaves."""
+    if isinstance(o, Obstruction):
+        return o
+    node = t._node
+    return Orientation(o.modulus, o.leaf_colours, tuple(sorted(
+        ((node(i), node(lr[0]), node(lr[1])) for i, lr in enumerate(o.left_right) if lr),
+        key=lambda e: sorted(e[0]))))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_group_orientation_matches_product_reference_on_shapes(m):
     obstructed = 0
     for n in range(1, 10):
         for t in all_tree_shapes(n):
             got = group_orientation(t, m)
-            assert repr(got) == repr(reference_group_orientation(t, m)), (n, m)
+            assert repr(as_leaf_sets(t, got)) == repr(reference_group_orientation(t, m)), (n, m)
             obstructed += isinstance(got, Obstruction)
     # both outcomes occur: m = 2 and 3 obstruct some shapes, m = 4 none
     assert (obstructed > 0) == (m < 4)
@@ -941,7 +951,77 @@ def test_group_orientation_matches_product_reference_on_shapes(m):
 def test_group_orientation_matches_product_reference_on_labeled_trees(t, m):
     # leaves relabeled at random, so the children's index order is not the
     # shapes' left-to-right order
-    assert repr(group_orientation(t, m)) == repr(reference_group_orientation(t, m))
+    got = as_leaf_sets(t, group_orientation(t, m))
+    assert repr(got) == repr(reference_group_orientation(t, m))
+
+
+def test_group_orientation_on_a_wide_star_is_polynomial():
+    # the product has 3^24 choices; the pruned search has a few hundred states
+    o = group_orientation(star(24), 3)
+    assert isinstance(o, Orientation) and orientation_is_valid(star(24), o)
+    assert [c for _, c in o.leaf_colours] == [0] * 22 + [1, 2]
+
+
+def reference_left(t, o, node):
+    """A node's left child as its leaves, looked up by the node's id."""
+    return t._node(o.left_right[t._id(node)][0])
+
+
+def reference_right(t, o, node):
+    return t._node(o.left_right[t._id(node)][1])
+
+
+def reference_orientation_is_valid(t, o):
+    """The check before it summed each node once: every child's sum
+    re-adds its leaves, and every lookup scans left_right."""
+    colours = dict(o.leaf_colours)
+
+    def node_sum(node):
+        return sum(colours[leaf] for leaf in node) % o.modulus
+
+    for node in t.internal_nodes():
+        kids = t.children(node)
+        sums = [node_sum(k) for k in kids]
+        unique = [k for k, s in zip(kids, sums) if sums.count(s) == 1]
+        if len(unique) < 2:
+            return False
+        ordered = sorted(unique, key=node_sum)
+        if reference_left(t, o, node) != ordered[0] or reference_right(t, o, node) != ordered[1]:
+            return False
+    return True
+
+
+def reference_chosen_leaf(t, o, node):
+    current = reference_left(t, o, node)
+    while len(current) > 1:
+        current = reference_right(t, o, current)
+    (leaf,) = current
+    return leaf
+
+
+def swapped(o, i):
+    """o with node i's left and right children exchanged."""
+    return Orientation(o.modulus, o.leaf_colours, tuple(
+        lr[::-1] if j == i else lr for j, lr in enumerate(o.left_right)))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_orientation_lookups_match_the_scanning_reference(m):
+    checked = 0
+    for n in range(1, 9):
+        for t in all_tree_shapes(n):
+            o = group_orientation(t, m)
+            if not isinstance(o, Orientation):
+                continue
+            assert orientation_is_valid(t, o) is reference_orientation_is_valid(t, o) is True
+            for leaf in t.leaves:
+                assert o.left_right[t._id(f(leaf))] is None
+            for node in t.internal_nodes():
+                assert chosen_leaf(t, o, node) == reference_chosen_leaf(t, o, node)
+                bad = swapped(o, t._id(node))
+                assert orientation_is_valid(t, bad) is reference_orientation_is_valid(t, bad) is False
+                checked += 1
+    assert checked > 100
 
 
 def seeded_tree(rng, n):
@@ -976,108 +1056,43 @@ def caterpillars_and_seeded_trees():
         yield seeded_tree(rng, rng.randint(1, 30))
 
 
-def test_leaf_list_key_sorts_as_the_sorted_leaf_lists():
-    # a shuffled caterpillar's nodes share their least leaf in long runs,
-    # some of them prefixes of a larger node and some not
-    for t in caterpillars_and_seeded_trees():
-        by_key = [node_of(t, m) for m in sorted(t.masks, key=_leaf_list_key)]
-        assert by_key == sorted(t.nodes, key=sorted)
-
-
-@given(st.lists(st.integers(1, 2**12 - 1), min_size=2))
-def test_leaf_list_key_sorts_any_masks_as_their_bit_lists(masks):
-    def bits(m):
-        return [i for i in range(m.bit_length()) if m >> i & 1]
-
-    assert sorted(masks, key=_leaf_list_key) == sorted(masks, key=bits)
-
-
-def test_group_orientation_lists_nodes_by_their_sorted_leaves():
+def test_group_orientation_lists_two_child_ids_per_internal_node_id():
+    # deep caterpillars, with leaves shuffled so that child ids do not
+    # follow leaf order, and wider seeded trees
     oriented = 0
     for t in caterpillars_and_seeded_trees():
         o = group_orientation(t, 4)
-        if isinstance(o, Orientation):
-            assert o.left_right == tuple(sorted(o.left_right, key=lambda e: sorted(e[0])))
-            oriented += 1
-    assert oriented > 200
+        assert isinstance(o, Orientation)
+        assert len(o.left_right) == len(t.masks)
+        for i, (mask, lr) in enumerate(zip(t.masks, o.left_right)):
+            if mask & (mask - 1) == 0:
+                assert lr is None
+            else:
+                left, right = lr
+                assert left != right and t.parents[left] == t.parents[right] == i
+        assert orientation_is_valid(t, o)
+        oriented += 1
+    assert oriented == 221
 
 
-def test_group_orientation_on_a_wide_star_is_polynomial():
-    # the product has 3^24 choices; the pruned search has a few hundred states
-    o = group_orientation(star(24), 3)
-    assert isinstance(o, Orientation) and orientation_is_valid(star(24), o)
-    assert [c for _, c in o.leaf_colours] == [0] * 22 + [1, 2]
-
-
-def reference_left(o, node):
-    """Orientation.left before its node map: a scan of left_right."""
-    for n, left, _ in o.left_right:
-        if n == node:
-            return left
-    raise KeyError(node)
-
-
-def reference_right(o, node):
-    for n, _, right in o.left_right:
-        if n == node:
-            return right
-    raise KeyError(node)
-
-
-def reference_orientation_is_valid(t, o):
-    """The check before it summed each node once: every child's sum
-    re-adds its leaves, and every lookup scans left_right."""
-    colours = dict(o.leaf_colours)
-
-    def node_sum(node):
-        return sum(colours[leaf] for leaf in node) % o.modulus
-
-    for node in t.internal_nodes():
-        kids = t.children(node)
-        sums = [node_sum(k) for k in kids]
-        unique = [k for k, s in zip(kids, sums) if sums.count(s) == 1]
-        if len(unique) < 2:
-            return False
-        ordered = sorted(unique, key=node_sum)
-        if reference_left(o, node) != ordered[0] or reference_right(o, node) != ordered[1]:
-            return False
-    return True
-
-
-def reference_chosen_leaf(o, node):
-    current = reference_left(o, node)
-    while len(current) > 1:
-        current = reference_right(o, current)
-    (leaf,) = current
-    return leaf
-
-
-def swapped(o, node):
-    """o with node's left and right children exchanged."""
-    return Orientation(o.modulus, o.leaf_colours, tuple(
-        (n, r, l) if n == node else (n, l, r) for n, l, r in o.left_right))
-
-
-@pytest.mark.parametrize("m", [3, 4])
-def test_orientation_lookups_match_the_scanning_reference(m):
+def test_chosen_leaf_matches_a_walk_over_leaf_sets_on_large_trees():
+    # the walk runs on the orientation mapped back to leaf sets, as a
+    # (node, left, right) table keyed by frozenset nodes
     checked = 0
-    for n in range(1, 9):
-        for t in all_tree_shapes(n):
-            o = group_orientation(t, m)
-            if not isinstance(o, Orientation):
-                continue
-            assert orientation_is_valid(t, o) is reference_orientation_is_valid(t, o) is True
-            for leaf in t.leaves:
-                with pytest.raises(KeyError):
-                    o.left(f(leaf))
-            for node in t.internal_nodes():
-                assert o.left(node) == reference_left(o, node)
-                assert o.right(node) == reference_right(o, node)
-                assert chosen_leaf(t, o, node) == reference_chosen_leaf(o, node)
-                bad = swapped(o, node)
-                assert orientation_is_valid(t, bad) is reference_orientation_is_valid(t, bad) is False
-                checked += 1
-    assert checked > 100
+    for t in caterpillars_and_seeded_trees():
+        o = group_orientation(t, 4)
+        children = {node: (left, right) for node, left, right in as_leaf_sets(t, o).left_right}
+        chosen = []
+        for node in t.internal_nodes():
+            current = children[node][0]
+            while len(current) > 1:
+                current = children[current][1]
+            (leaf,) = current
+            assert chosen_leaf(t, o, node) == leaf
+            chosen.append(leaf)
+            checked += 1
+        assert len(set(chosen)) == len(chosen)
+    assert checked > 1000
 
 
 def reference_ternary_decode(s):
