@@ -42,6 +42,11 @@ class SemigroupMatrix:
     def __post_init__(self):
         width = len(self.entries[0]) if self.entries else 0
         size = self.semigroup.size if self.semigroup is not None else None
+        # one pass of C-level checks; the scan below only names the first
+        # bad entry
+        if set(map(len, self.entries)) <= {width} and (
+                size is None or set().union(*self.entries) <= set(range(size))):
+            return
         for row in self.entries:
             if len(row) != width:
                 raise ValueError("column count mismatch")

@@ -4,7 +4,7 @@ identity suites."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -47,12 +47,6 @@ class FiniteSemigroup:
             result = self.table[result][x]
         return result
 
-    def power(self, a: int, n: int) -> int:
-        result = a
-        for _ in range(n - 1):
-            result = self.table[result][a]
-        return result
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -92,7 +86,7 @@ def validate(table: Sequence[Sequence[int]], unit: Optional[int] = None) -> Fini
 
 
 def idempotents(S: FiniteSemigroup) -> frozenset:
-    return frozenset(e for e in S.elements() if S.mult(e, e) == e)
+    return frozenset(e for e, row in enumerate(S.table) if row[e] == e)
 
 
 class OmegaBoundExceeded(ValueError):
@@ -100,26 +94,33 @@ class OmegaBoundExceeded(ValueError):
     every element."""
 
 
-def omega(S: FiniteSemigroup) -> int:
-    n = 1
-    while True:
-        if all(S.mult(S.power(s, n), S.power(s, n)) == S.power(s, n) for s in S.elements()):
-            return n
+def _omega_powers(S: FiniteSemigroup) -> tuple:
+    """omega and the list of omega powers s^omega, one per element s."""
+    t = S.table
+    n, powers = 1, list(range(S.size))  # powers[s] = s^n
+    while not all(t[x][x] == x for x in powers):
         n += 1
         if n > 2 * S.size * S.size + 2:
             raise OmegaBoundExceeded("omega search exceeded the finite bound")
+        powers = [t[x][s] for s, x in enumerate(powers)]
+    return n, powers
+
+
+def omega(S: FiniteSemigroup) -> int:
+    return _omega_powers(S)[0]
 
 
 def _closure(S: FiniteSemigroup, generators: Iterable[int]) -> frozenset:
     """The subsemigroup generated by the generators: each round multiplies
     the elements found so far with the last round's new ones, both ways."""
+    t = S.table
     out = set(generators)
     frontier = list(out)
     while frontier:
         new = []
         for a in list(out):
             for b in frontier:
-                for x in (S.mult(a, b), S.mult(b, a)):
+                for x in (t[a][b], t[b][a]):
                     if x not in out:
                         out.add(x)
                         new.append(x)
@@ -138,62 +139,58 @@ class GreenData:
     infixes: tuple  # per element b, frozenset {a : a is an infix of b}
 
 
+def _first_seen_ids(keys: Iterable) -> tuple:
+    """Each key's id, ids numbered in the order the keys are first seen."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
+
+
+def _divisors(S: FiniteSemigroup) -> tuple:
+    """Per element b, the frozensets of its prefixes, of its suffixes and
+    of its infixes, b included in each."""
+    t = S.table
+    elems = S.elements()
+    right = [set(row) for row in t]  # right[a]: {a s}
+    left = [set(col) for col in zip(*t)]  # left[a]: {s a}
+    both = [set().union(*map(right.__getitem__, left[a])) for a in elems]  # {x a y}
+    prefixes = tuple(frozenset({b, *(a for a in elems if b in right[a])}) for b in elems)
+    suffixes = tuple(frozenset({b, *(a for a in elems if b in left[a])}) for b in elems)
+    infixes = tuple(prefixes[b] | suffixes[b] | {a for a in elems if b in both[a]}
+                    for b in elems)
+    return prefixes, suffixes, infixes
+
+
 def green(S: FiniteSemigroup) -> GreenData:
-    n = S.size
-    prefixes = []
-    suffixes = []
-    infixes = []
-    for b in range(n):
-        pre = {b} | {a for a in range(n) if any(S.mult(a, s) == b for s in range(n))}
-        suf = {b} | {a for a in range(n) if any(S.mult(s, a) == b for s in range(n))}
-        inf = set(pre) | set(suf) | {
-            a
-            for a in range(n)
-            if any(S.mult(S.mult(x, a), y) == b for x in range(n) for y in range(n))
-        }
-        prefixes.append(frozenset(pre))
-        suffixes.append(frozenset(suf))
-        infixes.append(frozenset(inf))
+    elems = S.elements()
+    divisors = _divisors(S)
 
-    def classes(down: list) -> tuple:
+    def classes(down: tuple) -> tuple:
         # a ~ b iff mutual membership in each other's down-sets
-        ids = {}
-        out = []
-        for x in range(n):
-            key = frozenset(y for y in range(n) if x in down[y] and y in down[x])
-            if key not in ids:
-                ids[key] = len(ids)
-            out.append(ids[key])
-        return tuple(out)
+        return _first_seen_ids(
+            frozenset(y for y in elems if x in down[y] and y in down[x]) for x in elems)
 
-    r_class = classes(prefixes)
-    l_class = classes(suffixes)
-    j_class = classes(infixes)
-    h_ids = {}
-    h_class = []
-    for x in range(n):
-        key = (r_class[x], l_class[x])
-        if key not in h_ids:
-            h_ids[key] = len(h_ids)
-        h_class.append(h_ids[key])
-    return GreenData(
-        r_class, l_class, j_class, tuple(h_class),
-        tuple(prefixes), tuple(suffixes), tuple(infixes),
-    )
+    r_class, l_class, j_class = map(classes, divisors)
+    return GreenData(r_class, l_class, j_class, _first_seen_ids(zip(r_class, l_class)), *divisors)
+
+
+def _swap_witness(S: FiniteSemigroup, letters: Sequence[int]):
+    """The first (e, x, y, f) with e, f idempotent, x, y in the sorted
+    ``letters`` and exyf != eyxf, in the order e, f, x, y; None if none.
+    (x, y) fails exactly when (y, x) does and x = y never does, so the
+    first failure of each (e, f) has x < y, and only those pairs are read."""
+    t = S.table
+    es = sorted(idempotents(S))
+    pairs = list(combinations(letters, 2))
+    rows = {e: [t[v] for v in t[e]] for e in es}  # rows[e][x][y] = exy
+    return next(((e, x, y, f) for e, ex in rows.items() for f in es for x, y in pairs
+                 if t[ex[x][y]][f] != t[ex[y][x]][f]), None)
 
 
 def is_almost_commutative(S: FiniteSemigroup):
-    """exyf = eyxf for all idempotents e, f and all x, y."""
-    es = sorted(idempotents(S))
-    for e in es:
-        for f in es:
-            for x in S.elements():
-                for y in S.elements():
-                    lhs = S.product((e, x, y, f))
-                    rhs = S.product((e, y, x, f))
-                    if lhs != rhs:
-                        return False, (e, x, y, f)
-    return True, None
+    """exyf = eyxf for all idempotents e, f and all x, y; on failure, the
+    first (e, x, y, f) in the order e, f, x, y."""
+    witness = _swap_witness(S, S.elements())
+    return witness is None, witness
 
 
 def _class_counts(S: FiniteSemigroup, cap: int) -> Iterator:
@@ -204,24 +201,31 @@ def _class_counts(S: FiniteSemigroup, cap: int) -> Iterator:
     Layer k holds the distinct prefix states of the words of length k. The
     state of w_1..w_k is the tuple, over contexts (c_0..c_{k-1}) in
     (S + {eps})^k, of the products c_0 w_1 ... c_{k-1} w_k, so the state
-    of w.a is a function of the state of w and of a. Element n stands for
-    the empty product, which only the empty prefix has."""
+    of w.a is a function of the state of w and of a: its entry at the
+    context (c, x) is blocks[a][state[c]][x]. Element n stands for the
+    empty product, which only the empty prefix has.
+
+    Only distinct contexts, the distinct columns of the layer's states, are
+    kept. Two contexts equal on every state of layer k give, by that entry
+    formula, equal contexts (c, x) and (c', x) on every state of layer
+    k + 1; and dropping a column equal to another keeps distinct states
+    distinct. So each layer has as many states as in full, and its states
+    have one entry per distinct context instead of (n+1)^k."""
     n = S.size
     rows = S.table + (tuple(range(n)),)  # row n: the empty product times x
-    # blocks[a][p]: the entries p.c.a for c in S, then p.a (c omitted)
-    blocks = [
-        [tuple(rows[rows[p][c]][a] for c in range(n)) + (rows[p][a],)
-         for p in range(n + 1)]
-        for a in range(n)
-    ]
-    layer = {(n,)}
+    # blocks[a][p]: the entries p.c.a for c in S, then p.a (c omitted), read
+    # off column a at the entries of row p, then at p
+    readers = [itemgetter(*row, p) for p, row in enumerate(rows)]
+    blocks = [[read(col) for read in readers] for col in zip(*rows)]
+    layer = [(n,)]
     while True:
         yield Overflow() if len(layer) > cap else len(layer)
-        layer = {
+        grown = {
             tuple(chain.from_iterable(map(block.__getitem__, state)))
             for state in layer
             for block in blocks
         }
+        layer = list(zip(*dict.fromkeys(zip(*grown))))
 
 
 def syntactic_class_count(S: FiniteSemigroup, k: int, cap: int = 10**6):
@@ -233,8 +237,10 @@ def syntactic_class_count(S: FiniteSemigroup, k: int, cap: int = 10**6):
     prefix state (see ``_class_counts``), and its entries with the last
     context omitted are that state itself, so the count is the number of
     distinct states of length k. They are built letter by letter, keeping
-    only distinct states: layer i costs |layer i-1| * n * (n+1)^i steps,
-    against n^k * (n+1)^(k+1) for walking every context of every word.
+    only distinct states over distinct contexts: layer i costs
+    |layer i-1| * n * (n+1) * c steps, where c <= (n+1)^(i-1) is the number
+    of distinct contexts of layer i-1, against n^k * (n+1)^(k+1) for walking
+    every context of every word.
     Returns ``Overflow()`` exactly when the count exceeds ``cap``; earlier
     layers are built in full whatever their size, since counts need not be
     monotone in k."""
@@ -291,66 +297,44 @@ class IdentityReport:
 
 
 def identity_suite(S: FiniteSemigroup) -> IdentityReport:
+    """Each identity with its first counterexample, in the order of its
+    quantifiers, or None."""
+    t = S.table
+    elems = S.elements()
     es = sorted(idempotents(S))
-    w = omega(S)
-    gdata = green(S)
-    results = []
+    _, pw = _omega_powers(S)
+    infixes = _divisors(S)[2]
+    pairs = [(e, f, t[e][f]) for e in es for f in es]  # (e, f, ef)
+    sandwiches = {e: [t[v][e] for v in t[e]] for e in es}  # sandwiches[e][a] = eae
 
-    def check(name, tuples, test):
-        for t in tuples:
-            if not test(*t):
-                results.append((name, False, t))
-                return
-        results.append((name, True, None))
+    swallowed: dict = {}  # generators -> idempotents of the subsemigroup
 
-    # ef = (ef)^(omega+1)
-    check(
-        "ef_eq_ef_pow_omega_plus_1",
-        product(es, es),
-        lambda e, f: S.mult(e, f) == S.power(S.mult(e, f), w + 1),
-    )
-    # ef = efef
-    check(
-        "ef_eq_efef",
-        product(es, es),
-        lambda e, f: S.mult(e, f) == S.product((e, f, e, f)),
-    )
-    # exf = exef
-    check(
-        "exf_eq_exef",
-        product(es, S.elements(), es),
-        lambda e, x, f: S.product((e, x, f)) == S.product((e, x, e, f)),
-    )
-    # eaf = eaef
-    check(
-        "eaf_eq_eaef",
-        product(es, S.elements(), es),
-        lambda e, a, f: S.product((e, a, f)) == S.product((e, a, e, f)),
-    )
-    # (ab)^! = a^! b^!
-    check(
-        "factorial_homomorphism",
-        product(S.elements(), S.elements()),
-        lambda a, b: S.power(S.mult(a, b), w) == S.mult(S.power(a, w), S.power(b, w)),
-    )
-    # e(ab)e = (eae)(ebe)
-    check(
-        "eae_homomorphism",
-        product(es, S.elements(), S.elements()),
-        lambda e, a, b: S.product((e, S.mult(a, b), e))
-        == S.mult(S.product((e, a, e)), S.product((e, b, e))),
-    )
-    # ef = egf for idempotent g in the subsemigroup generated by the
-    # infixes of e and f
-    def swallow(e, f):
-        gen = _closure(S, gdata.infixes[e] | gdata.infixes[f])
-        for g in sorted(gen):
-            if S.mult(g, g) == g and S.mult(e, f) != S.product((e, g, f)):
-                return False
-        return True
+    def swallows(e, f, ef):
+        # ef = egf for idempotent g in the subsemigroup generated by the
+        # infixes of e and f
+        gens = infixes[e] | infixes[f]
+        if gens not in swallowed:
+            swallowed[gens] = [g for g in _closure(S, gens) if t[g][g] == g]
+        return all(t[t[e][g]][f] == ef for g in swallowed[gens])
 
-    check("swallow_idempotents", product(es, es), swallow)
-    return IdentityReport(tuple(results))
+    # exf = exef, and eaf = eaef is the same identity
+    exf = next(((e, x, f) for e in es for x, ex in enumerate(t[e]) for f in es
+                if t[ex][f] != t[t[ex][e]][f]), None)
+    witnesses = (
+        ("ef_eq_ef_pow_omega_plus_1",  # ef = (ef)^(omega+1)
+         next(((e, f) for e, f, ef in pairs if ef != t[pw[ef]][ef]), None)),
+        ("ef_eq_efef", next(((e, f) for e, f, ef in pairs if ef != t[t[ef][e]][f]), None)),
+        ("exf_eq_exef", exf),
+        ("eaf_eq_eaef", exf),
+        ("factorial_homomorphism",  # (ab)^! = a^! b^!
+         next(((a, b) for a in elems for b in elems if pw[t[a][b]] != t[pw[a]][pw[b]]), None)),
+        ("eae_homomorphism",  # e(ab)e = (eae)(ebe)
+         next(((e, a, b) for e, s in sandwiches.items() for a in elems for b in elems
+               if s[t[a][b]] != t[s[a]][s[b]]), None)),
+        ("swallow_idempotents",
+         next(((e, f) for e, f, ef in pairs if not swallows(e, f, ef)), None)),
+    )
+    return IdentityReport(tuple((name, witness is None, witness) for name, witness in witnesses))
 
 
 def premise_checks(S: FiniteSemigroup, sigma: Iterable[int]) -> dict:
@@ -400,14 +384,7 @@ def finitary_generator_check(S: FiniteSemigroup, sigma: Iterable[int], budget: i
     order_as = finite_order(m_as, budget)
     order_sa = finite_order(m_sa, budget)
     ac, witness = is_almost_commutative(S)
-    es = sorted(idempotents(S))
-    generator_swap = all(
-        S.product((e, x, y, f)) == S.product((e, y, x, f))
-        for e in es
-        for f in es
-        for x in sigma
-        for y in sigma
-    )
+    generator_swap = _swap_witness(S, sigma) is None
     finite_detected = isinstance(order_as, Finite) or isinstance(order_sa, Finite)
     return {
         "premises": premises,

@@ -49,6 +49,10 @@ def test_matrix_validation():
     ([[1, 0], [5, -1]], Z2, "^entry 5 out of range$"),
     ([[1, 0], [0, -1], [7, 0]], Z2, "^entry -1 out of range$"),
     ([[], [0]], Z2, "^column count mismatch$"),
+    # the only fault is in the last row, past every row the first check reads
+    ([[0, 1]] * 5 + [[1, 2]], Z2, "^entry 2 out of range$"),
+    ([[0, 1]] * 5 + [[-1, 0]], Z2, "^entry -1 out of range$"),
+    ([[0, 1]] * 5 + [[1]], Z2, "^column count mismatch$"),
 ])
 def test_matrix_errors_come_in_row_order(entries, semigroup, message):
     with pytest.raises(ValueError, match=message):

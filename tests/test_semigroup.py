@@ -1,9 +1,11 @@
-from itertools import product
+from itertools import combinations, islice, product
 from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import reference_semigroup as ref
 
 from rankmat.enumerate import (
     associative_tables,
@@ -20,6 +22,8 @@ from rankmat.enumerate import (
 from rankmat.semigroup import (
     FiniteSemigroup,
     _closure,
+    _omega_powers,
+    _swap_witness,
     Overflow,
     counts_non_increasing_after_repeat,
     finitary_generator_check,
@@ -119,8 +123,12 @@ def test_associative_tables_capped():
 def test_product_and_power():
     z5 = cyclic_group(5)
     assert z5.product([1, 1, 1]) == 3
-    assert z5.power(2, 4) == 3
-    assert z5.power(2, 1) == 2
+    assert z5.product([2] * 4) == 3
+    assert z5.product([2]) == 2
+    # omega and the omega power of each element, read off the table
+    assert _omega_powers(z5) == (5, [0] * 5)
+    w = word_monoid_1abab0()
+    assert _omega_powers(w) == (2, [ref.power(w, s, 2) for s in w.elements()])
 
 
 def test_omega_examples():
@@ -142,10 +150,10 @@ def test_omega_raises_typed_error_past_bound():
 def test_idempotents_and_factorial():
     z3 = cyclic_group(3)
     assert idempotents(z3) == frozenset({0})
-    assert z3.power(1, omega(z3)) == 0  # a^! = a^omega
+    assert z3.product([1] * omega(z3)) == 0  # a^! = a^omega
     w = word_monoid_1abab0()
     assert idempotents(w) == frozenset({0, 5})
-    assert w.power(1, omega(w)) == 5  # a^! = a^2 = 0
+    assert w.product([1] * omega(w)) == 5  # a^! = a^2 = 0
 
 
 def test_green_group_is_one_class():
@@ -243,20 +251,26 @@ def _reference_count(S: FiniteSemigroup, k: int, cap: int = 10**6):
 CORPUS = list(associative_tables(3)) + curated_size4_semigroups() + [word_monoid_1abab0()]
 
 
-@st.composite
-def transformation_semigroups(draw):
-    """The semigroup generated under composition by one or two random maps
-    on {0, 1, 2}, kept when it has at most four elements."""
-    maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2))
+def generated_by(maps) -> FiniteSemigroup:
+    """The semigroup generated under composition by the maps, each a tuple
+    of images of 0, 1, ..., its elements numbered in the order found."""
     elems = list(dict.fromkeys(maps))
     for f in elems:  # elems grows while it is walked: closure under f.g
         for g in maps:
             fg = tuple(g[x] for x in f)
             if fg not in elems:
                 elems.append(fg)
-    assume(len(elems) <= 4)
     index = {f: i for i, f in enumerate(elems)}
     return validate([[index[tuple(g[x] for x in f)] for g in elems] for f in elems])
+
+
+@st.composite
+def transformation_semigroups(draw):
+    """The semigroup generated under composition by one or two random maps
+    on {0, 1, 2}, kept when it has at most four elements."""
+    S = generated_by(draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=2)))
+    assume(S.size <= 4)
+    return S
 
 
 semigroups = st.one_of(st.sampled_from(CORPUS), transformation_semigroups())
@@ -273,6 +287,69 @@ def test_syntactic_class_count_matches_reference(S, k, cap):
 def test_syntactic_class_counts_match_per_k(S, cap):
     counts = syntactic_class_counts(S, 3, cap)
     assert counts == [syntactic_class_count(S, k, cap) for k in (1, 2, 3)]
+
+
+def assert_matches_reference(S: FiniteSemigroup, cap: int = 10**6) -> None:
+    """The table-reading kernels against their method-call references in
+    ``reference_semigroup``, and the counts over distinct contexts against
+    the counts over every context, up to k = 6."""
+    counts = syntactic_class_counts(S, 6, cap)
+    assert counts == list(islice(ref.class_counts(S, cap), 1, 7)), S.table
+    w = ref.omega(S)
+    assert _omega_powers(S) == (w, [ref.power(S, s, w) for s in S.elements()]), S.table
+    assert idempotents(S) == ref.idempotents(S), S.table
+    assert green(S) == ref.green(S), S.table
+    assert is_almost_commutative(S) == ref.is_almost_commutative(S), S.table
+    assert identity_suite(S) == ref.identity_suite(S), S.table
+
+
+def test_kernels_match_the_reference_on_the_corpus():
+    for S in CORPUS:
+        assert_matches_reference(S)
+
+
+@settings(deadline=None, max_examples=60)
+@given(transformation_semigroups(), st.integers(0, 40))
+def test_kernels_match_the_reference(S, cap):
+    assert_matches_reference(S, cap)
+
+
+def test_swallow_reads_idempotents_beyond_the_infixes():
+    # e = f = 2: an idempotent g with 2g2 != 22 lies in the subsemigroup
+    # generated by the infixes of 2 but is not one of them
+    S = generated_by([(1, 2, 1), (1, 1, 0)])
+    assert S.size == 11
+    report = identity_suite(S)
+    assert report == ref.identity_suite(S)
+    assert report.results[-1] == ("swallow_idempotents", False, (2, 2))
+
+
+def first_swap_failure(S: FiniteSemigroup, letters) -> Optional[tuple]:
+    es = sorted(idempotents(S))
+    return next(((e, x, y, f) for e in es for f in es for x in letters for y in letters
+                 if S.product((e, x, y, f)) != S.product((e, y, x, f))), None)
+
+
+def test_swap_witness_reads_only_ordered_pairs():
+    # the first failing (x, y) of each (e, f) has x < y, so skipping the
+    # pairs with x >= y finds the same first witness
+    for S in CORPUS:
+        for r in range(1, S.size + 1):
+            for letters in combinations(S.elements(), r):
+                assert _swap_witness(S, letters) == first_swap_failure(S, letters), S.table
+
+
+NILPOTENT_4 = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2]]
+
+
+def test_nilpotent_counts_repeat_only_after_k4():
+    # the nilpotent semigroup generated by 3: the counts first repeat at
+    # k = 5, so a k <= 4 budget sees no repeat and the repeat rule fails on
+    # it, while the counts never rise again
+    counts = syntactic_class_counts(validate(NILPOTENT_4), 8)
+    assert counts == [4, 3, 2, 1, 1, 1, 1, 1]
+    assert not counts_non_increasing_after_repeat(counts[:4])
+    assert counts_non_increasing_after_repeat(counts)
 
 
 def test_prefix_suffix_multiset_examples():
