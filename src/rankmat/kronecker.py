@@ -2,25 +2,25 @@
 finite-order detection and the 2x2 claim.
 
 The kernels read the Cayley table directly. A Kronecker product costs one
-table read per entry. ``normal_form`` drops duplicate rows and columns,
-then sorts the rows and the rows of the transpose to a fixpoint; with no
-two rows and no two columns equal, neither sort has ties. The growth
-witness of the 2x2 claim at power n costs O(n 2^n) table reads: each
-entry is a product of a tabulated prefix of up letters, one down letter
-and a tabulated suffix."""
+table read per entry. ``normal_form`` is the matrix less duplicate rows
+and columns, its rows and the rows of its transpose sorted to a fixpoint
+(with no two rows and no two columns equal, neither sort has ties).
+``finite_order`` takes equal entries as a repeat and sends other
+same-shape normal forms to the permutation search of ``is_submatrix``.
+The growth witness of the 2x2 claim at power n costs O(n 2^n) table
+reads: each entry is a product of a tabulated prefix of up letters, one
+down letter and a tabulated suffix."""
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import caps
 from .semigroup import FiniteSemigroup
 
 __all__ = [
     "SemigroupMatrix",
-    "NormalForm",
     "Finite",
     "Unknown",
     "kronecker_product",
@@ -37,27 +37,25 @@ __all__ = [
 @dataclass(frozen=True)
 class SemigroupMatrix:
     entries: tuple  # tuple of row tuples of element ids
-    semigroup: Optional[FiniteSemigroup] = None
+    semigroup: FiniteSemigroup
 
     def __post_init__(self):
         width = len(self.entries[0]) if self.entries else 0
-        size = self.semigroup.size if self.semigroup is not None else None
+        size = self.semigroup.size
         # one pass of C-level checks; the scan below only names the first
         # bad entry
         if set(map(len, self.entries)) <= {width} and (
-                size is None or set().union(*self.entries) <= set(range(size))):
+                set().union(*self.entries) <= set(range(size))):
             return
         for row in self.entries:
             if len(row) != width:
                 raise ValueError("column count mismatch")
-            if size is not None:
-                for x in row:
-                    if not (0 <= x < size):
-                        raise ValueError(f"entry {x} out of range")
+            for x in row:
+                if not (0 <= x < size):
+                    raise ValueError(f"entry {x} out of range")
 
     @staticmethod
-    def make(entries: Sequence[Sequence[int]],
-             semigroup: Optional[FiniteSemigroup] = None) -> "SemigroupMatrix":
+    def make(entries: Sequence[Sequence[int]], semigroup: FiniteSemigroup) -> "SemigroupMatrix":
         return SemigroupMatrix(tuple(tuple(row) for row in entries), semigroup)
 
     def shape(self):
@@ -72,8 +70,6 @@ def _same_domain(M: SemigroupMatrix, N: SemigroupMatrix) -> None:
 def kronecker_product(M1: SemigroupMatrix, M2: SemigroupMatrix) -> SemigroupMatrix:
     _same_domain(M1, M2)
     S = M1.semigroup
-    if S is None:
-        raise ValueError("Kronecker product needs a semigroup")
     table = S.table
     entries = tuple(
         tuple([table[a][b] for a in row1 for b in row2])
@@ -92,12 +88,6 @@ def kronecker_power(M: SemigroupMatrix, n: int) -> SemigroupMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    matrix: SemigroupMatrix
-    content_hash: str
-
-
 def _dedup(entries: Sequence[Sequence[int]]) -> list:
     """Keep the first occurrence of each row, then of each column, as
     tuples.
@@ -110,23 +100,20 @@ def _dedup(entries: Sequence[Sequence[int]]) -> list:
     return list(zip(*columns)) if columns else rows
 
 
-def normal_form(M: SemigroupMatrix) -> NormalForm:
+def normal_form(M: SemigroupMatrix) -> SemigroupMatrix:
     entries = _dedup(M.entries)
     # sort rows by content, then columns, to a fixpoint.  After _dedup no
     # two rows and no two columns are equal, so sorting the rows of the
     # transpose sorts the columns with no ties.  The order is not
-    # canonical: equal hashes imply equivalence, but two equivalent
-    # matrices can sort to different layouts and so hash differently
+    # canonical: equal normal forms imply equivalence, but two equivalent
+    # matrices can sort to different layouts
     if entries and entries[0]:
         while True:
             after = list(zip(*sorted(zip(*sorted(entries)))))
             if after == entries:
                 break
             entries = after
-    entries = tuple(entries)
-    serial = ";".join(",".join(map(str, row)) for row in entries)
-    digest = hashlib.sha256(serial.encode()).hexdigest()
-    return NormalForm(SemigroupMatrix(entries, M.semigroup), digest)
+    return SemigroupMatrix(tuple(entries), M.semigroup)
 
 
 def _line_profile(entries: tuple) -> tuple:
@@ -183,8 +170,7 @@ def is_submatrix(M: SemigroupMatrix, N: SemigroupMatrix) -> bool:
 def equivalent(M: SemigroupMatrix, N: SemigroupMatrix) -> bool:
     """Normal forms are isomorphic by entry-preserving bijections."""
     _same_domain(M, N)
-    nm = normal_form(M).matrix
-    nn = normal_form(N).matrix
+    nm, nn = normal_form(M), normal_form(N)
     if nm.shape() != nn.shape():
         return False
     return is_submatrix(nm, nn)
@@ -209,20 +195,18 @@ def finite_order(M: SemigroupMatrix, budget: int):
     cap = caps.get("kronecker_normal_form")
     base = normal_form(M)
     history = [base]
-    row_counts = [base.matrix.shape()[0]]
+    row_counts = [base.shape()[0]]
     for power in range(2, budget + 1):
         previous = history[-1]
-        nr, nc = previous.matrix.shape()
-        if max(nr, nc) > cap:
+        if max(previous.shape()) > cap:
             return Unknown(tuple(row_counts))
         # dedup before multiplying keeps the powers small; duplicate rows
         # and columns of a factor stay duplicates of the product
-        current = normal_form(kronecker_product(previous.matrix, base.matrix))
-        row_counts.append(current.matrix.shape()[0])
+        current = normal_form(kronecker_product(previous, base))
+        row_counts.append(current.shape()[0])
         for j, past in enumerate(history):
-            if past.matrix.shape() == current.matrix.shape() and (
-                past.content_hash == current.content_hash
-                or is_submatrix(past.matrix, current.matrix)
+            if past.shape() == current.shape() and (
+                past.entries == current.entries or is_submatrix(past, current)
             ):
                 return Finite(index=j + 1, period=power - (j + 1))
         history.append(current)

@@ -335,9 +335,9 @@ def _blocks_up_to(class_masks: Sequence[int], bits: int, cap: int) -> int:
     return count
 
 
-def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> None:
-    """Checks completeness, soundness, full/empty determination, and (on
-    request) homogeneity; raises ValueError on any violation. phi is
+def validate_oracle(oracle, samples: int = 4096) -> None:
+    """Checks completeness, soundness, full/empty determination and
+    homogeneity, in that order; raises ValueError on any violation. phi is
     queried only on the samples that the completeness or soundness test
     reads. At least one sample is drawn: with none, every check would
     pass vacuously."""
@@ -386,7 +386,7 @@ def validate_oracle(oracle, homogeneous: bool = True, samples: int = 4096) -> No
     for a, b in combinations(by_kind, 2):
         if by_kind[a] & by_kind[b]:
             raise ValueError(f"lambda does not separate {a} from {b}")
-    if homogeneous and (fault := oracle.homogeneity_fault):
+    if fault := oracle.homogeneity_fault:
         raise ValueError(fault)
 
 

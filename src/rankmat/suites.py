@@ -440,11 +440,7 @@ def suite_finitary_generator():
         if {S.mult(a, b) for a in elems for b in elems} != set(elems):
             continue
         instances += 1
-        result = finitary_generator_check(S, elems, budget=6)
-        finite = isinstance(result["order_rows_S"], Finite) or isinstance(
-            result["order_rows_sigma"], Finite
-        )
-        if finite and not (result["almost_commutative"] and result["generator_swap"]):
+        if not finitary_generator_check(S, elems, budget=6)["consistent"]:
             yield label, {"table": [list(r) for r in S.table]}
     return {"instances": instances}
 

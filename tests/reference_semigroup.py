@@ -7,7 +7,10 @@ contexts, kept as the reference that the library is compared against:
 - ``omega``, ``green``, ``is_almost_commutative`` and ``identity_suite``:
   every product through ``S.mult``, ``S.product`` and ``power`` (once the
   method ``FiniteSemigroup.power``), and powers recomputed per element and
-  per check."""
+  per check.
+- ``context_separated``: ``premise_checks``'s test that x*a*y != x*b*y for
+  some context (x, y) whenever a != b, as the double loop over pairs and
+  contexts that it was, 2n^4 ``S.product`` calls."""
 from __future__ import annotations
 
 from itertools import chain, product
@@ -116,6 +119,19 @@ def is_almost_commutative(S: FiniteSemigroup):
                     if lhs != rhs:
                         return False, (e, x, y, f)
     return True, None
+
+
+def context_separated(S: FiniteSemigroup) -> bool:
+    return all(
+        any(
+            S.product((x, a, y)) != S.product((x, b, y))
+            for x in S.elements()
+            for y in S.elements()
+        )
+        for a in S.elements()
+        for b in S.elements()
+        if a != b
+    )
 
 
 def class_counts(S: FiniteSemigroup, cap: int) -> Iterator:

@@ -21,6 +21,11 @@ attribute of the same name.  ``LaminarTree.parent`` and
 tree index's ``index.parent`` dict and ``Structure.universe`` (read as
 ``s.universe()``) kept them reached.  Dataclass fields are not checked,
 since removing one changes ``==`` and ``hash``.
+
+A second scan asks the same of options: every defaulted parameter of a
+top-level library function is passed, by position or by keyword, in some
+call in the library or the benchmark, matched by name, or is on its own
+allowlist with the reason it stays.
 """
 import ast
 import textwrap
@@ -149,8 +154,60 @@ def test_every_export_is_defined_in_its_module(module):
     assert undefined_exports(library_modules()[module]) == []
 
 
+# module.function.parameter -> why its default stays although no call in
+# the library or the benchmark passes the parameter
+ALLOWED_DEFAULTS = {
+    "cli.main.argv": "tests drive the CLI in-process",
+    "rank.monadic_type_matrix.residues": "size-residue atoms, checked against the "
+                                         "nested reference",
+    "recovery.synth_oracle.groups": "CI and tests build grouped oracles with it",
+}
+
+
+def defaulted_parameters(function) -> list:
+    """(name, position) for each parameter with a default, the position
+    None for a keyword-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def passes(call, name: str, position) -> bool:
+    """Whether a call passes the parameter, by keyword or by position; a
+    starred argument or ``**`` mapping counts as passing it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_defaults(library=LIBRARY, callers=BENCHMARK) -> set:
+    """Each defaulted parameter of a top-level library function that no
+    call in the library or the benchmark passes. A call matches a function
+    by name, as ``f(...)`` or ``x.f(...)``, as the reachability scan
+    matches names."""
+    modules = library_modules(library)
+    calls: dict = {}
+    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in callers)]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    return {f"{module}.{f.name}.{name}"
+            for module, tree in modules.items() for f in tree.body if isinstance(f, METHODS)
+            for name, position in defaulted_parameters(f)
+            if not any(passes(call, name, position) for call in calls.get(f.name, ()))}
+
+
+def test_every_default_is_passed_by_the_library_or_the_benchmark():
+    assert unpassed_defaults() == set(ALLOWED_DEFAULTS)
+
+
 # ---------------------------------------------------------------------------
-# the scan itself, on a made-up library and benchmark
+# the scans themselves, on a made-up library and benchmark
 
 
 def write_package(tmp_path, modules: dict, benchmark: str = "") -> tuple:
@@ -287,3 +344,22 @@ def test_an_export_imported_from_another_module_is_reported():
             return Overflow()
         """))
     assert undefined_exports(tree) == ["Overflow", "kernel"]
+
+
+def test_defaults_scan_matches_calls_by_name_keyword_and_position(tmp_path):
+    library, bench = write_package(tmp_path, {
+        "core": """
+            def kernel(a, b=1, c=2, *, d=3, e=4, f=5):
+                return a
+
+            def unused(x=0):
+                return x
+
+            kernel(0, 1, e=2)
+            """,
+    }, benchmark="""
+        import core
+        core.kernel(*range(3))
+        other(f=1, x=1)
+        """)
+    assert unpassed_defaults(library, bench) == {"core.kernel.d", "core.kernel.f", "core.unused.x"}

@@ -156,12 +156,18 @@ def test_recover_partition_random_instances():
         assert set(recover_partition(o)) == {frozenset(c) for c in hidden}, (sizes, k)
 
 
+def fails_only_homogeneity(oracle) -> None:
+    """``validate_oracle`` checks homogeneity last, so raising exactly the
+    oracle's homogeneity fault shows every earlier check passed."""
+    assert oracle.homogeneity_fault is not None
+    with pytest.raises(ValueError, match=f"^{re.escape(oracle.homogeneity_fault)}$"):
+        validate_oracle(oracle)
+
+
 def test_recover_partition_pre_grouping():
     hidden = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
     o = synth_oracle("unordered", hidden, 2, groups=[0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        validate_oracle(o)
-    validate_oracle(o, homogeneous=False)
+    fails_only_homogeneity(o)
     assert set(recover_partition(o)) == {frozenset(c) for c in hidden}
 
 
@@ -179,8 +185,11 @@ def test_homogeneity_is_checked_once_per_oracle(monkeypatch, groups):
     monkeypatch.setattr(recovery, "_homogeneity_fault", counted)
     hidden = [{0, 1}, {2, 3}, {4, 5}, {6, 7}]
     o = synth_oracle("unordered", hidden, 2, groups=groups)
-    validate_oracle(o, homogeneous=groups is None)
-    validate_oracle(o, homogeneous=groups is None)
+    for _ in range(2):
+        if groups is None:
+            validate_oracle(o)
+        else:
+            fails_only_homogeneity(o)
     assert set(recover_partition(o)) == {frozenset(c) for c in hidden}
     assert recover_partition(o) == recover_partition(o)
     assert checked[0] is o
@@ -646,7 +655,7 @@ def test_not_homogeneous_single_image_raises_recovery_error():
     # value 1 is not idempotent, and no lambda image tells the classes apart
     lam = [{frozenset(): 0, frozenset({x}): 1} for x in (0, 1)]
     o = UnorderedOracle([{0}, {1}], cyclic_group(2), lam, {0, 1}, 1)
-    validate_oracle(o, homogeneous=False)
+    fails_only_homogeneity(o)
     with pytest.raises(RecoveryError, match=re.escape(
             "not homogeneous (full and empty values must be idempotent)")):
         recover_partition(o)

@@ -289,10 +289,11 @@ def test_syntactic_class_counts_match_per_k(S, cap):
     assert counts == [syntactic_class_count(S, k, cap) for k in (1, 2, 3)]
 
 
-def assert_matches_reference(S: FiniteSemigroup, cap: int = 10**6) -> None:
+def assert_matches_reference(S: FiniteSemigroup, cap: int = 10**6) -> bool:
     """The table-reading kernels against their method-call references in
     ``reference_semigroup``, and the counts over distinct contexts against
-    the counts over every context, up to k = 6."""
+    the counts over every context, up to k = 6. Returns whether S is
+    context-separated."""
     counts = syntactic_class_counts(S, 6, cap)
     assert counts == list(islice(ref.class_counts(S, cap), 1, 7)), S.table
     w = ref.omega(S)
@@ -301,11 +302,14 @@ def assert_matches_reference(S: FiniteSemigroup, cap: int = 10**6) -> None:
     assert green(S) == ref.green(S), S.table
     assert is_almost_commutative(S) == ref.is_almost_commutative(S), S.table
     assert identity_suite(S) == ref.identity_suite(S), S.table
+    separated = premise_checks(S, S.elements())["context_separated"]
+    assert separated == ref.context_separated(S), S.table
+    return separated
 
 
 def test_kernels_match_the_reference_on_the_corpus():
-    for S in CORPUS:
-        assert_matches_reference(S)
+    # the corpus has context-separated tables and tables that are not
+    assert {assert_matches_reference(S) for S in CORPUS} == {True, False}
 
 
 @settings(deadline=None, max_examples=60)
